@@ -2,7 +2,8 @@
 # CI gate for the uHD workspace.
 #
 #   ./ci.sh            fmt check, clippy -D warnings, release build,
-#                      full test suite, bench compile check
+#                      full test suite, rustdoc -D warnings, bench
+#                      compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
 #                      binary and example (UHD_BENCH_QUICK + tiny sizes)
 set -euo pipefail
@@ -29,6 +30,10 @@ cargo build --release
 
 step "cargo test -q"
 cargo test -q
+
+# Stale intra-doc links (e.g. to a deleted public type) fail here.
+step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "cargo bench --no-run"
 cargo bench --no-run

@@ -1,5 +1,5 @@
 //! Online-learning interference: learn throughput vs classify latency
-//! when both streams hit the engine at once.
+//! when both streams hit a one-tenant registry at once.
 //!
 //! Run: `cargo run --release -p uhd-bench --bin online`
 //!
@@ -7,11 +7,12 @@
 //!
 //! * `classify_only` — the serving baseline: the query stream alone,
 //!   with per-request p50/p99 latency;
-//! * `learn_only` — the labelled stream alone (submit + sync), i.e.
-//!   the trainer's peak ingest rate including snapshot publishes;
+//! * `learn_only` — the labelled stream alone (synchronous `learn`
+//!   calls plus a final `publish`), i.e. the learner's peak ingest rate
+//!   including snapshot publishes;
 //! * `mixed` — both streams concurrently: one client thread drives
-//!   queries while the main thread pours labelled samples in, syncing
-//!   the learner before stopping the clock.
+//!   queries while the main thread pours labelled samples in,
+//!   publishing the learner before stopping the clock.
 //!
 //! The interesting number is the classify-throughput ratio
 //! `mixed / classify_only`: how much serving capacity continuous
@@ -26,62 +27,76 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use uhd_bench::{env_flag, machine_json, uhd_encoder, ExperimentConfig, Latencies, Workbench};
 use uhd_core::encoder::uhd::UhdEncoder;
 use uhd_core::model::HdcModel;
 use uhd_datasets::synth::SyntheticKind;
-use uhd_serve::{ServeConfig, ServeEngine, StatsSnapshot};
+use uhd_serve::{ModelRegistry, ServeConfig, StatsSnapshot};
+
+/// The tenant name every registry in this bench serves its model under.
+const TENANT: &str = "bench";
+
+/// Start a registry serving `model` through `encoder` as its only
+/// tenant.
+fn one_tenant(config: ServeConfig, encoder: &Arc<UhdEncoder>, model: &HdcModel) -> ModelRegistry {
+    let registry = ModelRegistry::start(config).expect("registry start");
+    registry
+        .register(TENANT, encoder.clone(), model.clone())
+        .expect("register");
+    registry
+}
+
+/// Apply the labelled stream, then publish what the `snapshot_every`
+/// cadence left unpublished.
+fn learn_stream_through(registry: &ModelRegistry, learn_stream: &[(Vec<u8>, usize)]) {
+    for (image, label) in learn_stream {
+        registry.learn(TENANT, image, *label).expect("learn");
+    }
+    registry.publish(TENANT).expect("publish");
+}
 
 /// Phase 1: the query stream alone — (images per second, per-request
 /// latency percentiles).
 fn classify_only(
     config: ServeConfig,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     query_stream: &[Vec<u8>],
     latency_n: usize,
 ) -> (f64, Latencies) {
-    ServeEngine::serve(config, encoder, model.clone(), |engine| {
+    let registry = one_tenant(config, encoder, model);
+    let t0 = Instant::now();
+    let responses = registry.classify_many(TENANT, query_stream).expect("serve");
+    assert_eq!(responses.len(), query_stream.len());
+    let ips = query_stream.len() as f64 / t0.elapsed().as_secs_f64();
+    // A second, request-at-a-time pass for the latency distribution
+    // (classify_many hides per-request wait behind batch pipelining).
+    let mut lat = Latencies::with_capacity(latency_n);
+    for image in query_stream.iter().take(latency_n) {
         let t0 = Instant::now();
-        let responses = engine.classify_many(query_stream).expect("serve");
-        assert_eq!(responses.len(), query_stream.len());
-        let ips = query_stream.len() as f64 / t0.elapsed().as_secs_f64();
-        // A second, request-at-a-time pass for the latency distribution
-        // (classify_many hides per-request wait behind batch pipelining).
-        let mut lat = Latencies::with_capacity(latency_n);
-        for image in query_stream.iter().take(latency_n) {
-            let t0 = Instant::now();
-            let _ = engine.classify(image).expect("classify");
-            lat.record(t0.elapsed());
-        }
-        (ips, lat)
-    })
-    .expect("engine start")
+        let _ = registry.classify(TENANT, image).expect("classify");
+        lat.record(t0.elapsed());
+    }
+    (ips, lat)
 }
 
 /// Phase 2: the labelled stream alone — samples per second through
-/// submit + drain, snapshot publishes included.
+/// `learn`, snapshot publishes included.
 fn learn_only(
     config: ServeConfig,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     learn_stream: &[(Vec<u8>, usize)],
 ) -> (f64, StatsSnapshot) {
-    let (sps, stats) = ServeEngine::serve(config, encoder, model.clone(), |engine| {
-        let t0 = Instant::now();
-        for (image, label) in learn_stream {
-            engine.learn(image.clone(), *label).expect("learn");
-        }
-        engine.sync_learner();
-        (
-            learn_stream.len() as f64 / t0.elapsed().as_secs_f64(),
-            engine.stats(),
-        )
-    })
-    .expect("engine start");
+    let registry = one_tenant(config, encoder, model);
+    let t0 = Instant::now();
+    learn_stream_through(&registry, learn_stream);
+    let sps = learn_stream.len() as f64 / t0.elapsed().as_secs_f64();
+    let stats = registry.stats();
     assert_eq!(
-        stats.learn_consumed,
+        stats.learn_updates,
         learn_stream.len() as u64,
         "every labelled sample must be applied"
     );
@@ -92,40 +107,35 @@ fn learn_only(
 /// samples/s, final stats).
 fn mixed(
     config: ServeConfig,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     query_stream: &[Vec<u8>],
     learn_stream: &[(Vec<u8>, usize)],
 ) -> (f64, f64, StatsSnapshot) {
-    let (classify_ips, learn_sps, stats) =
-        ServeEngine::serve(config, encoder, model.clone(), |engine| {
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                let stop = &stop;
-                let prober = scope.spawn(move || {
-                    // Keep classifying until the learn stream drains,
-                    // then report the observed query throughput.
-                    let t0 = Instant::now();
-                    let mut served = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let responses = engine.classify_many(query_stream).expect("serve");
-                        served += responses.len() as u64;
-                    }
-                    served as f64 / t0.elapsed().as_secs_f64()
-                });
-                let t0 = Instant::now();
-                for (image, label) in learn_stream {
-                    engine.learn(image.clone(), *label).expect("learn");
-                }
-                engine.sync_learner();
-                let learn_sps = learn_stream.len() as f64 / t0.elapsed().as_secs_f64();
-                stop.store(true, Ordering::Relaxed);
-                let classify_ips = prober.join().expect("prober panicked");
-                (classify_ips, learn_sps, engine.stats())
-            })
-        })
-        .expect("engine start");
-    assert_eq!(stats.learn_submitted, stats.learn_consumed);
+    let registry = one_tenant(config, encoder, model);
+    let stop = AtomicBool::new(false);
+    let (classify_ips, learn_sps) = std::thread::scope(|scope| {
+        let (stop, registry) = (&stop, &registry);
+        let prober = scope.spawn(move || {
+            // Keep classifying until the learn stream is applied, then
+            // report the observed query throughput.
+            let t0 = Instant::now();
+            let mut served = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let responses = registry.classify_many(TENANT, query_stream).expect("serve");
+                served += responses.len() as u64;
+            }
+            served as f64 / t0.elapsed().as_secs_f64()
+        });
+        let t0 = Instant::now();
+        learn_stream_through(registry, learn_stream);
+        let learn_sps = learn_stream.len() as f64 / t0.elapsed().as_secs_f64();
+        stop.store(true, Ordering::Relaxed);
+        let classify_ips = prober.join().expect("prober panicked");
+        (classify_ips, learn_sps)
+    });
+    let stats = registry.stats();
+    assert_eq!(stats.learn_submitted, stats.learn_updates);
     assert!(
         stats.snapshots_published >= 1,
         "the mixed phase must have hot-published snapshots"
@@ -203,17 +213,12 @@ fn render_report(r: &Report) -> String {
         r.mixed_stats.snapshots_published
     )
     .unwrap();
-    // The engine's own histogram view of the mixed phase: classify
-    // submit→completion and learn submit→applied drain lag.
+    // The registry's own histogram view of the mixed phase: classify
+    // submit→completion.
     writeln!(
         out,
-        "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"learn_p50_us\": {}, \
-         \"learn_p99_us\": {}, \"queue_depth_hw\": {}}},",
-        r.mixed_stats.p50_us,
-        r.mixed_stats.p99_us,
-        r.mixed_stats.learn_p50_us,
-        r.mixed_stats.learn_p99_us,
-        r.mixed_stats.queue_depth_hw
+        "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",
+        r.mixed_stats.p50_us, r.mixed_stats.p99_us, r.mixed_stats.queue_depth_hw
     )
     .unwrap();
     writeln!(
@@ -233,9 +238,9 @@ fn main() {
     let learn_samples = if quick { 300 } else { 2000 };
 
     let bench = Workbench::new(SyntheticKind::Mnist, &cfg);
-    let encoder = uhd_encoder(d, bench.train.pixels());
+    let encoder = Arc::new(uhd_encoder(d, bench.train.pixels()));
     let model = HdcModel::train_parallel(
-        &encoder,
+        encoder.as_ref(),
         bench.train_data(),
         bench.train.classes(),
         cfg.threads,

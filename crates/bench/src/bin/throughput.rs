@@ -1,5 +1,6 @@
-//! Serving throughput: batched + sharded `uhd-serve` engine vs the
-//! serial per-image loop, swept over batch size × shard count, plus a
+//! Serving throughput: a batched + sharded one-tenant `uhd-serve`
+//! registry vs the serial per-image loop, swept over batch size × shard
+//! count, plus a
 //! kernel microbench pitting the dispatched SIMD popcount path against
 //! the scalar fallback on the associative-memory sweep.
 //!
@@ -7,15 +8,15 @@
 //!
 //! Two serial baselines are measured on the same synthetic workload:
 //!
-//! * `serial_classify` — the status-quo path this engine replaces: one
+//! * `serial_classify` — the status-quo path the registry replaces: one
 //!   image at a time through `HdcModel::classify` (default integer
 //!   cosine over the class sums);
 //! * `serial_binarized` — one image at a time through the binarized
-//!   query path, i.e. the same decisions the engine produces, but
+//!   query path, i.e. the same decisions the registry produces, but
 //!   without batching, sharding, or the transposed class store.
 //!
-//! The sweep then serves the identical image stream through
-//! `ServeEngine` for every (shards, max_batch) combination, and the
+//! The sweep then serves the identical image stream through a
+//! `ModelRegistry` for every (shards, max_batch) combination, and the
 //! best configuration is re-run request-by-request for p50/p99 latency.
 //!
 //! The report goes to stdout *and* to `BENCH_throughput.json` in the
@@ -26,6 +27,7 @@
 //! `UHD_KERNEL` kernel override.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 use uhd_bench::{
     env_flag, machine_json, tabular_encoder, text_encoder, uhd_encoder, ExperimentConfig,
@@ -40,7 +42,29 @@ use uhd_core::Encoder;
 use uhd_datasets::synth::SyntheticKind;
 use uhd_datasets::{generate_language_id, generate_sensor_rows, SensorSpec, TextSpec};
 use uhd_lowdisc::rng::Xoshiro256StarStar;
-use uhd_serve::{ServeConfig, ServeEngine};
+use uhd_serve::{ModelRegistry, ServeConfig};
+
+/// The tenant name every registry in this bench serves its model under.
+const TENANT: &str = "bench";
+
+/// Start a registry serving `model` through `encoder` as its only
+/// tenant.
+fn one_tenant(config: ServeConfig, encoder: Arc<dyn Encoder>, model: &HdcModel) -> ModelRegistry {
+    let registry = ModelRegistry::start(config).expect("registry start");
+    registry
+        .register(TENANT, encoder, model.clone())
+        .expect("register");
+    registry
+}
+
+/// Classify `samples` through `registry` as one wave and return
+/// samples per second.
+fn wave_rate(registry: &ModelRegistry, samples: &[Vec<u8>]) -> f64 {
+    let t0 = Instant::now();
+    let responses = registry.classify_many(TENANT, samples).expect("serve");
+    assert_eq!(responses.len(), samples.len());
+    samples.len() as f64 / t0.elapsed().as_secs_f64()
+}
 
 struct SweepPoint {
     shards: usize,
@@ -186,7 +210,7 @@ fn am_kernel_bench(quick: bool) -> AmKernelResult {
 fn obs_overhead_bench(
     quick: bool,
     best: &SweepPoint,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     images: &[Vec<u8>],
 ) -> ObsOverhead {
@@ -194,18 +218,9 @@ fn obs_overhead_bench(
     let time_mode = |telemetry: bool| -> f64 {
         (0..reps)
             .map(|_| {
-                ServeEngine::serve(
-                    ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry),
-                    encoder,
-                    model.clone(),
-                    |engine| {
-                        let t0 = Instant::now();
-                        let responses = engine.classify_many(images).expect("serve");
-                        assert_eq!(responses.len(), images.len());
-                        images.len() as f64 / t0.elapsed().as_secs_f64()
-                    },
-                )
-                .expect("engine start")
+                let config =
+                    ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
+                wave_rate(&one_tenant(config, encoder.clone(), model), images)
             })
             .fold(0.0_f64, f64::max)
     };
@@ -219,7 +234,7 @@ fn obs_overhead_bench(
     }
 }
 
-/// One row of the per-workload comparison: the same engine, same best
+/// One row of the per-workload comparison: the same registry, same best
 /// sweep configuration, serving a different feature-stream family.
 struct WorkloadThroughput {
     workload: &'static str,
@@ -229,30 +244,20 @@ struct WorkloadThroughput {
     samples_per_sec: f64,
 }
 
-/// Serve a sample stream through the engine at the best configuration
-/// and return samples per second.
-fn serve_rate<E: Encoder + ?Sized>(
+/// Serve a sample stream through a one-tenant registry at the best
+/// configuration and return samples per second.
+fn serve_rate(
     best: &SweepPoint,
-    encoder: &E,
+    encoder: Arc<dyn Encoder>,
     model: &HdcModel,
     samples: &[Vec<u8>],
 ) -> f64 {
-    ServeEngine::serve(
-        ServeConfig::new(best.shards, best.max_batch),
-        encoder,
-        model.clone(),
-        |engine| {
-            let t0 = Instant::now();
-            let responses = engine.classify_many(samples).expect("serve");
-            assert_eq!(responses.len(), samples.len());
-            samples.len() as f64 / t0.elapsed().as_secs_f64()
-        },
-    )
-    .expect("engine start")
+    let config = ServeConfig::new(best.shards, best.max_batch);
+    wave_rate(&one_tenant(config, encoder, model), samples)
 }
 
 /// The per-workload section: image, text and tabular streams through
-/// the *same* engine code path at the best sweep configuration. The
+/// the *same* registry code path at the best sweep configuration. The
 /// image row reuses the already-trained MNIST model; the other two
 /// train their own small models on synthetic corpora.
 fn per_workload_bench(
@@ -260,7 +265,7 @@ fn per_workload_bench(
     d: u32,
     best: &SweepPoint,
     cfg: &ExperimentConfig,
-    image_encoder: &UhdEncoder,
+    image_encoder: &Arc<UhdEncoder>,
     image_model: &HdcModel,
     images: &[Vec<u8>],
 ) -> Vec<WorkloadThroughput> {
@@ -276,14 +281,14 @@ fn per_workload_bench(
         encoder: image_encoder.profile().name.into_owned(),
         queries: images.len(),
         classes: image_model.classes(),
-        samples_per_sec: serve_rate(best, image_encoder, image_model, images),
+        samples_per_sec: serve_rate(best, image_encoder.clone(), image_model, images),
     });
 
     let text_spec = TextSpec::new(train_n, test_n, cfg.seed);
     let (train, test) = generate_language_id(text_spec).expect("language-id generation");
-    let encoder = text_encoder(d, text_spec.max_len);
+    let encoder = Arc::new(text_encoder(d, text_spec.max_len));
     let model = HdcModel::train_parallel(
-        &encoder,
+        encoder.as_ref(),
         LabelledSamples::new(train.samples(), train.labels()).expect("train split"),
         train.classes(),
         cfg.threads,
@@ -301,14 +306,14 @@ fn per_workload_bench(
         encoder: encoder.profile().name.into_owned(),
         queries: sentences.len(),
         classes: train.classes(),
-        samples_per_sec: serve_rate(best, &encoder, &model, &sentences),
+        samples_per_sec: serve_rate(best, encoder, &model, &sentences),
     });
 
     let (train, test) =
         generate_sensor_rows(SensorSpec::new(train_n, test_n, cfg.seed)).expect("sensor rows");
-    let encoder = tabular_encoder(d, train.max_sample_len());
+    let encoder = Arc::new(tabular_encoder(d, train.max_sample_len()));
     let model = HdcModel::train_parallel(
-        &encoder,
+        encoder.as_ref(),
         LabelledSamples::new(train.samples(), train.labels()).expect("train split"),
         train.classes(),
         cfg.threads,
@@ -326,13 +331,13 @@ fn per_workload_bench(
         encoder: encoder.profile().name.into_owned(),
         queries: sensor_rows.len(),
         classes: train.classes(),
-        samples_per_sec: serve_rate(best, &encoder, &model, &sensor_rows),
+        samples_per_sec: serve_rate(best, encoder, &model, &sensor_rows),
     });
 
     rows
 }
 
-/// The two serial per-image baselines the engine is judged against:
+/// The two serial per-image baselines the registry is judged against:
 /// (default integer-cosine classify, binarized-query classify), both in
 /// images per second.
 fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) -> (f64, f64) {
@@ -342,7 +347,7 @@ fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) 
     }
     let serial_classify_ips = images.len() as f64 / t0.elapsed().as_secs_f64();
 
-    // Binarized query: the same decisions the engine produces, but
+    // Binarized query: the same decisions the registry produces, but
     // without batching, sharding, or the transposed class store.
     let t0 = Instant::now();
     for image in images {
@@ -354,12 +359,12 @@ fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) 
     (serial_classify_ips, serial_binarized_ips)
 }
 
-/// Serve the image stream through the engine at every
+/// Serve the image stream through a one-tenant registry at every
 /// (shards × max_batch) point.
 fn run_sweep(
     quick: bool,
     hw_threads: usize,
-    encoder: &UhdEncoder,
+    encoder: &Arc<UhdEncoder>,
     model: &HdcModel,
     images: &[Vec<u8>],
 ) -> Vec<SweepPoint> {
@@ -372,22 +377,13 @@ fn run_sweep(
     let mut points = Vec::new();
     for &shards in &shard_opts {
         for &max_batch in batch_opts {
-            let (elapsed, stats) = ServeEngine::serve(
-                ServeConfig::new(shards, max_batch),
-                encoder,
-                model.clone(),
-                |engine| {
-                    let t0 = Instant::now();
-                    let responses = engine.classify_many(images).expect("serve");
-                    assert_eq!(responses.len(), images.len());
-                    (t0.elapsed(), engine.stats())
-                },
-            )
-            .expect("engine start");
+            let registry = one_tenant(ServeConfig::new(shards, max_batch), encoder.clone(), model);
+            let images_per_sec = wave_rate(&registry, images);
+            let stats = registry.stats();
             points.push(SweepPoint {
                 shards,
                 max_batch,
-                images_per_sec: images.len() as f64 / elapsed.as_secs_f64(),
+                images_per_sec,
                 mean_batch: stats.mean_batch(),
                 largest_batch: stats.largest_batch,
             });
@@ -502,7 +498,7 @@ fn render_report(
     )
     .unwrap();
     writeln!(out, "  \"request_latency\": {},", latencies.json()).unwrap();
-    // The engine's own view of the same run, from its lock-free
+    // The registry's own view of the same run, from its lock-free
     // histograms (submit→completion, so queue wait is included).
     writeln!(
         out,
@@ -517,7 +513,7 @@ fn render_report(
         obs.instrumented_images_per_sec, obs.noop_images_per_sec, obs.overhead_pct
     )
     .unwrap();
-    // The same engine, same best configuration, across the three
+    // The same registry, same best configuration, across the three
     // feature-stream families — the workload-agnostic serving claim.
     writeln!(out, "  \"workloads\": [").unwrap();
     for (i, w) in workloads.iter().enumerate() {
@@ -557,9 +553,9 @@ fn main() {
     let queries = if quick { 400 } else { 2000 };
 
     let bench = Workbench::new(SyntheticKind::Mnist, &cfg);
-    let encoder = uhd_encoder(d, bench.train.pixels());
+    let encoder = Arc::new(uhd_encoder(d, bench.train.pixels()));
     let model = HdcModel::train_parallel(
-        &encoder,
+        encoder.as_ref(),
         bench.train_data(),
         bench.train.classes(),
         cfg.threads,
@@ -578,7 +574,7 @@ fn main() {
 
     let (serial_classify_ips, serial_binarized_ips) = serial_baselines(&model, &encoder, &images);
 
-    // --- The sweep: batch size × shard count through the engine. ---
+    // --- The sweep: batch size × shard count through the registry. ---
     let hw_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let points = run_sweep(quick, hw_threads, &encoder, &model, &images);
 
@@ -588,29 +584,27 @@ fn main() {
         .expect("sweep is nonempty");
 
     // --- Per-request latency at the best configuration, with the
-    // engine's own histogram-derived figures alongside. ---
+    // registry's own histogram-derived figures alongside. ---
     let latency_n = images.len().min(if quick { 200 } else { 1000 });
-    let (latencies, engine_stats) = ServeEngine::serve(
+    let registry = one_tenant(
         ServeConfig::new(best.shards, best.max_batch),
-        &encoder,
-        model.clone(),
-        |engine| {
-            let mut lat = Latencies::with_capacity(latency_n);
-            for image in images.iter().take(latency_n) {
-                let t0 = Instant::now();
-                let _ = engine.classify(image).expect("classify");
-                lat.record(t0.elapsed());
-            }
-            (lat, engine.stats())
-        },
-    )
-    .expect("engine start");
+        encoder.clone(),
+        &model,
+    );
+    let mut latencies = Latencies::with_capacity(latency_n);
+    for image in images.iter().take(latency_n) {
+        let t0 = Instant::now();
+        let _ = registry.classify(TENANT, image).expect("classify");
+        latencies.record(t0.elapsed());
+    }
+    let engine_stats = registry.stats();
+    drop(registry);
 
     // --- Instrumentation overhead: telemetry on vs no-op recorder. ---
     let obs = obs_overhead_bench(quick, best, &encoder, &model, &images);
 
     // --- Per-workload throughput: image / text / tabular streams
-    // through the same engine at the best configuration. ---
+    // through the same registry at the best configuration. ---
     let workloads = per_workload_bench(quick, d, best, &cfg, &encoder, &model, &images);
 
     // --- Rematerialized vs resident item memory at paper geometry. ---

@@ -4,45 +4,43 @@ use std::error::Error;
 use std::fmt;
 use uhd_core::HdcError;
 
-/// Errors produced by the serving engine.
+/// Errors produced by the model registry and its HTTP front end.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServeError {
     /// An encoding or classification error bubbled up from `uhd-core`.
     Core(HdcError),
-    /// The engine has shut down; no further requests are accepted.
+    /// The registry has shut down; no further requests are accepted.
     Closed,
-    /// A worker shard panicked (e.g. a buggy custom encoder) before
-    /// this request could be answered. The request was *not* lost
-    /// silently: pending tickets are errored out so no client blocks
-    /// forever, and the original panic propagates when the serve scope
-    /// joins its workers.
+    /// Answering this request panicked (e.g. a buggy custom encoder).
+    /// The worker caught the panic, failed only this request, and kept
+    /// serving. Under `panic = "abort"` (the release profile) the
+    /// process aborts instead and this error never surfaces.
     WorkerPanicked,
-    /// Engine configuration rejected (zero shards or batch size).
+    /// Configuration rejected (e.g. zero shards or batch size).
     InvalidConfig {
         /// Human-readable reason.
         reason: String,
     },
-    /// A swapped-in model's dimension disagrees with the engine's
-    /// encoder.
+    /// A model's dimension disagrees with its tenant's encoder.
     ModelShapeMismatch {
-        /// Dimension the engine's encoder produces.
+        /// Dimension the tenant's encoder produces.
         expected_dim: u32,
         /// Dimension of the offending model.
         got_dim: u32,
     },
-    /// A labelled sample named a class index at or beyond the engine's
+    /// A labelled sample named a class index at or beyond the
     /// admission cap ([`crate::ServeConfig::max_classes`]); rejected
-    /// eagerly, before it reaches the learner queue.
+    /// eagerly, before it reaches the learner.
     InvalidLabel {
         /// The offending class index.
         label: usize,
-        /// The engine's class admission cap.
+        /// The class admission cap.
         limit: usize,
     },
     /// Load shedding: the request queue already held the admission
-    /// threshold ([`crate::ServeConfig::shed_above`], shared by the
-    /// engine and the registry) when this submit arrived, so it was
+    /// threshold ([`crate::ServeConfig::shed_above`]) when this
+    /// submit arrived, so it was
     /// rejected immediately instead of queueing unboundedly. Back off
     /// and retry.
     Overloaded {

@@ -1,45 +1,48 @@
 //! Batched, sharded inference serving for the uHD reproduction.
 //!
-//! The core crates answer one sample at a time; this crate turns a
-//! trained [`uhd_core::HdcModel`] into a **serving engine** shaped for
-//! heavy traffic. The engine is generic over [`uhd_core::Encoder`]
-//! feature streams — image, n-gram text and tabular workloads all flow
-//! through the same queues, shards, trainer and stats, with no
-//! workload-specific branches:
+//! The core crates answer one sample at a time; this crate turns
+//! trained [`uhd_core::HdcModel`]s into a **serving pool** shaped for
+//! heavy traffic. [`ModelRegistry`] is the one serving core: it serves
+//! any number of named models (tenants) through one shared worker pool,
+//! and a single-model server is simply a registry with one tenant. It
+//! is generic over [`uhd_core::Encoder`] feature streams — image,
+//! n-gram text and tabular workloads all flow through the same queue,
+//! shards, learner and stats, with no workload-specific branches:
 //!
 //! * **Micro-batching** — clients submit requests into a
 //!   lock-protected, condvar-signalled queue; worker shards drain
 //!   everything available (up to a batch cap) per wake-up, amortizing
 //!   synchronization and model-snapshot costs over the batch.
-//! * **Sharding** — `N` scoped worker threads
-//!   ([`std::thread::scope`], so the encoder is borrowed rather than
-//!   `'static`) compete for batches, scaling with cores.
+//! * **Sharding** — `N` detached worker threads compete for batches,
+//!   scaling with cores; a batch may mix tenants.
 //! * **Bit-sliced associative memory** — every query is answered
 //!   through [`uhd_core::AssociativeMemory`]: class hypervectors
 //!   transposed into contiguous per-plane `u64` words so one streaming
 //!   XOR+popcount pass yields the distance to *all* classes, instead
 //!   of per-class scans.
-//! * **Hot model swap** — the "dynamic" in dynamic HDC: an
-//!   epoch/generation-tagged `Arc<HdcModel>` that
-//!   [`ServeEngine::update_model`] replaces atomically while queries
-//!   are in flight. Each micro-batch snapshots one generation, so no
-//!   request ever observes a torn model, and every
+//! * **Hot model swap** — the "dynamic" in dynamic HDC: a per-tenant
+//!   generation-tagged `Arc<HdcModel>` that
+//!   [`ModelRegistry::update_model`] replaces atomically while queries
+//!   are in flight. Each micro-batch snapshots one generation per
+//!   tenant, so no request ever observes a torn model, and every
 //!   [`Response::generation`] names the model that produced it.
-//! * **Online learning** — [`ServeEngine::learn`] and
-//!   [`ServeEngine::feedback`] enqueue labelled samples; a background
-//!   trainer folds them into a [`uhd_core::OnlineLearner`] (bundling
-//!   new observations, perceptron-correcting served mispredictions,
-//!   admitting new classes at runtime) and periodically hot-publishes
-//!   a rebinarized snapshot, so accuracy climbs *while traffic is
-//!   being served*. [`ServeEngine::sync_learner`] is the drain
-//!   barrier; [`StatsSnapshot`] counts submitted/consumed samples and
-//!   published snapshots.
+//! * **Online learning** — [`ModelRegistry::learn`] and
+//!   [`ModelRegistry::feedback`] fold labelled samples synchronously
+//!   into the tenant's [`uhd_core::OnlineLearner`] (bundling new
+//!   observations, perceptron-correcting served mispredictions,
+//!   admitting new classes at runtime) and hot-publish a rebinarized
+//!   snapshot every `snapshot_every` updates, so accuracy climbs
+//!   *while traffic is being served*; [`ModelRegistry::publish`]
+//!   publishes on demand.
+//! * **Persistence and HTTP** — tenants snapshot to disk crash-safely
+//!   and boot from such files; [`HttpServer`] puts a registry behind a
+//!   dependency-free HTTP/1.1 front end.
 //! * **Observability** — every request is staged-timed (queue-wait vs
 //!   batch-compute vs total, per shard) into lock-free
-//!   [`uhd_obs::Histogram`]s; [`StatsSnapshot`] reports p50/p99 for
-//!   the classify and learn paths plus the queue high-water mark, and
-//!   [`ServeEngine::render_metrics`] exposes the whole metric set
-//!   (counters, gauges, latency summaries, kernel op counters) in the
+//!   [`uhd_obs::Histogram`]s; [`StatsSnapshot`] reports p50/p99 plus
+//!   the queue high-water mark, and [`ModelRegistry::render_metrics`]
+//!   exposes the whole metric set (counters, gauges, latency
+//!   summaries, per-tenant series, kernel op counters) in the
 //!   Prometheus text format. Structured trace events (batch formed,
 //!   model swapped, snapshot published, sample rejected) land in a
 //!   bounded lock-free ring gated by the `UHD_LOG` knob.
@@ -47,26 +50,27 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use uhd_core::encoder::uhd::{UhdConfig, UhdEncoder};
 //! use uhd_core::model::{HdcModel, LabelledSamples};
-//! use uhd_serve::{ServeConfig, ServeEngine};
+//! use uhd_serve::{ModelRegistry, ServeConfig};
 //!
 //! let encoder = UhdEncoder::new(UhdConfig::new(256, 4))?;
 //! let images = vec![vec![0u8; 4], vec![255u8; 4], vec![10u8; 4], vec![245u8; 4]];
 //! let labels = vec![0, 1, 0, 1];
 //! let model = HdcModel::train(&encoder, LabelledSamples::new(&images, &labels)?, 2)?;
 //!
-//! let responses = ServeEngine::serve(ServeConfig::new(2, 8), &encoder, model, |engine| {
-//!     engine.classify_many(&images)
-//! })??;
+//! let registry = ModelRegistry::start(ServeConfig::new(2, 8))?;
+//! registry.register("digits", Arc::new(encoder), model)?;
+//! let responses = registry.classify_many("digits", &images)?;
 //! assert_eq!(responses[1].class, 1);
 //! assert_eq!(responses[1].generation, 0);
+//! registry.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod error;
 pub mod http;
 pub(crate) mod obs;
@@ -75,10 +79,9 @@ pub mod registry;
 pub mod request;
 pub mod stats;
 
-pub use engine::{ServeConfig, ServeEngine};
 pub use error::ServeError;
 pub use http::{HttpServer, HttpServerConfig};
-pub use registry::ModelRegistry;
+pub use registry::{ModelRegistry, ServeConfig};
 pub use request::{Response, Ticket};
 pub use stats::StatsSnapshot;
 // Re-exported so clients can configure tracing and decode events

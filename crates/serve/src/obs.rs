@@ -1,4 +1,4 @@
-//! The engine's observability bundle: one [`Recorder`] carrying the
+//! The registry's observability bundle: one [`Recorder`] carrying the
 //! counter set ([`EngineStats`]), the staged latency histograms, the
 //! queue gauges, and the trace-event ring.
 //!
@@ -12,11 +12,8 @@
 //! * **batch compute** (`uhd_batch_compute_ns{shard=…}`) — one sample
 //!   per micro-batch covering encode+search for the whole batch;
 //! * **total** (`uhd_request_total_ns`) — submit → response completed,
-//!   engine-wide (this is the histogram behind
+//!   registry-wide (this is the histogram behind
 //!   [`crate::StatsSnapshot::p50_us`]/[`crate::StatsSnapshot::p99_us`]).
-//!
-//! The learn path gets the analogous `uhd_learn_drain_lag_ns`: sample
-//! submit → applied by the background trainer.
 
 use crate::stats::{EngineStats, LatencyFigures};
 use crate::StatsSnapshot;
@@ -24,8 +21,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use uhd_obs::{Gauge, Histogram, Recorder, TraceKind};
 
-/// All telemetry state shared by the engine handle, the worker shards,
-/// and the background trainer.
+/// All telemetry state shared by the registry handle and its worker
+/// shards.
 #[derive(Debug)]
 pub(crate) struct ServeObs {
     pub(crate) recorder: Recorder,
@@ -34,21 +31,16 @@ pub(crate) struct ServeObs {
     queue_wait: Vec<Arc<Histogram>>,
     /// Per-shard whole-batch compute time.
     compute: Vec<Arc<Histogram>>,
-    /// Engine-wide submit→completion latency.
+    /// Registry-wide submit→completion latency.
     total: Arc<Histogram>,
-    /// Learn-path submit→applied lag.
-    learn_lag: Arc<Histogram>,
     pub(crate) queue_depth: Gauge,
     pub(crate) queue_depth_hw: Gauge,
-    pub(crate) learn_depth: Gauge,
-    pub(crate) learn_depth_hw: Gauge,
 }
 
 /// Render `recorder`'s full metric set in the Prometheus text format,
 /// appending the process-global kernel identity (`uhd_kernel_info`) and
-/// the kernel op counters (`uhd_kernel_ops_total{op=…}`) — the block
-/// shared verbatim by the engine's and the registry's `/metrics`
-/// surfaces. Empty when telemetry is disabled.
+/// the kernel op counters (`uhd_kernel_ops_total{op=…}`). Empty when
+/// telemetry is disabled.
 pub(crate) fn render_prometheus(recorder: &Recorder) -> String {
     if !recorder.enabled() {
         return String::new();
@@ -71,8 +63,8 @@ pub(crate) fn render_prometheus(recorder: &Recorder) -> String {
 }
 
 impl ServeObs {
-    /// Register the engine's full metric set for `shards` worker
-    /// shards on `recorder`.
+    /// Register the full metric set for `shards` worker shards on
+    /// `recorder`.
     pub(crate) fn new(recorder: Recorder, shards: usize) -> Self {
         let stats = EngineStats::new(&recorder);
         let mut queue_wait = Vec::with_capacity(shards);
@@ -88,11 +80,8 @@ impl ServeObs {
             queue_wait,
             compute,
             total: recorder.histogram("uhd_request_total_ns"),
-            learn_lag: recorder.histogram("uhd_learn_drain_lag_ns"),
             queue_depth: recorder.gauge("uhd_queue_depth"),
             queue_depth_hw: recorder.gauge("uhd_queue_depth_hw"),
-            learn_depth: recorder.gauge("uhd_learn_queue_depth"),
-            learn_depth_hw: recorder.gauge("uhd_learn_queue_depth_hw"),
             recorder,
         }
     }
@@ -109,10 +98,6 @@ impl ServeObs {
         self.total.record_duration(elapsed);
     }
 
-    pub(crate) fn record_learn_lag(&self, lag: Duration) {
-        self.learn_lag.record_duration(lag);
-    }
-
     /// Forward a trace event to the recorder's ring.
     pub(crate) fn event(&self, kind: TraceKind, a: u64, b: u64) {
         self.recorder.event(kind, a, b);
@@ -122,13 +107,10 @@ impl ServeObs {
     /// histogram-derived latency figures (nanoseconds → microseconds).
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let total = self.total.snapshot();
-        let learn = self.learn_lag.snapshot();
         self.stats.snapshot(LatencyFigures {
             queue_depth_hw: self.queue_depth_hw.get(),
             p50_us: total.quantile(0.5) / 1_000,
             p99_us: total.quantile(0.99) / 1_000,
-            learn_p50_us: learn.quantile(0.5) / 1_000,
-            learn_p99_us: learn.quantile(0.99) / 1_000,
         })
     }
 }
@@ -143,7 +125,6 @@ mod tests {
         let obs = ServeObs::new(Recorder::new(TraceLevel::Off), 2);
         obs.record_total(Duration::from_micros(100));
         obs.record_total(Duration::from_micros(200));
-        obs.record_learn_lag(Duration::from_micros(50));
         obs.queue_depth_hw.set_max(7);
         obs.stats.record_batch(3);
         let snap = obs.snapshot();
@@ -155,7 +136,6 @@ mod tests {
             "p99 {} off",
             snap.p99_us
         );
-        assert!((47..=53).contains(&snap.learn_p50_us));
         assert_eq!(snap.completed, 3);
     }
 

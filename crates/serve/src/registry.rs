@@ -1,18 +1,20 @@
-//! Multi-tenant model registry: many named models served through
-//! **one** shared shard pool.
+//! The model registry: named models served through **one** shared
+//! shard pool. It is the crate's only serving core; a single-model
+//! server is a registry with one tenant.
 //!
-//! Where [`crate::ServeEngine`] dedicates its scoped worker threads to
-//! a single model, the registry multiplexes: every request carries an
-//! `Arc` to its tenant's state, so a micro-batch drained by a worker
-//! may mix tenants freely and the pool's capacity is shared by all of
-//! them. Each tenant owns
+//! Every request carries an `Arc` to its tenant's state, so a
+//! micro-batch drained by a worker may mix tenants freely and the
+//! pool's capacity is shared by all of them. Each tenant owns
 //!
-//! * a named, generation-tagged `Arc<HdcModel>` hot-swap slot (exactly
-//!   the engine's "dynamic HDC" discipline, per tenant),
+//! * a named, generation-tagged `Arc<HdcModel>` hot-swap slot
+//!   ("dynamic HDC": [`ModelRegistry::update_model`] replaces it
+//!   atomically while queries are in flight, and every
+//!   [`Response::generation`] names the model that produced it),
 //! * an [`OnlineLearner`] fed *synchronously* by
-//!   [`ModelRegistry::learn`] (no background trainer: tenant counts
-//!   are unbounded, threads are not), publishing a rebinarized
-//!   snapshot every `snapshot_every` applied updates,
+//!   [`ModelRegistry::learn`] and [`ModelRegistry::feedback`] (no
+//!   background trainer: tenant counts are unbounded, threads are
+//!   not), publishing a rebinarized snapshot every `snapshot_every`
+//!   applied updates,
 //! * per-tenant labelled series on the registry's [`Recorder`]
 //!   (`uhd_tenant_*{tenant="…"}`), so one `/metrics` scrape
 //!   attributes traffic per model,
@@ -22,35 +24,173 @@
 //!   [`ModelRegistry::register_from_snapshot`] boots a tenant from
 //!   such a file.
 //!
-//! Unlike the engine's scoped threads, the registry's workers are
-//! **detached** threads holding an `Arc` of the shared state: the
-//! registry outlives its pool, so metrics remain scrapeable after
-//! [`ModelRegistry::shutdown`] — which is also what lets the terminal
-//! queue-depth gauge publish (see `BatchQueue::pop_batch`) be observed
-//! at all.
+//! The workers are **detached** threads holding an `Arc` of the shared
+//! state: the registry outlives its pool, so metrics remain scrapeable
+//! after [`ModelRegistry::shutdown`] — which is also what lets the
+//! terminal queue-depth gauge publish (see `BatchQueue::pop_batch`) be
+//! observed at all.
 //!
-//! Admission control is the same single-lock depth check the engine
-//! uses: past `shed_above` pending requests a submit returns
-//! [`ServeError::Overloaded`] immediately — shedding at the door
-//! instead of timing out every tenant once the queue grows unbounded.
+//! Admission control is a single-lock depth check: past `shed_above`
+//! pending requests a submit returns [`ServeError::Overloaded`]
+//! immediately — shedding at the door instead of timing out every
+//! tenant once the queue grows unbounded.
 
 use crate::error::ServeError;
-use crate::obs::render_prometheus;
+use crate::obs::{render_prometheus, ServeObs};
 use crate::queue::{BatchQueue, Rejected};
 use crate::request::{Response, Slot, Ticket};
-use crate::ServeConfig;
+use crate::stats::StatsSnapshot;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use uhd_core::{BitSliceAccumulator, Encoder, HdcModel, InferenceMode, OnlineLearner};
-use uhd_obs::{Counter, Gauge, Histogram, Recorder, TraceKind, TraceLevel};
+use uhd_obs::{Counter, Gauge, Recorder, TraceEvent, TraceKind, TraceLevel};
 
 /// Longest accepted tenant name. Names are also restricted to
 /// `[A-Za-z0-9_-]` so they embed verbatim in metric labels, URL paths
 /// and snapshot file names without escaping.
 pub const MAX_TENANT_NAME: usize = 64;
+
+/// Sizing of the worker pool and its micro-batches, the inference mode
+/// requests are answered in, and the online-learning knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServeConfig {
+    /// Worker shards (threads) draining the request queue.
+    pub shards: usize,
+    /// Maximum requests one shard claims per queue pop.
+    pub max_batch: usize,
+    /// Inference mode workers answer in.
+    /// [`InferenceMode::BinarizedQuery`] (the default) is the
+    /// hardware-faithful fast path through the bit-sliced associative
+    /// memory; the integer modes trade throughput for the accuracy of
+    /// non-quantized similarity (see `DESIGN.md` §4 on why dark, sparse
+    /// datasets need them).
+    pub mode: InferenceMode,
+    /// Publish a rebinarized model snapshot after this many applied
+    /// learning updates per tenant. [`ModelRegistry::publish`] forces
+    /// one in between.
+    pub snapshot_every: usize,
+    /// Cap on runtime class admission: labels at or beyond this index
+    /// are rejected eagerly by [`ModelRegistry::learn`] /
+    /// [`ModelRegistry::feedback`], bounding learner memory against a
+    /// corrupt label stream.
+    pub max_classes: usize,
+    /// Load-shedding admission threshold: a submit arriving while the
+    /// request queue already holds this many pending requests is
+    /// rejected with [`ServeError::Overloaded`] instead of queueing
+    /// unboundedly. The default `usize::MAX` disables shedding (must
+    /// be nonzero — a zero threshold would reject everything).
+    pub shed_above: usize,
+    /// Whether the registry records latency histograms, queue gauges,
+    /// and trace events (on by default). With telemetry off the
+    /// registry keeps its counters (they are plain relaxed atomics
+    /// either way) but renders no metrics and reports zero latency
+    /// quantiles — the configuration the throughput bench measures
+    /// instrumentation overhead against.
+    pub telemetry: bool,
+    /// Trace-event verbosity. `None` (the default) follows the
+    /// `UHD_LOG` environment knob at [`ModelRegistry::start`] time.
+    pub trace_level: Option<TraceLevel>,
+}
+
+impl ServeConfig {
+    /// A binarized-query (associative-memory) configuration with
+    /// explicit shard and batch sizing. Online learning defaults:
+    /// snapshot every 64 updates, class admission capped at 4096.
+    #[must_use]
+    pub fn new(shards: usize, max_batch: usize) -> Self {
+        ServeConfig {
+            shards,
+            max_batch,
+            mode: InferenceMode::BinarizedQuery,
+            snapshot_every: 64,
+            max_classes: uhd_core::online::DEFAULT_MAX_CLASSES,
+            shed_above: usize::MAX,
+            telemetry: true,
+            trace_level: None,
+        }
+    }
+
+    /// The same sizing under an explicit [`InferenceMode`].
+    #[must_use]
+    pub fn with_mode(mut self, mode: InferenceMode) -> Self {
+        self.mode = mode;
+        self
+    }
+
+    /// Publish a learner snapshot after `snapshot_every` applied
+    /// updates (must be nonzero).
+    #[must_use]
+    pub fn with_snapshot_every(mut self, snapshot_every: usize) -> Self {
+        self.snapshot_every = snapshot_every;
+        self
+    }
+
+    /// Cap runtime class admission at `max_classes` (must be nonzero
+    /// and at least every registered model's class count).
+    #[must_use]
+    pub fn with_max_classes(mut self, max_classes: usize) -> Self {
+        self.max_classes = max_classes;
+        self
+    }
+
+    /// Shed classify submits once the request queue holds `shed_above`
+    /// pending requests (must be nonzero; `usize::MAX` disables).
+    #[must_use]
+    pub fn with_shed_above(mut self, shed_above: usize) -> Self {
+        self.shed_above = shed_above;
+        self
+    }
+
+    /// Enable or disable latency histograms, queue gauges, and trace
+    /// events (see [`ServeConfig::telemetry`]).
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// Pin the trace-event verbosity instead of reading `UHD_LOG`.
+    #[must_use]
+    pub fn with_trace_level(mut self, level: TraceLevel) -> Self {
+        self.trace_level = Some(level);
+        self
+    }
+
+    /// One shard per available hardware thread, batches of 32.
+    #[must_use]
+    pub fn auto() -> Self {
+        let shards = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        ServeConfig::new(shards, 32)
+    }
+
+    pub(crate) fn validate(self) -> Result<(), ServeError> {
+        if self.shards == 0 || self.max_batch == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "shards ({}) and max_batch ({}) must be nonzero",
+                    self.shards, self.max_batch
+                ),
+            });
+        }
+        if self.snapshot_every == 0 || self.max_classes == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "snapshot_every ({}) and max_classes ({}) must be nonzero",
+                    self.snapshot_every, self.max_classes
+                ),
+            });
+        }
+        if self.shed_above == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: "shed_above must be nonzero (0 would shed every request)".to_string(),
+            });
+        }
+        Ok(())
+    }
+}
 
 /// One generation of a tenant's served model.
 #[derive(Debug)]
@@ -72,6 +212,7 @@ struct TenantState {
     name: String,
     encoder: Arc<dyn Encoder>,
     model: RwLock<TenantModel>,
+    /// Lock order is always learner → model, never the reverse.
     learner: Mutex<TenantLearner>,
     /// `uhd_tenant_requests_total{tenant=…}` — admitted classifies.
     requests: Counter,
@@ -95,10 +236,15 @@ impl std::fmt::Debug for TenantState {
 
 impl TenantState {
     /// Snapshot the tenant's current generation-tagged model.
+    ///
+    /// Lock poisoning is *recovered*, here and at every other
+    /// model/learner lock in the registry: the guarded value is only
+    /// ever replaced wholesale, never mutated in place, so a writer
+    /// that panicked between acquire and release left either the old
+    /// value or the new one — both coherent. Propagating the poison
+    /// instead would brick every subsequent classify on an otherwise
+    /// healthy pool.
     fn model(&self) -> (u64, Arc<HdcModel>) {
-        // Poison recovery is sound for the same reason as the engine's
-        // (`Shared::publish_model`): the slot is only ever replaced
-        // wholesale, never mutated in place.
         let slot = self.model.read().unwrap_or_else(PoisonError::into_inner);
         (slot.generation, Arc::clone(&slot.model))
     }
@@ -122,6 +268,8 @@ struct TenantRequest {
     tenant: Arc<TenantState>,
     input: Vec<u8>,
     slot: Arc<Slot>,
+    /// Monotonic submit time, the anchor of the staged latency
+    /// breakdown (queue-wait at dequeue, total at completion).
     submitted_at: Instant,
 }
 
@@ -132,12 +280,7 @@ struct RegistryInner {
     /// Ordered so [`ModelRegistry::tenants`] and the exposition are
     /// deterministic.
     tenants: RwLock<BTreeMap<String, Arc<TenantState>>>,
-    recorder: Recorder,
-    /// Registry-wide counterparts of the engine's counters.
-    submitted: Counter,
-    shed: Counter,
-    worker_panics: Counter,
-    latency: Arc<Histogram>,
+    obs: ServeObs,
 }
 
 impl std::fmt::Debug for RegistryInner {
@@ -148,8 +291,8 @@ impl std::fmt::Debug for RegistryInner {
     }
 }
 
-/// A multi-tenant serving pool: named, hot-swappable, disk-persistable
-/// models behind one shared shard pool. See the [module docs](self).
+/// A serving pool: named, hot-swappable, disk-persistable models
+/// behind one shared shard pool. See the [module docs](self).
 ///
 /// All methods take `&self`; wrap the registry in an [`Arc`] to share
 /// it across client threads (the HTTP front end does exactly that).
@@ -162,14 +305,12 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// Start a registry: spawn `config.shards` detached workers over a
     /// shared micro-batching queue and return the handle that owns
-    /// them. `config.learn_queue_cap` and `config.snapshot_every`
-    /// retain their engine meanings where applicable ([`ModelRegistry::learn`]
-    /// is synchronous, so only `snapshot_every` is read).
+    /// them.
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] under the same rules as
-    /// [`crate::ServeEngine::serve`].
+    /// [`ServeError::InvalidConfig`] for a zero shard count, batch
+    /// size, `snapshot_every`, `max_classes` or `shed_above`.
     pub fn start(config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let recorder = if config.telemetry {
@@ -177,20 +318,15 @@ impl ModelRegistry {
         } else {
             Recorder::noop()
         };
+        let obs = ServeObs::new(recorder, config.shards);
         let inner = Arc::new(RegistryInner {
-            queue: BatchQueue::unbounded().with_gauges(
-                recorder.gauge("uhd_queue_depth"),
-                recorder.gauge("uhd_queue_depth_hw"),
-            ),
+            queue: BatchQueue::new()
+                .with_gauges(obs.queue_depth.clone(), obs.queue_depth_hw.clone()),
             tenants: RwLock::new(BTreeMap::new()),
-            submitted: recorder.counter("uhd_requests_submitted_total"),
-            shed: recorder.counter("uhd_requests_shed_total"),
-            worker_panics: recorder.counter("uhd_worker_panics_total"),
-            latency: recorder.histogram("uhd_request_total_ns"),
-            recorder,
+            obs,
             config,
         });
-        inner.recorder.event(
+        inner.obs.event(
             TraceKind::KernelDispatched,
             kernel_ordinal(uhd_core::Kernel::active().name()),
             config.shards as u64,
@@ -200,7 +336,7 @@ impl ModelRegistry {
             let inner = Arc::clone(&inner);
             let handle = std::thread::Builder::new()
                 .name(format!("uhd-registry-{shard}"))
-                .spawn(move || worker_loop(&inner))
+                .spawn(move || worker_loop(&inner, shard))
                 .map_err(|e| ServeError::InvalidConfig {
                     reason: format!("failed to spawn worker thread: {e}"),
                 })?;
@@ -247,7 +383,7 @@ impl ModelRegistry {
         let learner =
             OnlineLearner::from_model(&model).with_max_classes(self.inner.config.max_classes);
         let labels: [(&str, &str); 1] = [("tenant", name)];
-        let recorder = &self.inner.recorder;
+        let recorder = &self.inner.obs.recorder;
         let state = Arc::new(TenantState {
             name: name.to_string(),
             encoder,
@@ -373,13 +509,13 @@ impl ModelRegistry {
             .push_admitted(request, self.inner.config.shed_above)
         {
             Ok(()) => {
-                self.inner.submitted.inc();
+                self.inner.obs.stats.record_submit();
                 tenant.requests.inc();
                 Ok(Ticket { slot })
             }
             Err(Rejected::Closed) => Err(ServeError::Closed),
             Err(Rejected::Shed { depth }) => {
-                self.inner.shed.inc();
+                self.inner.obs.stats.record_shed();
                 tenant.shed.inc();
                 Err(ServeError::Overloaded {
                     depth,
@@ -399,6 +535,27 @@ impl ModelRegistry {
         self.submit(tenant, input.to_vec())?.wait()
     }
 
+    /// Submit every sample for `tenant` before waiting on any of them,
+    /// so the worker shards can drain them as micro-batches. Responses
+    /// are returned in input order.
+    ///
+    /// # Errors
+    ///
+    /// The first error of [`ModelRegistry::submit`] (samples submitted
+    /// before it are still answered, but their responses are dropped)
+    /// or of a per-request classification.
+    pub fn classify_many(
+        &self,
+        tenant: &str,
+        inputs: &[Vec<u8>],
+    ) -> Result<Vec<Response>, ServeError> {
+        let tickets = inputs
+            .iter()
+            .map(|input| self.submit(tenant, input.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
+        tickets.into_iter().map(Ticket::wait).collect()
+    }
+
     /// Apply one labelled sample to `tenant`'s online learner
     /// **synchronously** (bundle into the class accumulator; a new
     /// label admits a new class) and return the tenant's current
@@ -409,23 +566,69 @@ impl ModelRegistry {
     ///
     /// * [`ServeError::UnknownTenant`] for an unregistered name.
     /// * [`ServeError::Core`] for a sample failing
-    ///   [`Encoder::check_features`] (or an encode failure).
+    ///   [`Encoder::check_features`] (or an encode failure), or one the
+    ///   learner rejects.
     /// * [`ServeError::InvalidLabel`] for a label at or beyond
     ///   `max_classes`.
     pub fn learn(&self, tenant: &str, input: &[u8], label: usize) -> Result<u64, ServeError> {
+        self.apply_sample(tenant, input, label, None)
+    }
+
+    /// Apply served-prediction feedback to `tenant`'s online learner
+    /// **synchronously**: the client observed the registry answer
+    /// `predicted` for `input` whose true class is `label`. The learner
+    /// applies the AdaptHD perceptron correction only when
+    /// `predicted != label`, so correct feedback changes nothing and
+    /// publishes nothing. Returns the tenant's current generation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ModelRegistry::learn`] (the `predicted`
+    /// index is validated against the cap too). A prediction past the
+    /// learner's admitted classes is a learner rejection: it counts
+    /// `uhd_learn_rejected_total` and traces `SampleRejected` with
+    /// `a = label`, `b = predicted`.
+    pub fn feedback(
+        &self,
+        tenant: &str,
+        input: &[u8],
+        predicted: usize,
+        label: usize,
+    ) -> Result<u64, ServeError> {
+        self.apply_sample(tenant, input, label, Some(predicted))
+    }
+
+    /// The body of [`ModelRegistry::learn`] (`predicted: None`, a pure
+    /// observation) and [`ModelRegistry::feedback`] (`Some(p)`).
+    fn apply_sample(
+        &self,
+        tenant: &str,
+        input: &[u8],
+        label: usize,
+        predicted: Option<usize>,
+    ) -> Result<u64, ServeError> {
         let tenant = self.tenant(tenant)?;
         tenant
             .encoder
             .check_features(input)
             .map_err(ServeError::Core)?;
         let limit = self.inner.config.max_classes;
-        if label >= limit {
-            return Err(ServeError::InvalidLabel { label, limit });
+        for index in std::iter::once(label).chain(predicted) {
+            if index >= limit {
+                return Err(ServeError::InvalidLabel {
+                    label: index,
+                    limit,
+                });
+            }
         }
-        // Encode outside the learner lock (same discipline as the
-        // engine's trainer): bundling is linear in the integer domain,
-        // so synchronous streaming observations reproduce single-pass
-        // batch training exactly.
+        let stats = &self.inner.obs.stats;
+        stats.record_learn_submit();
+        // Encode outside the learner lock, in the *integer* encoding
+        // domain (per-sample bipolar accumulator sums): bundling is
+        // linear there, so streaming observations reproduce single-pass
+        // batch training exactly — the convergent path — where
+        // bundling binarized ±1 encodings would collapse on the dark,
+        // sparse datasets of DESIGN.md §4.
         let mut scratch = BitSliceAccumulator::new(tenant.encoder.dim());
         tenant
             .encoder
@@ -436,26 +639,54 @@ impl ModelRegistry {
             .learner
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        guard
-            .learner
-            .observe_sums(&sums, label)
-            .map_err(ServeError::Core)?;
-        tenant.learn_updates.inc();
-        guard.unpublished += 1;
-        if guard.unpublished >= self.inner.config.snapshot_every {
-            let model = guard.learner.snapshot().map_err(ServeError::Core)?;
-            guard.unpublished = 0;
-            // Publishing while holding the learner lock serializes
-            // learns against update_model re-seeds (same lock order:
-            // learner → model).
-            let generation = tenant.publish(model);
-            self.inner
-                .recorder
-                .event(TraceKind::SnapshotPublished, generation, 1);
-            return Ok(generation);
+        let changed = match predicted {
+            None => guard.learner.observe_sums(&sums, label).map(|()| true),
+            Some(p) => guard.learner.feedback_sums(&sums, p, label),
+        };
+        match changed {
+            Ok(true) => {
+                stats.record_learn_update();
+                tenant.learn_updates.inc();
+                guard.unpublished += 1;
+                if guard.unpublished >= self.inner.config.snapshot_every {
+                    let model = guard.learner.snapshot().map_err(ServeError::Core)?;
+                    return Ok(self.publish_snapshot(&tenant, &mut guard, model));
+                }
+            }
+            Ok(false) => {}
+            Err(e) => {
+                stats.record_learn_rejected();
+                self.inner.obs.event(
+                    TraceKind::SampleRejected,
+                    label as u64,
+                    predicted.map_or(u64::MAX, |p| p as u64),
+                );
+                return Err(ServeError::Core(e));
+            }
         }
         drop(guard);
         Ok(tenant.model().0)
+    }
+
+    /// Publish a learner snapshot as `tenant`'s next generation. The
+    /// caller holds the learner lock (`learner`), which serializes
+    /// learns against [`ModelRegistry::update_model`] re-seeds (lock
+    /// order: learner → model).
+    fn publish_snapshot(
+        &self,
+        tenant: &TenantState,
+        learner: &mut TenantLearner,
+        model: HdcModel,
+    ) -> u64 {
+        let generation = tenant.publish(model);
+        self.inner.obs.stats.record_snapshot();
+        self.inner.obs.event(
+            TraceKind::SnapshotPublished,
+            generation,
+            learner.unpublished as u64,
+        );
+        learner.unpublished = 0;
+        generation
     }
 
     /// Publish `tenant`'s current learner state as a new model
@@ -472,14 +703,17 @@ impl ModelRegistry {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let model = guard.learner.snapshot().map_err(ServeError::Core)?;
-        guard.unpublished = 0;
-        Ok(tenant.publish(model))
+        Ok(self.publish_snapshot(&tenant, &mut guard, model))
     }
 
-    /// Hot-swap `tenant`'s served model, re-seeding its online learner
-    /// from the new model (exactly
-    /// [`crate::ServeEngine::update_model`]'s semantics, per tenant).
-    /// Returns the new generation.
+    /// Hot-swap `tenant`'s served model while requests are in flight
+    /// and return the new generation; in-flight micro-batches finish on
+    /// the generation they snapshotted.
+    ///
+    /// The tenant's online learner is **re-seeded** from the new
+    /// model's class accumulators: later [`ModelRegistry::learn`] /
+    /// [`ModelRegistry::feedback`] samples continue from the swapped-in
+    /// model, and learner state not yet published is superseded.
     ///
     /// # Errors
     ///
@@ -503,6 +737,10 @@ impl ModelRegistry {
                 ),
             });
         }
+        // Holding the learner lock across the publish serializes the
+        // swap against a concurrent learn's apply+publish (same lock
+        // order: learner → model).
+        let classes = model.classes() as u64;
         let mut guard = tenant
             .learner
             .lock()
@@ -512,9 +750,10 @@ impl ModelRegistry {
         guard.unpublished = 0;
         let generation = tenant.publish(model);
         drop(guard);
+        self.inner.obs.stats.record_swap();
         self.inner
-            .recorder
-            .event(TraceKind::ModelSwapped, generation, 0);
+            .obs
+            .event(TraceKind::ModelSwapped, generation, classes);
         Ok(generation)
     }
 
@@ -552,16 +791,24 @@ impl ModelRegistry {
         self.inner.queue.depth()
     }
 
+    /// Point-in-time registry counters (summed over all tenants) plus
+    /// histogram-derived latency quantiles and the request-queue
+    /// high-water mark.
+    #[must_use]
+    pub fn stats(&self) -> StatsSnapshot {
+        self.inner.obs.snapshot()
+    }
+
     /// Render the registry's full metric set in the Prometheus text
     /// exposition format: registry-wide counters and queue gauges,
-    /// per-tenant labelled series (`uhd_tenant_*{tenant="…"}`), the
-    /// end-to-end latency summary, and the process-global kernel
-    /// identity/op counters. Usable **after shutdown** too — the
-    /// registry outlives its worker pool. Empty when telemetry is
-    /// disabled.
+    /// per-tenant labelled series (`uhd_tenant_*{tenant="…"}`), staged
+    /// per-shard latency summaries (queue-wait, batch-compute) plus the
+    /// registry-wide total, and the process-global kernel identity/op
+    /// counters. Usable **after shutdown** too — the registry outlives
+    /// its worker pool. Empty when telemetry is disabled.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        render_prometheus(&self.inner.recorder)
+        render_prometheus(&self.inner.obs.recorder)
     }
 
     /// Render the registry metrics as JSON (see
@@ -569,7 +816,15 @@ impl ModelRegistry {
     /// telemetry is disabled.
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        self.inner.recorder.render_json()
+        self.inner.obs.recorder.render_json()
+    }
+
+    /// The trace events currently resident in the registry's ring
+    /// buffer, oldest first. Empty unless tracing is enabled (via
+    /// `UHD_LOG` or [`ServeConfig::with_trace_level`]).
+    #[must_use]
+    pub fn trace_events(&self) -> Vec<TraceEvent> {
+        self.inner.obs.recorder.events()
     }
 
     /// Stop accepting requests, drain everything already admitted, and
@@ -609,7 +864,8 @@ fn validate_tenant_name(name: &str) -> Result<(), ServeError> {
     }
 }
 
-/// Stable ordinal for the dispatched kernel (mirrors the engine's).
+/// Stable ordinal for the dispatched kernel in the
+/// [`TraceKind::KernelDispatched`] event payload.
 fn kernel_ordinal(name: &str) -> u64 {
     match name {
         "avx2" => 1,
@@ -638,23 +894,34 @@ impl ScratchPool {
 
 /// One detached worker: claim a micro-batch (possibly mixing tenants),
 /// answer each request against its own tenant's current model
-/// generation. A panic inside one request (a buggy tenant encoder)
-/// errors that request with [`ServeError::WorkerPanicked`] and the
-/// worker keeps serving — one tenant's poison input must not take down
-/// the shared pool.
-fn worker_loop(inner: &RegistryInner) {
+/// generation — attributing each request's life to queue-wait /
+/// batch-compute / total along the way. A panic inside one request (a
+/// buggy tenant encoder) errors that request with
+/// [`ServeError::WorkerPanicked`] and the worker keeps serving — one
+/// tenant's poison input must not take down the shared pool. (Only
+/// where panics unwind: the release profile aborts on panic.)
+fn worker_loop(inner: &RegistryInner, shard: usize) {
     let mut batch: Vec<TenantRequest> = Vec::with_capacity(inner.config.max_batch);
     let mut scratch = ScratchPool::default();
     let mut dists: Vec<u32> = Vec::new();
     while inner.queue.pop_batch(inner.config.max_batch, &mut batch) {
+        inner.obs.stats.record_batch(batch.len());
+        inner
+            .obs
+            .event(TraceKind::BatchFormed, shard as u64, batch.len() as u64);
+        // One clock read covers the whole batch's queue-wait stamps.
+        let dequeued_at = Instant::now();
         // Consecutive requests for the same tenant (the common case
         // under single-tenant bursts) reuse one model snapshot — but
         // only within this micro-batch. The cache dies at the batch
         // boundary so a publish/hot-swap is visible to the very next
-        // batch even under continuous same-tenant traffic (mirrors the
-        // engine worker's per-batch snapshot).
+        // batch even under continuous same-tenant traffic.
         let mut snapshot: Option<(Arc<TenantState>, u64, Arc<HdcModel>)> = None;
         for request in batch.drain(..) {
+            inner.obs.record_queue_wait(
+                shard,
+                dequeued_at.saturating_duration_since(request.submitted_at),
+            );
             let cached =
                 matches!(&snapshot, Some((tenant, _, _)) if Arc::ptr_eq(tenant, &request.tenant));
             if !cached {
@@ -680,25 +947,26 @@ fn worker_loop(inner: &RegistryInner) {
                     // the snapshot cache) mid-write; rebuild both.
                     scratch = ScratchPool::default();
                     snapshot = None;
-                    inner.worker_panics.inc();
+                    inner.obs.stats.record_worker_panic();
                     Err(ServeError::WorkerPanicked)
                 }
             };
             let ok = outcome.is_ok();
-            inner
-                .latency
-                .record_duration(request.submitted_at.elapsed());
+            // Record before completing: a client returning from its
+            // wait must find its own latency already in the histogram
+            // (count reconciles with the completion counter).
+            inner.obs.record_total(request.submitted_at.elapsed());
             request.slot.complete(outcome);
             if ok {
                 request.tenant.completed.inc();
             }
         }
+        inner.obs.record_compute(shard, dequeued_at.elapsed());
     }
 }
 
-/// Answer one request against `model` — the same datapaths as the
-/// engine's `answer`, reproduced here because the registry tags
-/// responses with per-tenant generations.
+/// Answer one request against `model`, tagging the response with the
+/// model's `generation`.
 fn answer(
     encoder: &dyn Encoder,
     model: &HdcModel,
@@ -709,6 +977,10 @@ fn answer(
     dists: &mut Vec<u32>,
 ) -> Result<Response, ServeError> {
     let (class, score) = match mode {
+        // Fast path: allocation-free encode, then one plane-by-plane
+        // pass over the model's bit-sliced associative memory
+        // (bit-identical to `classify_encoded`, which delegates to the
+        // same search).
         InferenceMode::BinarizedQuery => {
             let query = encoder.encode_into(input, scratch)?;
             model.associative_memory().nearest_with(&query, dists)?
@@ -729,10 +1001,11 @@ mod tests {
     use super::*;
     use uhd_core::encoder::uhd::{UhdConfig, UhdEncoder};
     use uhd_core::model::LabelledSamples;
+    use uhd_core::HdcError;
 
     const PIXELS: usize = 8;
 
-    fn fixture(dim: u32) -> (Arc<dyn Encoder>, HdcModel, Vec<Vec<u8>>, Vec<usize>) {
+    fn uhd_fixture(dim: u32) -> (UhdEncoder, HdcModel, Vec<Vec<u8>>, Vec<usize>) {
         let encoder = UhdEncoder::new(UhdConfig::new(dim, PIXELS)).unwrap();
         let images: Vec<Vec<u8>> = (0..20)
             .map(|i| vec![if i % 2 == 0 { 20u8 } else { 230 }; PIXELS])
@@ -740,7 +1013,365 @@ mod tests {
         let labels: Vec<usize> = (0..20).map(|i| i % 2).collect();
         let data = LabelledSamples::new(&images, &labels).unwrap();
         let model = HdcModel::train(&encoder, data, 2).unwrap();
+        (encoder, model, images, labels)
+    }
+
+    fn fixture(dim: u32) -> (Arc<dyn Encoder>, HdcModel, Vec<Vec<u8>>, Vec<usize>) {
+        let (encoder, model, images, labels) = uhd_fixture(dim);
         (Arc::new(encoder), model, images, labels)
+    }
+
+    /// A registry serving `model` as its only tenant, named `t`.
+    fn one_tenant(
+        config: ServeConfig,
+        encoder: Arc<dyn Encoder>,
+        model: HdcModel,
+    ) -> ModelRegistry {
+        let registry = ModelRegistry::start(config).unwrap();
+        registry.register("t", encoder, model).unwrap();
+        registry
+    }
+
+    /// The fixture's images relabelled `1 - label`, trained into a
+    /// model that answers every fixture image with the other class.
+    fn swapped_model(encoder: &dyn Encoder, images: &[Vec<u8>], labels: &[usize]) -> HdcModel {
+        let swapped_labels: Vec<usize> = labels.iter().map(|&l| 1 - l).collect();
+        let data = LabelledSamples::new(images, &swapped_labels).unwrap();
+        HdcModel::train(encoder, data, 2).unwrap()
+    }
+
+    #[test]
+    fn serves_and_matches_the_serial_binarized_path() {
+        let (encoder, model, images, labels) = uhd_fixture(256);
+        let serial: Vec<(usize, f64)> = images
+            .iter()
+            .map(|img| {
+                model
+                    .classify_with(&encoder, img, InferenceMode::BinarizedQuery)
+                    .unwrap()
+            })
+            .collect();
+        let registry = one_tenant(ServeConfig::new(2, 4), Arc::new(encoder), model);
+        let responses = registry.classify_many("t", &images).unwrap();
+        assert_eq!(registry.stats().submitted, images.len() as u64);
+        for ((response, serial), &label) in responses.iter().zip(&serial).zip(&labels) {
+            assert_eq!(response.class, serial.0);
+            assert_eq!(response.score.to_bits(), serial.1.to_bits());
+            assert_eq!(response.generation, 0);
+            assert_eq!(response.class, label, "fixture is separable");
+        }
+    }
+
+    #[test]
+    fn integer_mode_matches_serial_default_classify() {
+        let (encoder, model, images, _) = uhd_fixture(256);
+        let serial: Vec<(usize, f64)> = images
+            .iter()
+            .map(|img| model.classify(&encoder, img).unwrap())
+            .collect();
+        let registry = one_tenant(
+            ServeConfig::new(2, 4).with_mode(InferenceMode::IntegerBoth),
+            Arc::new(encoder),
+            model,
+        );
+        let responses = registry.classify_many("t", &images).unwrap();
+        for (response, serial) in responses.iter().zip(&serial) {
+            assert_eq!((response.class, response.score), *serial);
+        }
+    }
+
+    #[test]
+    fn rejects_degenerate_configs_and_shape_mismatches() {
+        let (_, model, _, _) = fixture(256);
+        assert!(matches!(
+            ModelRegistry::start(ServeConfig::new(0, 4)),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            ModelRegistry::start(ServeConfig::new(1, 0)),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        let registry = ModelRegistry::start(ServeConfig::new(1, 1)).unwrap();
+        let small = UhdEncoder::new(UhdConfig::new(64, PIXELS)).unwrap();
+        assert!(matches!(
+            registry.register("t", Arc::new(small), model),
+            Err(ServeError::ModelShapeMismatch { .. })
+        ));
+        assert!(registry.tenants().is_empty());
+    }
+
+    #[test]
+    fn degenerate_learning_configs_are_rejected() {
+        let (encoder, model, _, _) = fixture(256);
+        assert!(matches!(
+            ModelRegistry::start(ServeConfig::new(1, 1).with_snapshot_every(0)),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        // A zero shed threshold would reject every request.
+        assert!(matches!(
+            ModelRegistry::start(ServeConfig::new(1, 1).with_shed_above(0)),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        // The initial model already exceeds the admission cap.
+        let registry = ModelRegistry::start(ServeConfig::new(1, 1).with_max_classes(1)).unwrap();
+        assert!(matches!(
+            registry.register("t", encoder, model),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn submit_rejects_wrong_image_sizes_eagerly() {
+        let (encoder, model, _, _) = fixture(256);
+        let registry = one_tenant(ServeConfig::new(1, 4), encoder, model);
+        assert!(matches!(
+            registry.submit("t", vec![0u8; PIXELS + 1]),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        assert_eq!(registry.stats().submitted, 0);
+    }
+
+    #[test]
+    fn update_model_bumps_generation_and_checks_shape() {
+        let (encoder, model, images, _) = fixture(256);
+        let registry = one_tenant(
+            ServeConfig::new(2, 4).with_max_classes(2),
+            Arc::clone(&encoder),
+            model.clone(),
+        );
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        assert_eq!(registry.update_model("t", model).unwrap(), 1);
+        assert_eq!(registry.generation("t").unwrap(), 1);
+        assert_eq!(registry.classify("t", &images[0]).unwrap().generation, 1);
+        // A model trained at a different dimension is rejected.
+        let (_, tiny_model, _, _) = fixture(64);
+        assert!(matches!(
+            registry.update_model("t", tiny_model),
+            Err(ServeError::ModelShapeMismatch { .. })
+        ));
+        // So is one with more classes than the admission cap.
+        let labels3: Vec<usize> = (0..images.len()).map(|i| i % 3).collect();
+        let data = LabelledSamples::new(&images, &labels3).unwrap();
+        let three = HdcModel::train(encoder.as_ref(), data, 3).unwrap();
+        assert!(matches!(
+            registry.update_model("t", three),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        assert_eq!(registry.generation("t").unwrap(), 1);
+        assert_eq!(registry.stats().model_swaps, 1);
+    }
+
+    #[test]
+    fn learn_rejects_bad_inputs_eagerly() {
+        let (encoder, model, _, _) = fixture(256);
+        let registry = one_tenant(ServeConfig::new(1, 4).with_max_classes(4), encoder, model);
+        assert!(matches!(
+            registry.learn("t", &[0u8; PIXELS + 2], 0),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        assert!(matches!(
+            registry.feedback("t", &[0u8; PIXELS + 2], 0, 0),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        assert!(matches!(
+            registry.learn("t", &[0u8; PIXELS], 4),
+            Err(ServeError::InvalidLabel { label: 4, limit: 4 })
+        ));
+        assert!(matches!(
+            registry.feedback("t", &[0u8; PIXELS], 9, 0),
+            Err(ServeError::InvalidLabel { label: 9, limit: 4 })
+        ));
+        // Nothing reached the learner.
+        let stats = registry.stats();
+        assert_eq!((stats.learn_submitted, stats.learn_updates), (0, 0));
+        assert_eq!(registry.generation("t").unwrap(), 0);
+    }
+
+    #[test]
+    fn learning_publishes_snapshots_and_reconciles_counters() {
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = one_tenant(ServeConfig::new(2, 4), encoder, model);
+        for (image, &label) in images.iter().zip(&labels) {
+            registry.learn("t", image, label).unwrap();
+        }
+        // 20 updates stay below the default cadence of 64: publish
+        // explicitly.
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        assert_eq!(registry.publish("t").unwrap(), 1);
+        let stats = registry.stats();
+        assert_eq!(stats.learn_submitted, images.len() as u64);
+        assert_eq!(stats.learn_updates, stats.learn_submitted);
+        assert_eq!(stats.learn_rejected, 0);
+        assert_eq!(stats.snapshots_published, 1);
+        assert_eq!(stats.model_swaps, 0, "learner publishes are not swaps");
+        // The refreshed generation still separates the fixture.
+        let response = registry.classify("t", &images[0]).unwrap();
+        assert_eq!(response.class, labels[0]);
+        assert_eq!(response.generation, 1);
+    }
+
+    #[test]
+    fn update_model_reseeds_the_online_learner() {
+        // Regression: a learner still seeded from the *initial* model
+        // would publish a snapshot derived from it after one learn(),
+        // clobbering the manual swap.
+        let (encoder, model, images, labels) = fixture(256);
+        let swapped = swapped_model(encoder.as_ref(), &images, &labels);
+        let registry = one_tenant(ServeConfig::new(1, 4), encoder, model);
+        registry.update_model("t", swapped).unwrap();
+        assert_eq!(
+            registry.classify("t", &images[0]).unwrap().class,
+            1 - labels[0]
+        );
+        // One sample consistent with the swapped labelling; the
+        // published snapshot must derive from the swapped model.
+        registry.learn("t", &images[0], 1 - labels[0]).unwrap();
+        assert_eq!(registry.publish("t").unwrap(), 2);
+        for (image, &label) in images.iter().zip(&labels) {
+            assert_eq!(
+                registry.classify("t", image).unwrap().class,
+                1 - label,
+                "post-swap learning must continue from the swapped model"
+            );
+        }
+    }
+
+    #[test]
+    fn correct_feedback_publishes_nothing() {
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = one_tenant(
+            ServeConfig::new(1, 4).with_snapshot_every(1),
+            encoder,
+            model,
+        );
+        // Feedback agreeing with the label applies no update, so even
+        // a cadence of one has nothing to publish.
+        for (image, &label) in images.iter().zip(&labels) {
+            assert_eq!(registry.feedback("t", image, label, label).unwrap(), 0);
+        }
+        let stats = registry.stats();
+        assert_eq!(stats.learn_submitted, images.len() as u64);
+        assert_eq!(stats.learn_updates, 0);
+        assert_eq!(stats.snapshots_published, 0);
+        assert_eq!(registry.generation("t").unwrap(), 0);
+    }
+
+    #[test]
+    fn rematerialized_encoders_serve_identically() {
+        // A fleet host can swap the resident threshold planes for the
+        // O(seed) rematerialized backend without changing a single
+        // answer: both encoders derive the same rows, so the served
+        // responses agree bit for bit.
+        let (encoder, model, images, _) = uhd_fixture(256);
+        let remat = UhdEncoder::new(encoder.config().clone().rematerialized()).unwrap();
+        assert!(
+            remat.profile().resident_bytes < encoder.profile().resident_bytes,
+            "rematerialized serving must hold less heap than resident serving"
+        );
+        let registry = ModelRegistry::start(ServeConfig::new(1, 2)).unwrap();
+        registry
+            .register("resident", Arc::new(encoder), model.clone())
+            .unwrap();
+        registry.register("remat", Arc::new(remat), model).unwrap();
+        let resident_answers = registry.classify_many("resident", &images).unwrap();
+        let remat_answers = registry.classify_many("remat", &images).unwrap();
+        for (a, b) in resident_answers.iter().zip(&remat_answers) {
+            assert_eq!(a.class, b.class);
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+    }
+
+    /// Delegates to a real encoder but panics on a poison image —
+    /// stands in for a buggy user-supplied `Encoder`.
+    struct PanickingEncoder(UhdEncoder);
+
+    impl Encoder for PanickingEncoder {
+        fn dim(&self) -> u32 {
+            self.0.dim()
+        }
+        fn features(&self) -> usize {
+            self.0.features()
+        }
+        fn accumulate(&self, image: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
+            assert!(image[0] != 255, "poison image");
+            self.0.accumulate(image, acc)
+        }
+        fn profile(&self) -> uhd_core::EncoderProfile {
+            self.0.profile()
+        }
+    }
+
+    #[test]
+    fn worker_panic_fails_one_request_and_keeps_serving() {
+        let (encoder, model, images, _) = uhd_fixture(256);
+        let serial: Vec<(usize, f64)> = images
+            .iter()
+            .map(|img| {
+                model
+                    .classify_with(&encoder, img, InferenceMode::BinarizedQuery)
+                    .unwrap()
+            })
+            .collect();
+        let poisoned = PanickingEncoder(UhdEncoder::new(encoder.config().clone()).unwrap());
+        // One shard: the worker that catches the panic is the one that
+        // must go on answering the healthy tenant.
+        let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
+        registry
+            .register("poison", Arc::new(poisoned), model.clone())
+            .unwrap();
+        registry
+            .register("healthy", Arc::new(encoder), model)
+            .unwrap();
+        // Submitted together, so the two may share a micro-batch.
+        let poison = registry.submit("poison", vec![255u8; PIXELS]).unwrap();
+        let follow = registry.submit("healthy", images[0].clone()).unwrap();
+        assert!(matches!(poison.wait(), Err(ServeError::WorkerPanicked)));
+        let follow = follow.wait().unwrap();
+        assert_eq!(
+            (follow.class, follow.score.to_bits()),
+            (serial[0].0, serial[0].1.to_bits())
+        );
+        assert!(registry
+            .render_metrics()
+            .contains("uhd_worker_panics_total 1\n"));
+        for (image, expected) in images.iter().zip(&serial) {
+            let response = registry.classify("healthy", image).unwrap();
+            assert_eq!(response.class, expected.0);
+            assert_eq!(response.score.to_bits(), expected.1.to_bits());
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_recover_instead_of_bricking_the_registry() {
+        // Regression: `expect("… lock poisoned")` on a model/learner
+        // lock turns one writer panicking while holding a guard into a
+        // panic on every later classify. Swaps are torn-free wholesale
+        // replacements, so recovery is sound — verify the pool keeps
+        // serving.
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = one_tenant(ServeConfig::new(1, 4), encoder, model.clone());
+        let tenant = registry.tenant("t").unwrap();
+        // A writer dies while holding the model lock.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = tenant.model.write().unwrap();
+            panic!("writer dies mid-swap");
+        }));
+        assert!(tenant.model.is_poisoned());
+        // Classifies, generation reads and hot swaps still work.
+        assert_eq!(registry.classify("t", &images[0]).unwrap().class, labels[0]);
+        assert_eq!(registry.generation("t").unwrap(), 0);
+        assert_eq!(registry.update_model("t", model).unwrap(), 1);
+        assert_eq!(registry.classify("t", &images[1]).unwrap().generation, 1);
+        // Same for the learner lock: online learning continues.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = tenant.learner.lock().unwrap();
+            panic!("learner writer dies");
+        }));
+        assert!(tenant.learner.is_poisoned());
+        registry.learn("t", &images[0], labels[0]).unwrap();
+        assert_eq!(registry.stats().learn_updates, 1);
+        assert_eq!(registry.publish("t").unwrap(), 2);
+        assert_eq!(registry.classify("t", &images[0]).unwrap().class, labels[0]);
     }
 
     #[test]
@@ -831,9 +1462,7 @@ mod tests {
     #[test]
     fn update_model_swaps_and_reseeds_per_tenant() {
         let (encoder, model, images, labels) = fixture(256);
-        let swapped_labels: Vec<usize> = labels.iter().map(|&l| 1 - l).collect();
-        let data = LabelledSamples::new(&images, &swapped_labels).unwrap();
-        let swapped = HdcModel::train(encoder.as_ref(), data, 2).unwrap();
+        let swapped = swapped_model(encoder.as_ref(), &images, &labels);
         let registry = ModelRegistry::start(ServeConfig::new(1, 2).with_snapshot_every(1)).unwrap();
         registry.register("t", Arc::clone(&encoder), model).unwrap();
         assert_eq!(registry.update_model("t", swapped).unwrap(), 1);
@@ -857,9 +1486,7 @@ mod tests {
         // earlier same-tenant traffic. A publish must still reach it —
         // the cache may only live within a single micro-batch.
         let (encoder, model, images, labels) = fixture(256);
-        let swapped_labels: Vec<usize> = labels.iter().map(|&l| 1 - l).collect();
-        let data = LabelledSamples::new(&images, &swapped_labels).unwrap();
-        let swapped = HdcModel::train(encoder.as_ref(), data, 2).unwrap();
+        let swapped = swapped_model(encoder.as_ref(), &images, &labels);
         let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
         registry.register("t", Arc::clone(&encoder), model).unwrap();
         // Warm the worker's cache with continuous same-tenant traffic.
@@ -898,5 +1525,111 @@ mod tests {
         let metrics = registry.render_metrics();
         assert!(metrics.contains("uhd_queue_depth 0\n"));
         assert!(metrics.contains("uhd_tenant_completed_total{tenant=\"t\"}"));
+    }
+
+    #[test]
+    fn pending_requests_are_drained_at_shutdown() {
+        let (encoder, model, images, labels) = fixture(256);
+        let registry = one_tenant(ServeConfig::new(1, 2), encoder, model);
+        let tickets: Vec<Ticket> = images
+            .iter()
+            .map(|img| registry.submit("t", img.clone()).unwrap())
+            .collect();
+        // Dropping the handle is the other way to shut down: it must
+        // drain the queue exactly like an explicit `shutdown()`.
+        drop(registry);
+        for (ticket, &label) in tickets.into_iter().zip(&labels) {
+            assert_eq!(ticket.wait().unwrap().class, label);
+        }
+    }
+
+    /// Delegates to a real encoder but parks `accumulate` until
+    /// released, so the test can freeze the pool and fill the queue.
+    struct GateEncoder {
+        inner: UhdEncoder,
+        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl Encoder for GateEncoder {
+        fn dim(&self) -> u32 {
+            self.inner.dim()
+        }
+        fn features(&self) -> usize {
+            self.inner.features()
+        }
+        fn accumulate(&self, image: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
+            let (open, released) = &*self.gate;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = released.wait(open).unwrap();
+            }
+            drop(open);
+            self.inner.accumulate(image, acc)
+        }
+        fn profile(&self) -> uhd_core::EncoderProfile {
+            self.inner.profile()
+        }
+    }
+
+    #[test]
+    fn admission_control_sheds_past_the_threshold() {
+        let (encoder, model, images, _) = uhd_fixture(256);
+        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let gated = GateEncoder {
+            inner: encoder,
+            gate: Arc::clone(&gate),
+        };
+        let registry = one_tenant(
+            ServeConfig::new(1, 1).with_shed_above(2),
+            Arc::new(gated),
+            model,
+        );
+        // The lone worker claims the first request and parks in the
+        // gated encoder, leaving the queue empty.
+        let parked = registry.submit("t", images[0].clone()).unwrap();
+        while registry.queue_depth() != 0 {
+            std::thread::yield_now();
+        }
+        // Fill the queue to the threshold…
+        let queued = [
+            registry.submit("t", images[0].clone()).unwrap(),
+            registry.submit("t", images[1].clone()).unwrap(),
+        ];
+        // …past it, the single-lock depth check says no.
+        match registry.submit("t", images[2].clone()) {
+            Err(ServeError::Overloaded { depth, shed_above }) => {
+                assert_eq!(depth, 2);
+                assert_eq!(shed_above, 2);
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        // A batch classify is shed at its first submit, same threshold.
+        assert!(matches!(
+            registry.classify_many("t", &images[..1]),
+            Err(ServeError::Overloaded { .. })
+        ));
+        assert_eq!(registry.stats().requests_shed, 2);
+        assert_eq!(registry.stats().submitted, 3);
+        // Open the gate: everything admitted still completes.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        assert!(parked.wait().is_ok());
+        for ticket in queued {
+            assert!(ticket.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn trait_object_encoders_are_servable() {
+        let (encoder, model, images, labels) = uhd_fixture(256);
+        let serial = model
+            .classify_with(&encoder, &images[0], InferenceMode::BinarizedQuery)
+            .unwrap();
+        let dyn_encoder: Arc<dyn Encoder> = Arc::new(encoder);
+        let registry = one_tenant(ServeConfig::new(1, 1), dyn_encoder, model);
+        let response = registry.classify("t", &images[0]).unwrap();
+        assert_eq!(response.generation, 0);
+        assert_eq!(response.class, labels[0]);
+        assert_eq!(response.score.to_bits(), serial.1.to_bits());
     }
 }

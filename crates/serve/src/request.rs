@@ -2,7 +2,6 @@
 
 use crate::error::ServeError;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// One answered classification request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +50,8 @@ impl Slot {
 /// A pending classification: redeem with [`Ticket::wait`].
 ///
 /// Submitting decouples enqueueing from waiting, so a client can push a
-/// whole batch into the engine (letting workers micro-batch it) before
-/// blocking on the first answer.
+/// whole batch into the registry (letting workers micro-batch it)
+/// before blocking on the first answer.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) slot: Arc<Slot>,
@@ -68,31 +67,6 @@ impl Ticket {
     pub fn wait(self) -> Result<Response, ServeError> {
         self.slot.wait()
     }
-}
-
-/// An enqueued classification request.
-#[derive(Debug)]
-pub(crate) struct Request {
-    pub(crate) input: Vec<u8>,
-    pub(crate) slot: Arc<Slot>,
-    /// Monotonic submit time, the anchor of the staged latency
-    /// breakdown (queue-wait at dequeue, total at completion).
-    pub(crate) submitted_at: Instant,
-}
-
-/// A labelled sample enqueued for the background online learner.
-///
-/// `predicted: None` is a pure observation (bundle into `label`);
-/// `predicted: Some(p)` is served-prediction feedback (perceptron
-/// correction applied only when `p != label`).
-#[derive(Debug, Clone)]
-pub(crate) struct LearnSample {
-    pub(crate) input: Vec<u8>,
-    pub(crate) label: usize,
-    pub(crate) predicted: Option<usize>,
-    /// Monotonic submit time; the trainer reports submit→apply as its
-    /// drain lag.
-    pub(crate) submitted_at: Instant,
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
-//! Engine counters: cheap relaxed atomics updated on the hot path,
+//! Registry counters: cheap relaxed atomics updated on the hot path,
 //! snapshotted on demand.
 //!
-//! Since the observability PR the counters are [`uhd_obs::Counter`] /
-//! [`uhd_obs::Gauge`] handles registered on the engine's
-//! [`uhd_obs::Recorder`], so the same cells that back
-//! [`StatsSnapshot`] also appear in `ServeEngine::render_metrics` —
-//! one set of numbers, two views.
+//! The counters are [`uhd_obs::Counter`] / [`uhd_obs::Gauge`] handles
+//! registered on the registry's [`uhd_obs::Recorder`], so the same
+//! cells that back [`StatsSnapshot`] also appear in
+//! `ModelRegistry::render_metrics` — one set of numbers, two views.
 
 use uhd_obs::{Counter, Gauge, Recorder};
 
-/// Internal counters owned by the engine, registered on its recorder
+/// Internal counters owned by the registry, registered on its recorder
 /// under the `uhd_*` metric names shown in the exposition.
 #[derive(Debug)]
 pub(crate) struct EngineStats {
@@ -20,14 +19,14 @@ pub(crate) struct EngineStats {
     largest_batch: Gauge,
     model_swaps: Counter,
     learn_submitted: Counter,
-    learn_consumed: Counter,
     learn_updates: Counter,
     learn_rejected: Counter,
     snapshots_published: Counter,
+    worker_panics: Counter,
 }
 
 impl EngineStats {
-    /// Register the engine counter set on `recorder`.
+    /// Register the counter set on `recorder`.
     pub(crate) fn new(recorder: &Recorder) -> Self {
         EngineStats {
             submitted: recorder.counter("uhd_requests_submitted_total"),
@@ -37,19 +36,15 @@ impl EngineStats {
             largest_batch: recorder.gauge("uhd_largest_batch"),
             model_swaps: recorder.counter("uhd_model_swaps_total"),
             learn_submitted: recorder.counter("uhd_learn_submitted_total"),
-            learn_consumed: recorder.counter("uhd_learn_consumed_total"),
             learn_updates: recorder.counter("uhd_learn_updates_total"),
             learn_rejected: recorder.counter("uhd_learn_rejected_total"),
             snapshots_published: recorder.counter("uhd_snapshots_published_total"),
+            worker_panics: recorder.counter("uhd_worker_panics_total"),
         }
     }
 
     pub(crate) fn record_submit(&self) {
         self.submitted.inc();
-    }
-
-    pub(crate) fn record_submit_many(&self, n: usize) {
-        self.submitted.add(n as u64);
     }
 
     pub(crate) fn record_shed(&self) {
@@ -70,10 +65,6 @@ impl EngineStats {
         self.learn_submitted.inc();
     }
 
-    pub(crate) fn record_learn_consumed(&self, n: u64) {
-        self.learn_consumed.add(n);
-    }
-
     pub(crate) fn record_learn_update(&self) {
         self.learn_updates.inc();
     }
@@ -84,6 +75,10 @@ impl EngineStats {
 
     pub(crate) fn record_snapshot(&self) {
         self.snapshots_published.inc();
+    }
+
+    pub(crate) fn record_worker_panic(&self) {
+        self.worker_panics.inc();
     }
 
     /// Assemble a [`StatsSnapshot`] from the counters plus the
@@ -99,15 +94,12 @@ impl EngineStats {
             largest_batch: self.largest_batch.get(),
             model_swaps: self.model_swaps.get(),
             learn_submitted: self.learn_submitted.get(),
-            learn_consumed: self.learn_consumed.get(),
             learn_updates: self.learn_updates.get(),
             learn_rejected: self.learn_rejected.get(),
             snapshots_published: self.snapshots_published.get(),
             queue_depth_hw: latency.queue_depth_hw,
             p50_us: latency.p50_us,
             p99_us: latency.p99_us,
-            learn_p50_us: latency.learn_p50_us,
-            learn_p99_us: latency.learn_p99_us,
         }
     }
 }
@@ -118,11 +110,10 @@ pub(crate) struct LatencyFigures {
     pub(crate) queue_depth_hw: u64,
     pub(crate) p50_us: u64,
     pub(crate) p99_us: u64,
-    pub(crate) learn_p50_us: u64,
-    pub(crate) learn_p99_us: u64,
 }
 
-/// A point-in-time view of the engine counters.
+/// A point-in-time view of the registry counters, summed over all
+/// tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Name of the popcount/distance kernel the inference hot path
@@ -131,27 +122,25 @@ pub struct StatsSnapshot {
     /// telemetry and `BENCH_*.json` trajectories are attributable to
     /// the instruction set actually used.
     pub kernel: &'static str,
-    /// Requests accepted by [`crate::ServeEngine::submit`].
+    /// Requests accepted by [`crate::ModelRegistry::submit`].
     pub submitted: u64,
     /// Requests rejected by load-shedding admission control (queue
     /// depth at or above the configured `shed_above` threshold); each
     /// returned [`crate::ServeError::Overloaded`] to its caller.
     pub requests_shed: u64,
-    /// Requests answered by a worker shard.
+    /// Requests claimed by a worker shard (counted per micro-batch,
+    /// when the batch forms).
     pub completed: u64,
     /// Micro-batches executed across all shards.
     pub batches: u64,
     /// Largest micro-batch observed.
     pub largest_batch: u64,
-    /// Models hot-swapped in via [`crate::ServeEngine::update_model`].
+    /// Models hot-swapped in via [`crate::ModelRegistry::update_model`].
     pub model_swaps: u64,
-    /// Labelled samples accepted by [`crate::ServeEngine::learn`] /
-    /// [`crate::ServeEngine::feedback`].
+    /// Labelled samples that passed eager validation in
+    /// [`crate::ModelRegistry::learn`] /
+    /// [`crate::ModelRegistry::feedback`].
     pub learn_submitted: u64,
-    /// Labelled samples the background trainer has finished applying.
-    /// Reconciles with `learn_submitted` after
-    /// [`crate::ServeEngine::sync_learner`].
-    pub learn_consumed: u64,
     /// Samples that actually modified the learner's class accumulators
     /// (every observation, plus mispredicted feedback).
     pub learn_updates: u64,
@@ -160,24 +149,20 @@ pub struct StatsSnapshot {
     /// Each rejection also emits a `SampleRejected` trace event
     /// carrying the offending label.
     pub learn_rejected: u64,
-    /// Rebinarized model snapshots the background trainer published
-    /// through the hot-swap path (not counted in `model_swaps`).
+    /// Rebinarized learner snapshots published through the hot-swap
+    /// path, on the `snapshot_every` cadence or by
+    /// [`crate::ModelRegistry::publish`] (not counted in
+    /// `model_swaps`).
     pub snapshots_published: u64,
-    /// High-water mark of the request queue depth — the signal the
-    /// ROADMAP's load-shedding item needs.
+    /// High-water mark of the request queue depth.
     pub queue_depth_hw: u64,
     /// Median end-to-end request latency (submit → response) in
-    /// microseconds, from the engine's lock-free histogram. 0 until a
+    /// microseconds, from the registry's lock-free histogram. 0 until a
     /// request completes; bounded relative error
     /// [`uhd_obs::RELATIVE_ERROR`].
     pub p50_us: u64,
     /// 99th-percentile end-to-end request latency in microseconds.
     pub p99_us: u64,
-    /// Median learn-path drain lag (sample submit → applied by the
-    /// background trainer) in microseconds.
-    pub learn_p50_us: u64,
-    /// 99th-percentile learn-path drain lag in microseconds.
-    pub learn_p99_us: u64,
 }
 
 impl StatsSnapshot {
@@ -208,7 +193,6 @@ mod tests {
         stats.record_swap();
         stats.record_learn_submit();
         stats.record_learn_submit();
-        stats.record_learn_consumed(2);
         stats.record_learn_update();
         stats.record_learn_rejected();
         stats.record_snapshot();
@@ -216,8 +200,6 @@ mod tests {
             queue_depth_hw: 3,
             p50_us: 100,
             p99_us: 900,
-            learn_p50_us: 40,
-            learn_p99_us: 70,
         });
         assert_eq!(snap.kernel, uhd_core::kernels::Kernel::active().name());
         assert_eq!(snap.submitted, 2);
@@ -227,13 +209,11 @@ mod tests {
         assert_eq!(snap.largest_batch, 2);
         assert_eq!(snap.model_swaps, 1);
         assert_eq!(snap.learn_submitted, 2);
-        assert_eq!(snap.learn_consumed, 2);
         assert_eq!(snap.learn_updates, 1);
         assert_eq!(snap.learn_rejected, 1);
         assert_eq!(snap.snapshots_published, 1);
         assert_eq!(snap.queue_depth_hw, 3);
         assert_eq!((snap.p50_us, snap.p99_us), (100, 900));
-        assert_eq!((snap.learn_p50_us, snap.learn_p99_us), (40, 70));
         assert!((snap.mean_batch() - 2.0).abs() < f64::EPSILON);
     }
 
@@ -243,10 +223,12 @@ mod tests {
         let stats = EngineStats::new(&recorder);
         stats.record_submit();
         stats.record_batch(1);
+        stats.record_worker_panic();
         let text = recorder.render_text();
         assert!(text.contains("uhd_requests_submitted_total 1\n"));
         assert!(text.contains("uhd_requests_completed_total 1\n"));
         assert!(text.contains("uhd_largest_batch 1\n"));
+        assert!(text.contains("uhd_worker_panics_total 1\n"));
     }
 
     #[test]

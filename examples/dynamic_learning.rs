@@ -7,19 +7,20 @@
 //! ```
 //!
 //! The full dynamic-HDC loop the paper motivates: a model bootstrapped
-//! from a handful of stream samples goes live behind `ServeEngine`,
-//! clients submit labelled feedback through `learn`/`feedback`, a
-//! background trainer folds it into running class accumulators
-//! (`uhd_core::OnlineLearner`) and hot-publishes rebinarized snapshots
-//! through the generation-tagged model swap — so accuracy climbs with
-//! zero downtime, and a class the initial model never saw is admitted
-//! mid-stream.
+//! from a handful of stream samples goes live as the only tenant of a
+//! `ModelRegistry`, clients submit labelled feedback through
+//! `learn`/`feedback`, the registry folds it synchronously into running
+//! class accumulators (`uhd_core::OnlineLearner`) and hot-publishes
+//! rebinarized snapshots through the generation-tagged model swap — so
+//! accuracy climbs with zero downtime, and a class the initial model
+//! never saw is admitted mid-stream.
 
+use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::InferenceMode;
 use uhd::core::{BitSliceAccumulator, Encoder, OnlineLearner};
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
-use uhd::serve::{ServeConfig, ServeEngine};
+use uhd::serve::{ModelRegistry, ServeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = 1024u32;
@@ -46,45 +47,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig::new(2, 16)
         .with_mode(InferenceMode::IntegerBoth)
         .with_snapshot_every(64);
-    let report = ServeEngine::serve(config, &encoder, cold, |engine| {
-        let accuracy = |engine: &ServeEngine<'_, UhdEncoder>| {
-            let responses = engine.classify_many(test.images())?;
-            let hits = responses
-                .iter()
-                .zip(test.labels())
-                .filter(|(r, &label)| r.class == label)
-                .count();
-            Ok::<_, uhd::serve::ServeError>(hits as f64 / test.len() as f64)
-        };
+    let registry = ModelRegistry::start(config)?;
+    registry.register("digits", Arc::new(encoder), cold)?;
+    let accuracy = || {
+        let responses = registry.classify_many("digits", test.images())?;
+        let hits = responses
+            .iter()
+            .zip(test.labels())
+            .filter(|(r, &label)| r.class == label)
+            .count();
+        Ok::<_, uhd::serve::ServeError>(hits as f64 / test.len() as f64)
+    };
 
-        let acc_cold = accuracy(engine)?;
+    let acc_cold = accuracy()?;
 
-        // Stream the labelled data through the online-learning API
-        // while the engine keeps serving: bundle every sample, then
-        // run a served-prediction feedback pass.
-        for (image, &label) in train.images().iter().zip(train.labels()) {
-            engine.learn(image.clone(), label)?;
-        }
-        engine.sync_learner();
-        let acc_bundled = accuracy(engine)?;
+    // Stream the labelled data through the online-learning API while
+    // the registry keeps serving: bundle every sample, then run a
+    // served-prediction feedback pass. `publish` serves whatever the
+    // `snapshot_every` cadence has not published yet.
+    for (image, &label) in train.images().iter().zip(train.labels()) {
+        registry.learn("digits", image, label)?;
+    }
+    registry.publish("digits")?;
+    let acc_bundled = accuracy()?;
 
-        for (image, &label) in train.images().iter().zip(train.labels()) {
-            let response = engine.classify(image)?;
-            engine.feedback(image.clone(), response.class, label)?;
-        }
-        engine.sync_learner();
-        let acc_final = accuracy(engine)?;
+    for (image, &label) in train.images().iter().zip(train.labels()) {
+        let response = registry.classify("digits", image)?;
+        registry.feedback("digits", image, response.class, label)?;
+    }
+    registry.publish("digits")?;
+    let acc_final = accuracy()?;
 
-        Ok::<_, uhd::serve::ServeError>((
-            acc_cold,
-            acc_bundled,
-            acc_final,
-            engine.generation(),
-            engine.stats(),
-            engine.trace_events(),
-        ))
-    })?;
-    let (acc_cold, acc_bundled, acc_final, generation, stats, events) = report?;
+    let generation = registry.generation("digits")?;
+    let (stats, events) = (registry.stats(), registry.trace_events());
 
     println!(
         "accuracy: cold {:.2} % -> bundled stream {:.2} % -> after feedback {:.2} %",
@@ -93,13 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * acc_final
     );
     println!(
-        "learning: {} samples submitted, {} applied ({} updates, {} corrections-rejected), \
+        "learning: {} samples applied ({} updates, {} rejected), \
          {} snapshots hot-published (serving generation {generation})",
-        stats.learn_submitted,
-        stats.learn_consumed,
-        stats.learn_updates,
-        stats.learn_rejected,
-        stats.snapshots_published,
+        stats.learn_submitted, stats.learn_updates, stats.learn_rejected, stats.snapshots_published,
     );
     println!(
         "serving:  {} requests in {} micro-batches (mean {:.1}, largest {})",
@@ -109,8 +100,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.largest_batch,
     );
     println!(
-        "latency:  classify p50 {} us / p99 {} us | learn drain lag p50 {} us / p99 {} us",
-        stats.p50_us, stats.p99_us, stats.learn_p50_us, stats.learn_p99_us,
+        "latency:  classify p50 {} us / p99 {} us",
+        stats.p50_us, stats.p99_us,
     );
     // `UHD_LOG=1` fills the trace ring (model swaps, snapshot
     // publishes, rejected samples); off by default, so this usually
@@ -131,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    assert_eq!(stats.learn_submitted, stats.learn_consumed);
+    assert_eq!(stats.learn_rejected, 0);
     assert!(stats.snapshots_published >= 1);
     assert!(
         acc_final > acc_cold,

@@ -14,18 +14,19 @@
 //!    the binary (binarized query) and bipolar (integer cosine) read-out
 //!    paths on accuracy *and* speed — the classic trade-off of the
 //!    n-gram HDC literature;
-//! 2. serve the test stream through `ServeEngine` (same micro-batching,
-//!    sharding and counters as image serving — no text-specific code in
-//!    the engine);
+//! 2. serve the test stream through a one-tenant `ModelRegistry` (same
+//!    micro-batching, sharding and counters as image serving — no
+//!    text-specific code in the registry);
 //! 3. cold-start a learner on a handful of sentences and let labelled
 //!    feedback converge it while it serves.
 
+use std::sync::Arc;
 use std::time::Instant;
 use uhd::core::encoder::text::{NgramTextConfig, NgramTextEncoder};
 use uhd::core::model::{HdcModel, InferenceMode, LabelledSamples};
 use uhd::core::{BitSliceAccumulator, Encoder, OnlineLearner};
 use uhd::datasets::{generate_language_id, TextSpec};
-use uhd::serve::{ServeConfig, ServeEngine};
+use uhd::serve::{ModelRegistry, ServeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = 2048u32;
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train, test) = generate_language_id(spec)?;
     let mut cfg = NgramTextConfig::new(dim);
     cfg.max_len = spec.max_len;
-    let encoder = NgramTextEncoder::new(cfg)?;
+    let encoder = Arc::new(NgramTextEncoder::new(cfg)?);
     println!(
         "corpus: {} languages, {} train / {} test sentences of {}-{} bytes",
         train.classes(),
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let tr = LabelledSamples::new(train.samples(), train.labels())?;
     let te = LabelledSamples::new(test.samples(), test.labels())?;
-    let model = HdcModel::train_parallel(&encoder, tr, train.classes(), threads)?;
+    let model = HdcModel::train_parallel(encoder.as_ref(), tr, train.classes(), threads)?;
 
     println!("\nread-out        accuracy     sentences/s");
     let mut accuracies = Vec::new();
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("bipolar (integer cosine) ", InferenceMode::IntegerBoth),
     ] {
         let t0 = Instant::now();
-        let acc = model.evaluate_with(&encoder, te, mode)?;
+        let acc = model.evaluate_with(encoder.as_ref(), te, mode)?;
         let rate = test.len() as f64 / t0.elapsed().as_secs_f64();
         println!("{name}  {:6.2}%   {rate:>10.0}", acc * 100.0);
         accuracies.push(acc);
@@ -65,17 +66,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Both read-outs must beat chance by a wide margin on 6 classes.
     assert!(accuracies.iter().all(|&a| a > 0.5));
 
-    // --- Act 2: the test stream through the serving engine. ---
-    let served = ServeEngine::serve(ServeConfig::new(2, 16), &encoder, model.clone(), |engine| {
-        let responses = engine.classify_many(test.samples())?;
+    // --- Act 2: the test stream through a one-tenant registry. ---
+    let accuracy = |registry: &ModelRegistry| {
+        let responses = registry.classify_many("lang", test.samples())?;
         let hits = responses
             .iter()
             .zip(test.labels())
             .filter(|(r, &label)| r.class == label)
             .count();
-        Ok::<_, uhd::serve::ServeError>((hits as f64 / test.len() as f64, engine.stats()))
-    })??;
-    let (acc_served, stats) = served;
+        Ok::<_, uhd::serve::ServeError>(hits as f64 / test.len() as f64)
+    };
+    let registry = ModelRegistry::start(ServeConfig::new(2, 16))?;
+    registry.register("lang", encoder.clone(), model.clone())?;
+    let acc_served = accuracy(&registry)?;
+    let stats = registry.stats();
     println!(
         "\nserved: {:.2}% over {} requests in {} micro-batches (mean {:.1})",
         100.0 * acc_served,
@@ -96,24 +100,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig::new(2, 16)
         .with_mode(InferenceMode::IntegerBoth)
         .with_snapshot_every(64);
-    let (acc_cold, acc_online, generation) =
-        ServeEngine::serve(config, &encoder, boot.snapshot()?, |engine| {
-            let accuracy = |engine: &ServeEngine<'_, NgramTextEncoder>| {
-                let responses = engine.classify_many(test.samples())?;
-                let hits = responses
-                    .iter()
-                    .zip(test.labels())
-                    .filter(|(r, &label)| r.class == label)
-                    .count();
-                Ok::<_, uhd::serve::ServeError>(hits as f64 / test.len() as f64)
-            };
-            let acc_cold = accuracy(engine)?;
-            for (sentence, &label) in train.samples().iter().zip(train.labels()) {
-                engine.learn(sentence.clone(), label)?;
-            }
-            engine.sync_learner();
-            Ok::<_, uhd::serve::ServeError>((acc_cold, accuracy(engine)?, engine.generation()))
-        })??;
+    let registry = ModelRegistry::start(config)?;
+    registry.register("lang", encoder, boot.snapshot()?)?;
+    let acc_cold = accuracy(&registry)?;
+    for (sentence, &label) in train.samples().iter().zip(train.labels()) {
+        registry.learn("lang", sentence, label)?;
+    }
+    registry.publish("lang")?;
+    let (acc_online, generation) = (accuracy(&registry)?, registry.generation("lang")?);
     println!(
         "online: cold {:.2}% -> after labelled stream {:.2}% (serving generation {generation})",
         100.0 * acc_cold,

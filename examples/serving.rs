@@ -1,5 +1,5 @@
-//! Serving: run a trained uHD model behind the batched, sharded
-//! inference engine and hot-swap in a better-trained model without
+//! Serving: run a trained uHD model as the only tenant of a
+//! `ModelRegistry` and hot-swap in a better-trained model without
 //! stopping.
 //!
 //! Run with:
@@ -8,10 +8,10 @@
 //! cargo run --release --example serving
 //! ```
 //!
-//! Demonstrates the dynamic-HDC serving loop: start `ServeEngine` over
-//! a model trained on the first slice of the stream, keep answering
+//! Demonstrates the dynamic-HDC serving loop: start a registry over a
+//! model trained on the first slice of the stream, keep answering
 //! queries through the micro-batching worker pool, then `update_model`
-//! a generation trained on the full stream into the live engine —
+//! a generation trained on the full stream into the live registry —
 //! single-pass HDC training makes such refreshes cheap enough to do
 //! continuously.
 //!
@@ -22,23 +22,24 @@
 //! snapshots — `ci.sh --smoke` validates them with `validate_metrics`.
 //! `UHD_LOG=1` additionally fills the trace-event ring.
 
+use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, InferenceMode, LabelledSamples};
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
-use uhd::serve::{ServeConfig, ServeEngine};
+use uhd::serve::{ModelRegistry, ServeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = 1024u32;
     let (train, test) = generate(SynthSpec::new(SyntheticKind::Mnist, 900, 200, 42))?;
-    let encoder = UhdEncoder::new(UhdConfig::new(dim, train.pixels()))?;
+    let encoder = Arc::new(UhdEncoder::new(UhdConfig::new(dim, train.pixels()))?);
 
     // Generation 0: only the first 300 samples of the stream have been
     // seen. Generation 1: the full 900 (single-pass training, so the
     // refresh costs one scan).
     let early = LabelledSamples::new(&train.images()[..300], &train.labels()[..300])?;
     let full = LabelledSamples::new(train.images(), train.labels())?;
-    let model_early = HdcModel::train(&encoder, early, train.classes())?;
-    let model_full = HdcModel::train(&encoder, full, train.classes())?;
+    let model_early = HdcModel::train(encoder.as_ref(), early, train.classes())?;
+    let model_full = HdcModel::train(encoder.as_ref(), full, train.classes())?;
 
     // Serve in the integer-similarity mode the accuracy tables use; the
     // binarized fast path through the bit-sliced associative memory is
@@ -50,36 +51,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|base| !base.is_empty());
 
     let config = ServeConfig::new(2, 16).with_mode(InferenceMode::IntegerBoth);
-    let summary = ServeEngine::serve(config, &encoder, model_early, |engine| {
-        // First wave of traffic, answered by generation 0.
-        let wave0 = engine.classify_many(test.images())?;
+    let registry = ModelRegistry::start(config)?;
+    registry.register("digits", encoder.clone(), model_early)?;
 
-        if let Some(base) = &snapshot_base {
-            std::fs::write(format!("{base}.mid.prom"), engine.render_metrics())
-                .expect("write mid-run metrics snapshot");
-        }
+    // First wave of traffic, answered by generation 0.
+    let wave0 = registry.classify_many("digits", test.images())?;
 
-        // Hot swap while the engine stays up; the next wave is
-        // answered by generation 1.
-        let generation = engine.update_model(model_full.clone())?;
-        let wave1 = engine.classify_many(test.images())?;
-        assert!(wave1.iter().all(|r| r.generation == generation));
+    if let Some(base) = &snapshot_base {
+        std::fs::write(format!("{base}.mid.prom"), registry.render_metrics())?;
+    }
 
-        let hits = |wave: &[uhd::serve::Response]| {
-            wave.iter()
-                .zip(test.labels())
-                .filter(|(r, &label)| r.class == label)
-                .count()
-        };
-        Ok::<_, uhd::serve::ServeError>((
-            hits(&wave0),
-            hits(&wave1),
-            engine.stats(),
-            engine.render_metrics(),
-            engine.metrics_json(),
-        ))
-    })?;
-    let (correct_before, correct_after, stats, metrics_text, metrics_json) = summary?;
+    // Hot swap while the registry stays up; the next wave is answered
+    // by generation 1.
+    let generation = registry.update_model("digits", model_full.clone())?;
+    let wave1 = registry.classify_many("digits", test.images())?;
+    assert!(wave1.iter().all(|r| r.generation == generation));
+
+    let hits = |wave: &[uhd::serve::Response]| {
+        wave.iter()
+            .zip(test.labels())
+            .filter(|(r, &label)| r.class == label)
+            .count()
+    };
+    let (correct_before, correct_after) = (hits(&wave0), hits(&wave1));
+    registry.shutdown();
+    let (stats, metrics_text, metrics_json) = (
+        registry.stats(),
+        registry.render_metrics(),
+        registry.metrics_json(),
+    );
 
     if let Some(base) = &snapshot_base {
         std::fs::write(format!("{base}.end.prom"), &metrics_text)?;
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let n = test.len();
     println!(
-        "engine: {} shards, max batch {} | served {} requests in {} micro-batches \
+        "registry: {} shards, max batch {} | served {} requests in {} micro-batches \
          (mean {:.1}, largest {}), {} model swap(s)",
         config.shards,
         config.max_batch,
@@ -121,9 +121,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {line}");
     }
 
-    // Sanity: the engine's answers match the serial evaluation path.
+    // Sanity: the registry's answers match the serial evaluation path.
     let serial = model_full.evaluate(
-        &encoder,
+        encoder.as_ref(),
         LabelledSamples::new(test.images(), test.labels())?,
     )?;
     assert_eq!(correct_after as f64 / n as f64, serial);

@@ -9,16 +9,17 @@
 //!
 //! Batch-trains on synthetic multi-channel sensor rows, shows the level
 //! chain's similarity preservation, then serves the test stream through
-//! `ServeEngine` and hot-swaps a better model mid-flight via
-//! `update_model` — the generation-tagged swap the image pipeline uses,
-//! untouched.
+//! a one-tenant `ModelRegistry` and hot-swaps a better model mid-flight
+//! via `update_model` — the generation-tagged swap the image pipeline
+//! uses, untouched.
 
+use std::sync::Arc;
 use uhd::core::encoder::tabular::{TabularConfig, TabularEncoder};
 use uhd::core::model::{HdcModel, LabelledSamples};
 use uhd::core::similarity::cosine;
 use uhd::core::Encoder;
 use uhd::datasets::{generate_sensor_rows, SensorSpec};
-use uhd::serve::{ServeConfig, ServeEngine};
+use uhd::serve::{ModelRegistry, ServeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = 2048u32;
@@ -61,22 +62,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Serve with the weak model, hot-swap the strong one mid-flight.
-    let result = ServeEngine::serve(ServeConfig::new(2, 16), &encoder, weak, |engine| {
-        let accuracy = |engine: &ServeEngine<'_, TabularEncoder>| {
-            let responses = engine.classify_many(test.samples())?;
-            let hits = responses
-                .iter()
-                .zip(test.labels())
-                .filter(|(r, &label)| r.class == label)
-                .count();
-            Ok::<_, uhd::serve::ServeError>(hits as f64 / test.len() as f64)
-        };
-        let before = accuracy(engine)?;
-        let generation = engine.update_model(strong)?;
-        let after = accuracy(engine)?;
-        Ok::<_, uhd::serve::ServeError>((before, after, generation, engine.stats()))
-    })??;
-    let (before, after, generation, stats) = result;
+    let registry = ModelRegistry::start(ServeConfig::new(2, 16))?;
+    registry.register("sensors", Arc::new(encoder), weak)?;
+    let accuracy = || {
+        let responses = registry.classify_many("sensors", test.samples())?;
+        let hits = responses
+            .iter()
+            .zip(test.labels())
+            .filter(|(r, &label)| r.class == label)
+            .count();
+        Ok::<_, uhd::serve::ServeError>(hits as f64 / test.len() as f64)
+    };
+    let before = accuracy()?;
+    let generation = registry.update_model("sensors", strong)?;
+    let after = accuracy()?;
+    let stats = registry.stats();
     println!(
         "served: {:.2}% -> hot swap (generation {generation}) -> {:.2}% \
          over {} requests in {} micro-batches",

@@ -1,14 +1,15 @@
 //! Integration suite for the observability layer: staged request
-//! timing flowing from the engine's monotonic clocks into the
+//! timing flowing from the registry's monotonic clocks into the
 //! lock-free histograms, the Prometheus text / JSON expositions, the
 //! queue high-water gauge, the trace-event ring, and the no-op
 //! recorder's zero-surface guarantee.
 
+use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, LabelledSamples};
 use uhd::datasets::image::Dataset;
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
-use uhd::serve::{ServeConfig, ServeEngine, TraceKind, TraceLevel};
+use uhd::serve::{ModelRegistry, ServeConfig, ServeError, TraceKind, TraceLevel};
 use uhd_bench::json::{parse, Json};
 
 fn fixture(train_n: usize, test_n: usize, dim: u32, seed: u64) -> (UhdEncoder, HdcModel, Dataset) {
@@ -20,27 +21,32 @@ fn fixture(train_n: usize, test_n: usize, dim: u32, seed: u64) -> (UhdEncoder, H
     (encoder, model, test)
 }
 
+/// A registry serving `model` through `encoder` as its only tenant, `t`.
+fn one_tenant(config: ServeConfig, encoder: UhdEncoder, model: HdcModel) -> ModelRegistry {
+    let registry = ModelRegistry::start(config).unwrap();
+    registry.register("t", Arc::new(encoder), model).unwrap();
+    registry
+}
+
 /// One wave of traffic through a single shard: every request's staged
 /// timing must land in the histograms (count reconciles with the
 /// completion counter), the per-shard series must render with shard
-/// labels, and the queue high-water mark must have seen the whole wave
-/// (`submit_many` enqueues it under one lock acquisition).
+/// labels, and the queue high-water mark must have seen the wave.
 #[test]
 fn staged_timing_lands_in_the_exposition_with_per_shard_labels() {
     let (encoder, model, test) = fixture(200, 100, 512, 42);
     let config = ServeConfig::new(1, 8).with_trace_level(TraceLevel::Off);
-    let (stats, text) = ServeEngine::serve(config, &encoder, model, |engine| {
-        let responses = engine.classify_many(test.images()).unwrap();
-        assert_eq!(responses.len(), test.len());
-        (engine.stats(), engine.render_metrics())
-    })
-    .unwrap();
+    let registry = one_tenant(config, encoder, model);
+    let responses = registry.classify_many("t", test.images()).unwrap();
+    assert_eq!(responses.len(), test.len());
+    let (stats, text) = (registry.stats(), registry.render_metrics());
 
     assert_eq!(stats.completed, 100);
+    // Requests are submitted one by one while the shard drains them,
+    // so how deep the queue got depends on scheduling.
     assert!(
-        stats.queue_depth_hw >= 100,
-        "one wave of 100 into a single shard must drive the high-water \
-         mark to the wave size (got {})",
+        (1..=100).contains(&stats.queue_depth_hw),
+        "the high-water mark must have seen the wave (got {})",
         stats.queue_depth_hw
     );
     assert!(
@@ -49,7 +55,7 @@ fn staged_timing_lands_in_the_exposition_with_per_shard_labels() {
     );
     assert!(stats.p99_us >= stats.p50_us);
 
-    // Per-shard staged series with shard labels, and the engine-wide
+    // Per-shard staged series with shard labels, and the registry-wide
     // total whose count reconciles with the completion counter.
     assert!(text.contains("uhd_request_queue_wait_ns{shard=\"0\",quantile=\"0.5\"}"));
     assert!(text.contains("uhd_batch_compute_ns{shard=\"0\",quantile=\"0.99\"}"));
@@ -64,16 +70,13 @@ fn staged_timing_lands_in_the_exposition_with_per_shard_labels() {
 #[test]
 fn metrics_json_round_trips_through_the_bench_parser() {
     let (encoder, model, test) = fixture(150, 60, 512, 7);
-    let json = ServeEngine::serve(
+    let registry = one_tenant(
         ServeConfig::new(2, 16).with_trace_level(TraceLevel::Off),
-        &encoder,
+        encoder,
         model,
-        |engine| {
-            engine.classify_many(test.images()).unwrap();
-            engine.metrics_json()
-        },
-    )
-    .unwrap();
+    );
+    registry.classify_many("t", test.images()).unwrap();
+    let json = registry.metrics_json();
 
     let doc = parse(&json).expect("metrics JSON export must parse");
     let completed = doc
@@ -96,7 +99,7 @@ fn metrics_json_round_trips_through_the_bench_parser() {
 }
 
 /// A feedback prediction past the learner's admitted classes is
-/// rejected by the trainer — and the trace ring must carry the
+/// rejected by the learner — and the trace ring must carry the
 /// offending sample: `a` = label, `b` = the out-of-range prediction.
 #[test]
 fn learner_rejections_trace_the_offending_label() {
@@ -104,15 +107,14 @@ fn learner_rejections_trace_the_offending_label() {
     let config = ServeConfig::new(1, 8)
         .with_max_classes(32)
         .with_trace_level(TraceLevel::Info);
-    let (stats, events) = ServeEngine::serve(config, &encoder, model, |engine| {
-        // predicted=20 passes submit-side validation (< max_classes)
-        // but is past the learner's 10 admitted classes, so the
-        // trainer rejects it.
-        engine.feedback(test.images()[0].clone(), 20, 0).unwrap();
-        engine.sync_learner();
-        (engine.stats(), engine.trace_events())
-    })
-    .unwrap();
+    let registry = one_tenant(config, encoder, model);
+    // predicted=20 passes eager validation (< max_classes) but is past
+    // the learner's 10 admitted classes, so the learner rejects it.
+    assert!(matches!(
+        registry.feedback("t", &test.images()[0], 20, 0),
+        Err(ServeError::Core(_))
+    ));
+    let (stats, events) = (registry.stats(), registry.trace_events());
 
     assert_eq!(stats.learn_rejected, 1);
     let rejection = events
@@ -126,7 +128,7 @@ fn learner_rejections_trace_the_offending_label() {
     );
 }
 
-/// Under `TraceLevel::Trace` the ring captures the engine's lifecycle:
+/// Under `TraceLevel::Trace` the ring captures the registry's lifecycle:
 /// kernel dispatch at startup, batch formation, the hot model swap
 /// (with its generation), and the learner's snapshot publish.
 #[test]
@@ -134,15 +136,13 @@ fn trace_ring_records_the_engine_lifecycle() {
     let (encoder, model, test) = fixture(150, 40, 512, 13);
     let (_, model_b, _) = fixture(180, 10, 512, 99);
     let config = ServeConfig::new(2, 8).with_trace_level(TraceLevel::Trace);
-    let events = ServeEngine::serve(config, &encoder, model, |engine| {
-        engine.classify_many(test.images()).unwrap();
-        let generation = engine.update_model(model_b.clone()).unwrap();
-        assert_eq!(generation, 1);
-        engine.learn(test.images()[0].clone(), 0).unwrap();
-        engine.sync_learner();
-        engine.trace_events()
-    })
-    .unwrap();
+    let registry = one_tenant(config, encoder, model);
+    registry.classify_many("t", test.images()).unwrap();
+    let generation = registry.update_model("t", model_b.clone()).unwrap();
+    assert_eq!(generation, 1);
+    registry.learn("t", &test.images()[0], 0).unwrap();
+    registry.publish("t").unwrap();
+    let events = registry.trace_events();
 
     let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&TraceKind::KernelDispatched));
@@ -159,7 +159,7 @@ fn trace_ring_records_the_engine_lifecycle() {
     }
 }
 
-/// `with_telemetry(false)` swaps in the no-op recorder: the engine
+/// `with_telemetry(false)` swaps in the no-op recorder: the registry
 /// serves identically but exposes nothing — empty text exposition,
 /// empty JSON object, no trace events even at `Trace` level.
 #[test]
@@ -168,17 +168,14 @@ fn telemetry_off_serves_identically_but_exposes_nothing() {
     let config = ServeConfig::new(2, 8)
         .with_telemetry(false)
         .with_trace_level(TraceLevel::Trace);
-    let (responses, stats, text, json, events) =
-        ServeEngine::serve(config, &encoder, model, |engine| {
-            (
-                engine.classify_many(test.images()).unwrap(),
-                engine.stats(),
-                engine.render_metrics(),
-                engine.metrics_json(),
-                engine.trace_events(),
-            )
-        })
-        .unwrap();
+    let registry = one_tenant(config, encoder, model);
+    let responses = registry.classify_many("t", test.images()).unwrap();
+    let (stats, text, json, events) = (
+        registry.stats(),
+        registry.render_metrics(),
+        registry.metrics_json(),
+        registry.trace_events(),
+    );
 
     assert_eq!(responses.len(), 30);
     // The counter surface still works (stats are cheap atomics); only
@@ -198,16 +195,12 @@ fn telemetry_off_serves_identically_but_exposes_nothing() {
 /// high-water mark keeps its historical value.
 #[test]
 fn queue_depth_gauge_reads_zero_after_shutdown() {
-    use std::sync::Arc;
-    use uhd::core::Encoder;
-    use uhd::serve::registry::ModelRegistry;
-
     let (encoder, model, test) = fixture(150, 50, 512, 9);
-    let registry =
-        ModelRegistry::start(ServeConfig::new(2, 8).with_trace_level(TraceLevel::Off)).unwrap();
-    registry
-        .register("t", Arc::new(encoder) as Arc<dyn Encoder>, model)
-        .unwrap();
+    let registry = one_tenant(
+        ServeConfig::new(2, 8).with_trace_level(TraceLevel::Off),
+        encoder,
+        model,
+    );
     // One wave deep enough to move both gauges…
     let tickets: Vec<_> = test
         .images()

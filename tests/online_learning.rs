@@ -1,19 +1,21 @@
 //! Integration suite for the online-learning subsystem: a cold-start
-//! model converging while the engine serves traffic, runtime class
-//! admission mid-stream, and learner state surviving byte round-trips.
+//! model converging while a one-tenant registry serves traffic,
+//! runtime class admission mid-stream, and learner state surviving
+//! byte round-trips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, InferenceMode};
 use uhd::core::{Encoder, OnlineLearner};
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
-use uhd::serve::{ServeConfig, ServeEngine};
+use uhd::serve::{ModelRegistry, ServeConfig};
 
 /// Acceptance: a cold model (bootstrapped from a handful of stream
-/// samples) is served by the engine while labelled feedback pours in;
-/// after automatic snapshot hot-swaps its accuracy strictly improves
-/// and crosses a fixed threshold, with the engine's learn counters
-/// reconciling and every concurrently served response well-formed.
+/// samples) is served by the registry while labelled feedback pours
+/// in; after snapshot hot-swaps its accuracy strictly improves and
+/// crosses a fixed threshold, with the learn counters reconciling and
+/// every concurrently served response well-formed.
 #[test]
 fn serve_while_learn_strictly_improves_accuracy() {
     let dim = 1024u32;
@@ -38,84 +40,85 @@ fn serve_while_learn_strictly_improves_accuracy() {
         .with_snapshot_every(64);
     let accuracy_threshold = 0.55;
 
-    ServeEngine::serve(config, &encoder, cold, |engine| {
-        let accuracy = || {
-            let responses = engine.classify_many(test.images()).unwrap();
-            let hits = responses
-                .iter()
-                .zip(test.labels())
-                .filter(|(r, &label)| r.class == label)
-                .count();
-            hits as f64 / test.len() as f64
-        };
-        let acc_cold = accuracy();
+    let registry = ModelRegistry::start(config).unwrap();
+    registry.register("t", Arc::new(encoder), cold).unwrap();
+    let accuracy = || {
+        let responses = registry.classify_many("t", test.images()).unwrap();
+        let hits = responses
+            .iter()
+            .zip(test.labels())
+            .filter(|(r, &label)| r.class == label)
+            .count();
+        hits as f64 / test.len() as f64
+    };
+    let acc_cold = accuracy();
 
-        // Classify traffic hammers the engine for the whole learning
-        // phase; every answer must be well-formed no matter how many
-        // snapshots land mid-flight.
-        let stop = AtomicBool::new(false);
-        let classes = train.classes();
-        std::thread::scope(|scope| {
-            let stop = &stop;
-            let test = &test;
-            let prober = scope.spawn(move || {
-                let mut served = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    for image in test.images().iter().take(16) {
-                        let response = engine.classify(image).expect("serving must not fail");
-                        assert!(response.class < classes);
-                        served += 1;
-                    }
+    // Classify traffic hammers the registry for the whole learning
+    // phase; every answer must be well-formed no matter how many
+    // snapshots land mid-flight.
+    let stop = AtomicBool::new(false);
+    let classes = train.classes();
+    std::thread::scope(|scope| {
+        let (stop, test, registry) = (&stop, &test, &registry);
+        let prober = scope.spawn(move || {
+            let mut served = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                for image in test.images().iter().take(16) {
+                    let response = registry
+                        .classify("t", image)
+                        .expect("serving must not fail");
+                    assert!(response.class < classes);
+                    served += 1;
                 }
-                served
-            });
-
-            // Phase 1: bundle the full labelled stream.
-            for (image, &label) in train.images().iter().zip(train.labels()) {
-                engine.learn(image.clone(), label).unwrap();
             }
-            // Phase 2: a feedback pass driven by the engine's own
-            // (possibly stale-generation) predictions.
-            for (image, &label) in train.images().iter().zip(train.labels()) {
-                let response = engine.classify(image).unwrap();
-                engine
-                    .feedback(image.clone(), response.class, label)
-                    .unwrap();
-            }
-            engine.sync_learner();
-            stop.store(true, Ordering::Relaxed);
-            let served = prober.join().expect("prober panicked");
-            assert!(served > 0, "the concurrent classify load must have run");
+            served
         });
 
-        let stats = engine.stats();
-        assert_eq!(stats.learn_submitted, 2 * train.len() as u64);
-        assert_eq!(
-            stats.learn_consumed, stats.learn_submitted,
-            "every accepted sample must be applied"
-        );
-        assert_eq!(stats.learn_rejected, 0);
-        assert!(
-            stats.snapshots_published >= 1,
-            "learning must have hot-published at least one snapshot"
-        );
-        assert!(engine.generation() >= 1);
+        // Phase 1: bundle the full labelled stream.
+        for (image, &label) in train.images().iter().zip(train.labels()) {
+            registry.learn("t", image, label).unwrap();
+        }
+        // Phase 2: a feedback pass driven by the registry's own
+        // (possibly stale-generation) predictions.
+        for (image, &label) in train.images().iter().zip(train.labels()) {
+            let response = registry.classify("t", image).unwrap();
+            registry
+                .feedback("t", image, response.class, label)
+                .unwrap();
+        }
+        // Serve everything learned since the last cadence publish.
+        registry.publish("t").unwrap();
+        stop.store(true, Ordering::Relaxed);
+        let served = prober.join().expect("prober panicked");
+        assert!(served > 0, "the concurrent classify load must have run");
+    });
 
-        let acc_warm = accuracy();
-        assert!(
-            acc_warm > acc_cold,
-            "serve-while-learn must strictly improve accuracy ({acc_cold} -> {acc_warm})"
-        );
-        assert!(
-            acc_warm >= accuracy_threshold,
-            "warm accuracy {acc_warm} below threshold {accuracy_threshold}"
-        );
-    })
-    .unwrap();
+    let stats = registry.stats();
+    assert_eq!(stats.learn_submitted, 2 * train.len() as u64);
+    assert!(
+        stats.learn_updates >= train.len() as u64,
+        "every observation must be applied"
+    );
+    assert_eq!(stats.learn_rejected, 0);
+    assert!(
+        stats.snapshots_published >= 1,
+        "learning must have hot-published at least one snapshot"
+    );
+    assert!(registry.generation("t").unwrap() >= 1);
+
+    let acc_warm = accuracy();
+    assert!(
+        acc_warm > acc_cold,
+        "serve-while-learn must strictly improve accuracy ({acc_cold} -> {acc_warm})"
+    );
+    assert!(
+        acc_warm >= accuracy_threshold,
+        "warm accuracy {acc_warm} below threshold {accuracy_threshold}"
+    );
 }
 
 /// The same serve-while-learn acceptance on a *text* stream: the n-gram
-/// encoder drives the identical engine code path, a cold language-ID
+/// encoder drives the identical registry code path, a cold language-ID
 /// model converges from labelled sentence feedback, accuracy strictly
 /// improves past a fixed threshold, and the learn counters reconcile.
 #[test]
@@ -144,57 +147,58 @@ fn serve_while_learn_improves_language_id_accuracy() {
         .with_snapshot_every(32);
     let accuracy_threshold = 0.85;
 
-    ServeEngine::serve(config, &encoder, boot.snapshot().unwrap(), |engine| {
-        let accuracy = || {
-            let responses = engine.classify_many(test.samples()).unwrap();
-            let hits = responses
-                .iter()
-                .zip(test.labels())
-                .filter(|(r, &label)| r.class == label)
-                .count();
-            hits as f64 / test.len() as f64
-        };
-        let acc_cold = accuracy();
+    let registry = ModelRegistry::start(config).unwrap();
+    registry
+        .register("t", Arc::new(encoder), boot.snapshot().unwrap())
+        .unwrap();
+    let accuracy = || {
+        let responses = registry.classify_many("t", test.samples()).unwrap();
+        let hits = responses
+            .iter()
+            .zip(test.labels())
+            .filter(|(r, &label)| r.class == label)
+            .count();
+        hits as f64 / test.len() as f64
+    };
+    let acc_cold = accuracy();
 
-        // Phase 1: bundle the full labelled sentence stream.
-        for (sentence, &label) in train.samples().iter().zip(train.labels()) {
-            engine.learn(sentence.clone(), label).unwrap();
-        }
-        // Phase 2: feedback driven by the engine's own predictions.
-        for (sentence, &label) in train.samples().iter().zip(train.labels()) {
-            let response = engine.classify(sentence).unwrap();
-            engine
-                .feedback(sentence.clone(), response.class, label)
-                .unwrap();
-        }
-        engine.sync_learner();
+    // Phase 1: bundle the full labelled sentence stream.
+    for (sentence, &label) in train.samples().iter().zip(train.labels()) {
+        registry.learn("t", sentence, label).unwrap();
+    }
+    // Phase 2: feedback driven by the registry's own predictions.
+    for (sentence, &label) in train.samples().iter().zip(train.labels()) {
+        let response = registry.classify("t", sentence).unwrap();
+        registry
+            .feedback("t", sentence, response.class, label)
+            .unwrap();
+    }
+    registry.publish("t").unwrap();
 
-        let stats = engine.stats();
-        assert_eq!(stats.learn_submitted, 2 * train.len() as u64);
-        assert_eq!(
-            stats.learn_consumed, stats.learn_submitted,
-            "every accepted sentence must be applied"
-        );
-        assert_eq!(stats.learn_rejected, 0);
-        assert!(stats.snapshots_published >= 1);
-        assert!(engine.generation() >= 1);
+    let stats = registry.stats();
+    assert_eq!(stats.learn_submitted, 2 * train.len() as u64);
+    assert!(
+        stats.learn_updates >= train.len() as u64,
+        "every observed sentence must be applied"
+    );
+    assert_eq!(stats.learn_rejected, 0);
+    assert!(stats.snapshots_published >= 1);
+    assert!(registry.generation("t").unwrap() >= 1);
 
-        let acc_warm = accuracy();
-        assert!(
-            acc_warm > acc_cold,
-            "text serve-while-learn must strictly improve accuracy ({acc_cold} -> {acc_warm})"
-        );
-        assert!(
-            acc_warm >= accuracy_threshold,
-            "warm language-ID accuracy {acc_warm} below threshold {accuracy_threshold}"
-        );
-    })
-    .unwrap();
+    let acc_warm = accuracy();
+    assert!(
+        acc_warm > acc_cold,
+        "text serve-while-learn must strictly improve accuracy ({acc_cold} -> {acc_warm})"
+    );
+    assert!(
+        acc_warm >= accuracy_threshold,
+        "warm language-ID accuracy {acc_warm} below threshold {accuracy_threshold}"
+    );
 }
 
 /// A label the initial model never saw admits a new class mid-stream:
-/// after the trainer's snapshot lands, the engine answers with the new
-/// class index.
+/// once the learner's snapshot is published, the registry answers with
+/// the new class index.
 #[test]
 fn new_classes_are_admitted_mid_stream() {
     const PIXELS: usize = 16;
@@ -203,7 +207,7 @@ fn new_classes_are_admitted_mid_stream() {
     let flat = |v: u8| vec![v; PIXELS];
 
     // Two-class model: dark vs bright, bundled in the same integer
-    // domain the engine's trainer uses.
+    // domain the registry's learner uses.
     let mut boot = OnlineLearner::new(dim).unwrap();
     let mut scratch = uhd::core::BitSliceAccumulator::new(dim);
     let mut observe = |learner: &mut OnlineLearner, image: &[u8], label: usize| {
@@ -221,28 +225,27 @@ fn new_classes_are_admitted_mid_stream() {
     assert_eq!(model.classes(), 2);
 
     let config = ServeConfig::new(2, 4).with_mode(InferenceMode::IntegerBoth);
-    ServeEngine::serve(config, &encoder, model, |engine| {
-        // Before learning, a mid-gray image can only land on 0 or 1.
-        let before = engine.classify(&flat(120)).unwrap();
-        assert!(before.class < 2);
+    let registry = ModelRegistry::start(config).unwrap();
+    registry.register("t", Arc::new(encoder), model).unwrap();
+    // Before learning, a mid-gray image can only land on 0 or 1.
+    let before = registry.classify("t", &flat(120)).unwrap();
+    assert!(before.class < 2);
 
-        // Stream a third class of mid-gray samples.
-        for i in 0..12u8 {
-            engine.learn(flat(114 + i), 2).unwrap();
-        }
-        engine.sync_learner();
+    // Stream a third class of mid-gray samples.
+    for i in 0..12u8 {
+        registry.learn("t", &flat(114 + i), 2).unwrap();
+    }
+    registry.publish("t").unwrap();
 
-        let stats = engine.stats();
-        assert_eq!(stats.learn_consumed, 12);
-        assert!(stats.snapshots_published >= 1);
-        let after = engine.classify(&flat(120)).unwrap();
-        assert_eq!(after.class, 2, "the admitted class must win its own region");
-        assert!(after.generation >= 1);
-        // The old classes still answer correctly.
-        assert_eq!(engine.classify(&flat(18)).unwrap().class, 0);
-        assert_eq!(engine.classify(&flat(233)).unwrap().class, 1);
-    })
-    .unwrap();
+    let stats = registry.stats();
+    assert_eq!(stats.learn_updates, 12);
+    assert!(stats.snapshots_published >= 1);
+    let after = registry.classify("t", &flat(120)).unwrap();
+    assert_eq!(after.class, 2, "the admitted class must win its own region");
+    assert!(after.generation >= 1);
+    // The old classes still answer correctly.
+    assert_eq!(registry.classify("t", &flat(18)).unwrap().class, 0);
+    assert_eq!(registry.classify("t", &flat(233)).unwrap().class, 1);
 }
 
 /// Learner state survives checkpointing: snapshot → `to_bytes` →

@@ -1,7 +1,9 @@
 //! Integration suite for the serving layer: the bit-sliced associative
-//! memory against the per-class scan, the batched engine against the
-//! serial path, and hot model swap under concurrent traffic.
+//! memory against the per-class scan, a one-tenant registry's batched
+//! answers against the serial path, and hot model swap under
+//! concurrent traffic.
 
+use std::sync::Arc;
 use uhd::core::assoc::AssociativeMemory;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, InferenceMode, LabelledSamples};
@@ -9,7 +11,7 @@ use uhd::core::similarity::classify;
 use uhd::core::Encoder;
 use uhd::datasets::image::Dataset;
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
-use uhd::serve::{Response, ServeConfig, ServeEngine};
+use uhd::serve::{ModelRegistry, Response, ServeConfig};
 
 fn fixture(train_n: usize, test_n: usize, dim: u32, seed: u64) -> (UhdEncoder, HdcModel, Dataset) {
     let (train, test) =
@@ -36,8 +38,8 @@ fn associative_memory_matches_per_class_scan_on_every_test_query() {
     }
 }
 
-/// The engine's batched, sharded answers are bit-identical to the
-/// serial binarized path, in input order, all on generation 0.
+/// A one-tenant registry's batched, sharded answers are bit-identical
+/// to the serial binarized path, in input order, all on generation 0.
 #[test]
 fn engine_matches_the_serial_binarized_path() {
     let (encoder, model, test) = fixture(200, 80, 512, 7);
@@ -50,18 +52,18 @@ fn engine_matches_the_serial_binarized_path() {
                 .unwrap()
         })
         .collect();
-    let responses = ServeEngine::serve(ServeConfig::new(3, 8), &encoder, model, |engine| {
-        engine.classify_many(test.images()).unwrap()
-    })
-    .unwrap();
+    let registry = ModelRegistry::start(ServeConfig::new(3, 8)).unwrap();
+    registry.register("t", Arc::new(encoder), model).unwrap();
+    let responses = registry.classify_many("t", test.images()).unwrap();
     assert_eq!(responses.len(), serial.len());
     for (response, expected) in responses.iter().zip(&serial) {
-        assert_eq!((response.class, response.score), *expected);
+        assert_eq!(response.class, expected.0);
+        assert_eq!(response.score.to_bits(), expected.1.to_bits());
         assert_eq!(response.generation, 0);
     }
 }
 
-/// Hot-swap safety: N client threads hammer the engine while the model
+/// Hot-swap safety: N client threads hammer the registry while the model
 /// is swapped mid-flight. No response may observe a torn model — every
 /// `(class, score)` pair must exactly match what one of the two
 /// generations produces for that query, as named by the response's
@@ -92,39 +94,35 @@ fn hot_swap_under_concurrent_traffic_never_tears_the_model() {
     const ROUNDS: usize = 3;
     let total = (CLIENTS * ROUNDS * test.len()) as u64;
 
-    let all_responses = ServeEngine::serve(
-        ServeConfig::new(3, 4),
-        &encoder,
-        model_a.clone(),
-        |engine| {
-            let test = &test;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut seen: Vec<(usize, Response)> = Vec::new();
-                            for _ in 0..ROUNDS {
-                                for (i, image) in test.images().iter().enumerate() {
-                                    seen.push((i, engine.classify(image).unwrap()));
-                                }
-                            }
-                            seen
-                        })
-                    })
-                    .collect();
-                // Swap once roughly halfway through the traffic.
-                while engine.stats().completed < total / 2 {
-                    std::thread::yield_now();
-                }
-                assert_eq!(engine.update_model(model_b.clone()).unwrap(), 1);
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("client thread panicked"))
-                    .collect::<Vec<_>>()
+    let registry = ModelRegistry::start(ServeConfig::new(3, 4)).unwrap();
+    registry
+        .register("t", Arc::new(encoder), model_a.clone())
+        .unwrap();
+    let all_responses = std::thread::scope(|scope| {
+        let (registry, test) = (&registry, &test);
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut seen: Vec<(usize, Response)> = Vec::new();
+                    for _ in 0..ROUNDS {
+                        for (i, image) in test.images().iter().enumerate() {
+                            seen.push((i, registry.classify("t", image).unwrap()));
+                        }
+                    }
+                    seen
+                })
             })
-        },
-    )
-    .unwrap();
+            .collect();
+        // Swap once roughly halfway through the traffic.
+        while registry.stats().completed < total / 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(registry.update_model("t", model_b.clone()).unwrap(), 1);
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread panicked"))
+            .collect::<Vec<_>>()
+    });
 
     assert_eq!(all_responses.len() as u64, total);
     let mut seen_generations = [false, false];
@@ -193,17 +191,15 @@ fn all_classify_paths_break_ties_toward_the_lowest_index() {
     check(vec![near_a, near_b, ones.negate()], &ones);
 }
 
-/// Tickets submitted before shutdown are all answered, and the engine's
-/// counters reconcile.
+/// Every request is answered, and the registry's counters reconcile.
 #[test]
 fn stats_reconcile_after_a_serving_session() {
     let (encoder, model, test) = fixture(120, 40, 256, 3);
-    let stats = ServeEngine::serve(ServeConfig::new(2, 8), &encoder, model, |engine| {
-        let responses = engine.classify_many(test.images()).unwrap();
-        assert_eq!(responses.len(), test.len());
-        engine.stats()
-    })
-    .unwrap();
+    let registry = ModelRegistry::start(ServeConfig::new(2, 8)).unwrap();
+    registry.register("t", Arc::new(encoder), model).unwrap();
+    let responses = registry.classify_many("t", test.images()).unwrap();
+    assert_eq!(responses.len(), test.len());
+    let stats = registry.stats();
     assert_eq!(stats.submitted, test.len() as u64);
     assert_eq!(stats.completed, test.len() as u64);
     assert!(stats.batches >= 1 && stats.batches <= stats.completed);

@@ -1,14 +1,15 @@
 //! Integration suite for the workload-agnostic encoder layer: text and
-//! tabular feature streams through the *same* `ServeEngine` +
+//! tabular feature streams through the *same* `ModelRegistry` +
 //! `OnlineLearner` stack as images — including trait-object encoders,
 //! hot model swap, eager length validation, and counter reconciliation.
 
+use std::sync::Arc;
 use uhd::core::encoder::tabular::{TabularConfig, TabularEncoder};
 use uhd::core::encoder::text::{NgramTextConfig, NgramTextEncoder};
 use uhd::core::model::{HdcModel, InferenceMode, LabelledSamples};
 use uhd::core::{Encoder, HdcError};
 use uhd::datasets::{generate_language_id, generate_sensor_rows, SensorSpec, TextSpec};
-use uhd::serve::{ServeConfig, ServeEngine, ServeError};
+use uhd::serve::{ModelRegistry, ServeConfig, ServeError};
 use uhd_testutil::tiny_labelled_features;
 
 fn text_fixture(dim: u32) -> (NgramTextEncoder, HdcModel, uhd::datasets::FeatureSet) {
@@ -28,12 +29,20 @@ fn tabular_fixture(dim: u32) -> (TabularEncoder, HdcModel, uhd::datasets::Featur
     (encoder, model, test)
 }
 
-fn served_accuracy<E: Encoder + ?Sized>(
-    engine: &ServeEngine<'_, E>,
+/// A registry serving `model` through `encoder` as its only tenant, `t`.
+fn one_tenant(config: ServeConfig, encoder: Arc<dyn Encoder>, model: HdcModel) -> ModelRegistry {
+    let registry = ModelRegistry::start(config).unwrap();
+    registry.register("t", encoder, model).unwrap();
+    registry
+}
+
+fn served_accuracy(
+    registry: &ModelRegistry,
+    tenant: &str,
     samples: &[Vec<u8>],
     labels: &[usize],
 ) -> f64 {
-    let responses = engine.classify_many(samples).unwrap();
+    let responses = registry.classify_many(tenant, samples).unwrap();
     let hits = responses
         .iter()
         .zip(labels)
@@ -42,16 +51,16 @@ fn served_accuracy<E: Encoder + ?Sized>(
     hits as f64 / labels.len() as f64
 }
 
-/// Acceptance: both non-image workloads serve end-to-end through the
-/// engine — batched answers bit-identical to the serial binarized
-/// path, counters reconciling — with zero workload-specific engine
-/// code (the same `ServeEngine` type serves all three families).
+/// Acceptance: both non-image workloads serve end-to-end through a
+/// one-tenant registry — batched answers bit-identical to the serial
+/// binarized path, counters reconciling — with zero workload-specific
+/// serving code (the same `ModelRegistry` serves all three families).
 #[test]
 fn text_and_tabular_streams_serve_bit_identically_to_the_serial_path() {
     let (text_enc, text_model, sentences) = text_fixture(1024);
     let (tab_enc, tab_model, rows) = tabular_fixture(1024);
 
-    // Text through the engine vs the serial loop.
+    // Text through the registry vs the serial loop.
     let serial: Vec<(usize, f64)> = sentences
         .samples()
         .iter()
@@ -61,21 +70,17 @@ fn text_and_tabular_streams_serve_bit_identically_to_the_serial_path() {
                 .unwrap()
         })
         .collect();
-    let (responses, stats) =
-        ServeEngine::serve(ServeConfig::new(2, 8), &text_enc, text_model, |engine| {
-            (
-                engine.classify_many(sentences.samples()).unwrap(),
-                engine.stats(),
-            )
-        })
-        .unwrap();
+    let registry = one_tenant(ServeConfig::new(2, 8), Arc::new(text_enc), text_model);
+    let responses = registry.classify_many("t", sentences.samples()).unwrap();
+    let stats = registry.stats();
     for (response, expected) in responses.iter().zip(&serial) {
-        assert_eq!((response.class, response.score), *expected);
+        assert_eq!(response.class, expected.0);
+        assert_eq!(response.score.to_bits(), expected.1.to_bits());
     }
     assert_eq!(stats.submitted, sentences.len() as u64);
     assert_eq!(stats.completed, sentences.len() as u64);
 
-    // Tabular through the engine vs the serial loop.
+    // Tabular through the registry vs the serial loop.
     let serial: Vec<(usize, f64)> = rows
         .samples()
         .iter()
@@ -85,43 +90,51 @@ fn text_and_tabular_streams_serve_bit_identically_to_the_serial_path() {
                 .unwrap()
         })
         .collect();
-    let (responses, stats) =
-        ServeEngine::serve(ServeConfig::new(3, 4), &tab_enc, tab_model, |engine| {
-            (
-                engine.classify_many(rows.samples()).unwrap(),
-                engine.stats(),
-            )
-        })
-        .unwrap();
+    let registry = one_tenant(ServeConfig::new(3, 4), Arc::new(tab_enc), tab_model);
+    let responses = registry.classify_many("t", rows.samples()).unwrap();
+    let stats = registry.stats();
     for (response, expected) in responses.iter().zip(&serial) {
-        assert_eq!((response.class, response.score), *expected);
+        assert_eq!(response.class, expected.0);
+        assert_eq!(response.score.to_bits(), expected.1.to_bits());
     }
     assert_eq!(stats.completed, rows.len() as u64);
 }
 
-/// Trait-object encoders (`&dyn Encoder`) of *different concrete types*
-/// drive the engine through one code path — the monomorphized engine is
-/// not specialized to any workload.
+/// Trait-object encoders (`Arc<dyn Encoder>`) of *different concrete
+/// types* drive one registry's shared pool through one code path — the
+/// registry is not specialized to any workload.
 #[test]
 fn dyn_encoder_trait_objects_serve_every_workload() {
     let (text_enc, text_model, sentences) = text_fixture(512);
     let (tab_enc, tab_model, rows) = tabular_fixture(512);
 
-    type Case<'a> = (&'a dyn Encoder, HdcModel, &'a [Vec<u8>], &'a [usize]);
+    type Case<'a> = (
+        &'a str,
+        Arc<dyn Encoder>,
+        HdcModel,
+        &'a [Vec<u8>],
+        &'a [usize],
+    );
     let cases: Vec<Case> = vec![
         (
-            &text_enc,
+            "text",
+            Arc::new(text_enc),
             text_model,
             sentences.samples(),
             sentences.labels(),
         ),
-        (&tab_enc, tab_model, rows.samples(), rows.labels()),
+        (
+            "tabular",
+            Arc::new(tab_enc),
+            tab_model,
+            rows.samples(),
+            rows.labels(),
+        ),
     ];
-    for (encoder, model, samples, labels) in cases {
-        let acc = ServeEngine::serve(ServeConfig::new(2, 8), encoder, model, |engine| {
-            served_accuracy(engine, samples, labels)
-        })
-        .unwrap();
+    let registry = ModelRegistry::start(ServeConfig::new(2, 8)).unwrap();
+    for (name, encoder, model, samples, labels) in cases {
+        registry.register(name, encoder, model).unwrap();
+        let acc = served_accuracy(&registry, name, samples, labels);
         assert!(
             acc > 1.5 / 6.0,
             "dyn-encoder serving must beat chance, got {acc}"
@@ -129,7 +142,7 @@ fn dyn_encoder_trait_objects_serve_every_workload() {
     }
 }
 
-/// Submit-time validation is eager and encoder-driven: the engine asks
+/// Submit-time validation is eager and encoder-driven: the registry asks
 /// the encoder (`check_features`), so a variable-length text encoder
 /// rejects out-of-range sentences with `FeatureCountOutOfRange` while
 /// the fixed-shape tabular encoder rejects with the exact-length error
@@ -138,34 +151,30 @@ fn dyn_encoder_trait_objects_serve_every_workload() {
 fn submit_validation_is_delegated_to_the_encoder() {
     let (text_enc, text_model, _) = text_fixture(512);
     let max_len = text_enc.config().max_len;
-    ServeEngine::serve(ServeConfig::new(1, 4), &text_enc, text_model, |engine| {
-        // In-range lengths are accepted even though they differ.
-        assert!(engine.classify(&[b'a'; 10]).is_ok());
-        assert!(engine.classify(&vec![b'b'; max_len]).is_ok());
-        // Too short and too long are rejected before queueing.
-        match engine.submit(vec![b'a'; 2]) {
-            Err(ServeError::Core(HdcError::FeatureCountOutOfRange { got: 2, .. })) => {}
-            other => panic!("expected FeatureCountOutOfRange, got {other:?}"),
-        }
-        match engine.submit(vec![b'a'; max_len + 1]) {
-            Err(ServeError::Core(HdcError::FeatureCountOutOfRange { .. })) => {}
-            other => panic!("expected FeatureCountOutOfRange, got {other:?}"),
-        }
-    })
-    .unwrap();
+    let registry = one_tenant(ServeConfig::new(1, 4), Arc::new(text_enc), text_model);
+    // In-range lengths are accepted even though they differ.
+    assert!(registry.classify("t", &[b'a'; 10]).is_ok());
+    assert!(registry.classify("t", &vec![b'b'; max_len]).is_ok());
+    // Too short and too long are rejected before queueing.
+    match registry.submit("t", vec![b'a'; 2]) {
+        Err(ServeError::Core(HdcError::FeatureCountOutOfRange { got: 2, .. })) => {}
+        other => panic!("expected FeatureCountOutOfRange, got {other:?}"),
+    }
+    match registry.submit("t", vec![b'a'; max_len + 1]) {
+        Err(ServeError::Core(HdcError::FeatureCountOutOfRange { .. })) => {}
+        other => panic!("expected FeatureCountOutOfRange, got {other:?}"),
+    }
 
     let (tab_enc, tab_model, rows) = tabular_fixture(512);
     let columns = rows.max_sample_len();
-    ServeEngine::serve(ServeConfig::new(1, 4), &tab_enc, tab_model, |engine| {
-        assert!(engine.classify(&vec![128u8; columns]).is_ok());
-        match engine.submit(vec![128u8; columns - 1]) {
-            Err(ServeError::Core(HdcError::ImageSizeMismatch { expected, got })) => {
-                assert_eq!((expected, got), (columns, columns - 1));
-            }
-            other => panic!("expected exact-length mismatch, got {other:?}"),
+    let registry = one_tenant(ServeConfig::new(1, 4), Arc::new(tab_enc), tab_model);
+    assert!(registry.classify("t", &vec![128u8; columns]).is_ok());
+    match registry.submit("t", vec![128u8; columns - 1]) {
+        Err(ServeError::Core(HdcError::ImageSizeMismatch { expected, got })) => {
+            assert_eq!((expected, got), (columns, columns - 1));
         }
-    })
-    .unwrap();
+        other => panic!("expected exact-length mismatch, got {other:?}"),
+    }
 }
 
 /// Hot model swap under a non-image workload: a weak tabular model is
@@ -195,21 +204,19 @@ fn hot_swap_improves_a_served_tabular_model() {
     let strong =
         HdcModel::train(&encoder, tiny_labelled_features(&train), train.classes()).unwrap();
 
-    ServeEngine::serve(ServeConfig::new(2, 8), &encoder, weak, |engine| {
-        assert_eq!(engine.generation(), 0);
-        let before = served_accuracy(engine, test.samples(), test.labels());
-        let generation = engine.update_model(strong).unwrap();
-        assert_eq!(generation, 1);
-        let after = served_accuracy(engine, test.samples(), test.labels());
-        assert!(
-            after >= before,
-            "hot-swapped strong model must not serve worse ({before} -> {after})"
-        );
-        let stats = engine.stats();
-        assert_eq!(stats.completed, 2 * test.len() as u64);
-        assert_eq!(stats.submitted, stats.completed);
-    })
-    .unwrap();
+    let registry = one_tenant(ServeConfig::new(2, 8), Arc::new(encoder), weak);
+    assert_eq!(registry.generation("t").unwrap(), 0);
+    let before = served_accuracy(&registry, "t", test.samples(), test.labels());
+    let generation = registry.update_model("t", strong).unwrap();
+    assert_eq!(generation, 1);
+    let after = served_accuracy(&registry, "t", test.samples(), test.labels());
+    assert!(
+        after >= before,
+        "hot-swapped strong model must not serve worse ({before} -> {after})"
+    );
+    let stats = registry.stats();
+    assert_eq!(stats.completed, 2 * test.len() as u64);
+    assert_eq!(stats.submitted, stats.completed);
 }
 
 /// Online learning converges a cold *tabular* model while it serves —
@@ -235,28 +242,26 @@ fn serve_while_learn_improves_a_tabular_model() {
     let config = ServeConfig::new(2, 8)
         .with_mode(InferenceMode::IntegerBoth)
         .with_snapshot_every(32);
-    ServeEngine::serve(config, &encoder, boot.snapshot().unwrap(), |engine| {
-        let acc_cold = served_accuracy(engine, test.samples(), test.labels());
-        for (row, &label) in train.samples().iter().zip(train.labels()) {
-            engine.learn(row.clone(), label).unwrap();
-        }
-        engine.sync_learner();
+    let registry = one_tenant(config, Arc::new(encoder), boot.snapshot().unwrap());
+    let acc_cold = served_accuracy(&registry, "t", test.samples(), test.labels());
+    for (row, &label) in train.samples().iter().zip(train.labels()) {
+        registry.learn("t", row, label).unwrap();
+    }
+    registry.publish("t").unwrap();
 
-        let stats = engine.stats();
-        assert_eq!(stats.learn_submitted, train.len() as u64);
-        assert_eq!(stats.learn_consumed, stats.learn_submitted);
-        assert_eq!(stats.learn_rejected, 0);
-        assert!(stats.snapshots_published >= 1);
+    let stats = registry.stats();
+    assert_eq!(stats.learn_submitted, train.len() as u64);
+    assert_eq!(stats.learn_updates, stats.learn_submitted);
+    assert_eq!(stats.learn_rejected, 0);
+    assert!(stats.snapshots_published >= 1);
 
-        let acc_warm = served_accuracy(engine, test.samples(), test.labels());
-        assert!(
-            acc_warm >= acc_cold,
-            "tabular serve-while-learn must not regress ({acc_cold} -> {acc_warm})"
-        );
-        assert!(
-            acc_warm >= 0.85,
-            "warm tabular accuracy {acc_warm} below threshold"
-        );
-    })
-    .unwrap();
+    let acc_warm = served_accuracy(&registry, "t", test.samples(), test.labels());
+    assert!(
+        acc_warm >= acc_cold,
+        "tabular serve-while-learn must not regress ({acc_cold} -> {acc_warm})"
+    );
+    assert!(
+        acc_warm >= 0.85,
+        "warm tabular accuracy {acc_warm} below threshold"
+    );
 }
