@@ -5,7 +5,9 @@
 #                      full test suite, rustdoc -D warnings, bench
 #                      compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
-#                      binary and example (UHD_BENCH_QUICK + tiny sizes)
+#                      binary and example (UHD_BENCH_QUICK + tiny sizes);
+#                      quick BENCH_*.json go to target/bench-quick/, so
+#                      the committed files in the repo root stay as-is
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -43,8 +45,9 @@ if [ "$smoke" -eq 1 ]; then
     export UHD_TRAIN_N=80 UHD_TEST_N=40 UHD_ITERS=2 UHD_BENCH_QUICK=1
     # Pinned-scalar pass first: the fallback kernel must survive both
     # emitters even on SIMD hardware. Running it before the main loop
-    # means the BENCH_*.json files left behind reflect the dispatched
-    # (auto-detected) kernel, not the forced fallback.
+    # means the quick BENCH_*.json files left in target/bench-quick/
+    # reflect the dispatched (auto-detected) kernel, not the forced
+    # fallback.
     step "smoke: throughput + online (UHD_KERNEL=scalar)"
     UHD_KERNEL=scalar cargo run --release -q -p uhd-bench --bin throughput > /dev/null
     UHD_KERNEL=scalar cargo run --release -q -p uhd-bench --bin online > /dev/null
@@ -53,9 +56,10 @@ if [ "$smoke" -eq 1 ]; then
         step "smoke: $bin"
         cargo run --release -q -p uhd-bench --bin "$bin" > /dev/null
     done
-    # The two emitters above refreshed BENCH_throughput.json and
-    # BENCH_online.json in the repo root; a bench that panicked under
-    # the SIMD path or emitted malformed JSON fails here.
+    # The two emitters above wrote BENCH_throughput.json and
+    # BENCH_online.json to target/bench-quick/ (UHD_BENCH_QUICK picks
+    # that directory for writer and validator alike); a bench that
+    # panicked under the SIMD path or emitted malformed JSON fails here.
     step "smoke: validate BENCH_*.json perf trajectory"
     cargo run --release -q -p uhd-bench --bin validate_bench
     for ex in quickstart custom_encoder orthogonality_study hardware_report \

@@ -15,8 +15,9 @@
 //! The sweep runs at several dimensions so the capacity-vs-D scaling is
 //! visible in one report. Results go to stdout *and*
 //! `BENCH_capacity.json` in the repository root (machine-attributed,
-//! like every bench bin). Honours `UHD_BENCH_QUICK` for a reduced
-//! sweep and `UHD_SEED` for the master seed.
+//! like every bench bin; quick runs write `target/bench-quick/`).
+//! Honours `UHD_BENCH_QUICK` for a reduced sweep and `UHD_SEED` for the
+//! master seed.
 
 use std::fmt::Write as _;
 use std::time::Instant;

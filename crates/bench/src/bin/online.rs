@@ -19,8 +19,9 @@
 //! learning costs.
 //!
 //! The report goes to stdout *and* to `BENCH_online.json` in the
-//! repository root — the machine-attributed perf trajectory CI
-//! validates and developers refresh (see README). Honours
+//! repository root — the machine-attributed perf trajectory developers
+//! refresh (see README); quick runs write `target/bench-quick/`
+//! instead, which is what CI validates. Honours
 //! `UHD_BENCH_QUICK` (`"0"`/empty/unset ⇒ full run) plus the usual
 //! `UHD_TRAIN_N` / `UHD_TEST_N` / `UHD_SEED` sizing and the
 //! `UHD_KERNEL` kernel override.
@@ -275,7 +276,7 @@ fn main() {
     let (mixed_classify_ips, mixed_learn_sps, mixed_stats) =
         mixed(config, &encoder, &model, &query_stream, &learn_stream);
 
-    // --- JSON report: stdout + BENCH_online.json in the repo root. ---
+    // --- JSON report: stdout + BENCH_online.json (see `bench_dir`). ---
     let doc = render_report(&Report {
         quick,
         d,

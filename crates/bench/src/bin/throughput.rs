@@ -20,8 +20,9 @@
 //! best configuration is re-run request-by-request for p50/p99 latency.
 //!
 //! The report goes to stdout *and* to `BENCH_throughput.json` in the
-//! repository root — the machine-attributed perf trajectory CI
-//! validates and developers refresh (see README). Honours
+//! repository root — the machine-attributed perf trajectory developers
+//! refresh (see README); quick runs write `target/bench-quick/`
+//! instead, which is what CI validates. Honours
 //! `UHD_BENCH_QUICK` (`"0"`/empty/unset ⇒ full run) plus the usual
 //! `UHD_TRAIN_N` / `UHD_TEST_N` / `UHD_SEED` sizing and the
 //! `UHD_KERNEL` kernel override.
@@ -33,9 +34,10 @@ use uhd_bench::{
     env_flag, machine_json, tabular_encoder, text_encoder, uhd_encoder, ExperimentConfig,
     Latencies, Workbench,
 };
+use uhd_core::accumulator::BitSliceAccumulator;
 use uhd_core::assoc::AssociativeMemory;
 use uhd_core::encoder::uhd::UhdEncoder;
-use uhd_core::hypervector::Hypervector;
+use uhd_core::hypervector::{words_for_dim, Hypervector};
 use uhd_core::kernels::Kernel;
 use uhd_core::model::{HdcModel, InferenceMode, LabelledSamples};
 use uhd_core::Encoder;
@@ -201,6 +203,59 @@ fn am_kernel_bench(quick: bool) -> AmKernelResult {
         dispatched_sweeps_per_sec,
         speedup: dispatched_sweeps_per_sec / scalar_sweeps_per_sec,
     }
+}
+
+/// Isolated per-layer cost of one encode at the paper geometry
+/// (H = 784 masks) for one dimension, in nanoseconds per image.
+struct EncodeLayers {
+    dim: u32,
+    accumulate_ns: f64,
+    binarize_ns: f64,
+    bipolar_sums_ns: f64,
+}
+
+/// Masks bundled per image in the per-layer bench: MNIST's 28×28.
+const LAYER_MASKS: usize = 784;
+
+/// The per-layer bench: bundling 784 random masks through
+/// `add_masks` (the encoders' block path), binarizing, and reading the
+/// bipolar sums, each timed alone at D ∈ {1k, 2k, 8k}.
+fn encode_layers_bench(quick: bool) -> Vec<EncodeLayers> {
+    let reps: u32 = if quick { 20 } else { 500 };
+    let mut rng = Xoshiro256StarStar::seeded(0x1a7e_25);
+    [1024u32, 2048, 8192]
+        .into_iter()
+        .map(|dim| {
+            let wc = words_for_dim(dim);
+            let words: Vec<u64> = (0..LAYER_MASKS * wc).map(|_| rng.next_u64()).collect();
+            let masks: Vec<&[u64]> = words.chunks_exact(wc).collect();
+            let mut acc = BitSliceAccumulator::new(dim);
+            let mut time = |layer: &mut dyn FnMut(&mut BitSliceAccumulator)| {
+                layer(&mut acc); // warm
+                let t0 = Instant::now();
+                for _ in 0..reps {
+                    layer(&mut acc);
+                }
+                t0.elapsed().as_nanos() as f64 / f64::from(reps)
+            };
+            let accumulate_ns = time(&mut |acc| {
+                acc.clear();
+                acc.add_masks(std::hint::black_box(&masks));
+            });
+            let binarize_ns = time(&mut |acc| {
+                std::hint::black_box(acc.binarize());
+            });
+            let bipolar_sums_ns = time(&mut |acc| {
+                std::hint::black_box(acc.bipolar_sums());
+            });
+            EncodeLayers {
+                dim,
+                accumulate_ns,
+                binarize_ns,
+                bipolar_sums_ns,
+            }
+        })
+        .collect()
 }
 
 /// The instrumentation-overhead bench: the full image stream through
@@ -412,6 +467,7 @@ struct Measurements<'a> {
     obs: &'a ObsOverhead,
     workloads: &'a [WorkloadThroughput],
     remat: &'a RematResult,
+    layers: &'a [EncodeLayers],
     am: &'a AmKernelResult,
 }
 
@@ -438,6 +494,23 @@ fn render_remat(out: &mut String, remat: &RematResult) {
     .unwrap();
 }
 
+/// Render the `encode_layers` JSON section: isolated bundling /
+/// binarization / bipolar-sum cost per image at H = 784, the per-layer
+/// numbers the end-to-end figures decompose into.
+fn render_layers(out: &mut String, layers: &[EncodeLayers]) {
+    writeln!(out, "  \"encode_layers\": [").unwrap();
+    for (i, l) in layers.iter().enumerate() {
+        let comma = if i + 1 == layers.len() { "" } else { "," };
+        writeln!(
+            out,
+            "    {{\"dim\": {}, \"masks\": {LAYER_MASKS}, \"accumulate_ns\": {:.1}, \"binarize_ns\": {:.1}, \"bipolar_sums_ns\": {:.1}}}{comma}",
+            l.dim, l.accumulate_ns, l.binarize_ns, l.bipolar_sums_ns
+        )
+        .unwrap();
+    }
+    writeln!(out, "  ],").unwrap();
+}
+
 /// Assemble the full `BENCH_throughput.json` document.
 fn render_report(
     w: &Workload,
@@ -451,6 +524,7 @@ fn render_report(
         obs,
         workloads,
         remat,
+        layers,
         am,
     } = m;
     let mut doc = String::new();
@@ -527,6 +601,7 @@ fn render_report(
     }
     writeln!(out, "  ],").unwrap();
     render_remat(out, remat);
+    render_layers(out, layers);
     writeln!(
         out,
         "  \"am_kernel\": {{\"classes\": {}, \"dim\": {}, \"reps\": {}, \"scalar_kernel\": \"{}\", \
@@ -610,10 +685,13 @@ fn main() {
     // --- Rematerialized vs resident item memory at paper geometry. ---
     let remat = remat_bench(quick, d, bench.train.pixels(), &images);
 
+    // --- Per-layer encode cost at the paper geometry. ---
+    let layers = encode_layers_bench(quick);
+
     // --- Kernel microbench: scalar fallback vs dispatched SIMD. ---
     let am = am_kernel_bench(quick);
 
-    // --- JSON report: stdout + BENCH_throughput.json in the repo root. ---
+    // --- JSON report: stdout + BENCH_throughput.json (see `bench_dir`). ---
     let workload = Workload {
         quick,
         d,
@@ -634,6 +712,7 @@ fn main() {
             obs: &obs,
             workloads: &workloads,
             remat: &remat,
+            layers: &layers,
             am: &am,
         },
     );

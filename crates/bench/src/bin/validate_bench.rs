@@ -1,8 +1,10 @@
 //! CI gate for the perf trajectory: parse `BENCH_throughput.json` and
-//! `BENCH_online.json` from the repository root and fail (non-zero
+//! `BENCH_online.json` from [`uhd_bench::bench_dir`] and fail (non-zero
 //! exit) unless both are well-formed and carry every required key.
 //!
-//! Run: `cargo run --release -p uhd-bench --bin validate_bench`
+//! Run: `cargo run --release -p uhd-bench --bin validate_bench` checks
+//! the committed files in the repository root; under `UHD_BENCH_QUICK`
+//! it checks the quick-run copies in `target/bench-quick/`.
 //!
 //! `ci.sh --smoke` runs the two emitting binaries under
 //! `UHD_BENCH_QUICK=1` and then this validator, so a bench that panics
@@ -23,8 +25,12 @@ const THROUGHPUT_KEYS: &[&str] = &[
     "obs_overhead",
     "workloads",
     "rematerialization",
+    "encode_layers",
     "am_kernel",
 ];
+
+/// Dimensions the per-layer `encode_layers` section must cover.
+const LAYER_DIMS: [f64; 3] = [1024.0, 2048.0, 8192.0];
 
 /// Feature-stream families the per-workload section must cover.
 const WORKLOAD_FAMILIES: &[&str] = &["image", "text", "tabular"];
@@ -39,7 +45,7 @@ const ONLINE_KEYS: &[&str] = &[
 ];
 
 fn check_file(file_name: &str, extra_keys: &[&str], errors: &mut Vec<String>) {
-    let path = uhd_bench::repo_root().join(file_name);
+    let path = uhd_bench::bench_dir().join(file_name);
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {
@@ -112,6 +118,9 @@ fn check_file(file_name: &str, extra_keys: &[&str], errors: &mut Vec<String>) {
     if let Some(remat) = doc.get("rematerialization") {
         check_rematerialization(file_name, remat, errors);
     }
+    if let Some(layers) = doc.get("encode_layers") {
+        check_encode_layers(file_name, layers, errors);
+    }
 
     // The instrumentation-overhead block must carry both throughput
     // figures and a numeric overhead percentage.
@@ -169,6 +178,26 @@ fn check_rematerialization(file_name: &str, remat: &Json, errors: &mut Vec<Strin
         other => errors.push(format!(
             "{file_name}: rematerialization.throughput_ratio must be positive (got {other:?})"
         )),
+    }
+}
+
+/// The per-layer gate: one row per paper dimension, each carrying a
+/// positive isolated cost for bundling, binarization and bipolar sums.
+fn check_encode_layers(file_name: &str, layers: &Json, errors: &mut Vec<String>) {
+    let rows = layers.as_arr().unwrap_or(&[]);
+    for dim in LAYER_DIMS {
+        let row = rows
+            .iter()
+            .find(|r| r.get("dim").and_then(Json::as_f64) == Some(dim));
+        for key in ["accumulate_ns", "binarize_ns", "bipolar_sums_ns"] {
+            match row.and_then(|r| r.get(key)).and_then(Json::as_f64) {
+                Some(ns) if ns > 0.0 => {}
+                other => errors.push(format!(
+                    "{file_name}: encode_layers needs a dim {dim} row with positive \"{key}\" \
+                     (got {other:?})"
+                )),
+            }
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Shared reporting plumbing for the bench binaries: environment-flag
 //! parsing, machine/kernel provenance, latency percentiles, and the
-//! `BENCH_*.json` perf-trajectory files in the repository root.
+//! `BENCH_*.json` perf-trajectory files (repository root for full runs,
+//! `target/bench-quick/` for quick ones).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -115,16 +116,30 @@ pub fn repo_root() -> PathBuf {
         .join("..")
 }
 
-/// Write a `BENCH_*.json` perf-trajectory file into the repository
-/// root and note the destination on stderr (stdout carries the JSON
-/// document itself).
+/// Where the `BENCH_*.json` files live: the repository root for full
+/// runs, `target/bench-quick/` under `UHD_BENCH_QUICK`, so smoke and CI
+/// runs never overwrite the committed trajectory.
+#[must_use]
+pub fn bench_dir() -> PathBuf {
+    if env_flag("UHD_BENCH_QUICK") {
+        repo_root().join("target").join("bench-quick")
+    } else {
+        repo_root()
+    }
+}
+
+/// Write a `BENCH_*.json` perf-trajectory file into [`bench_dir`] and
+/// note the destination on stderr (stdout carries the JSON document
+/// itself).
 ///
 /// # Panics
 ///
 /// Panics when the file cannot be written — in a bench binary a
 /// missing trajectory is a failed run, not a warning.
 pub fn write_bench_json(file_name: &str, contents: &str) {
-    let path = repo_root().join(file_name);
+    let dir = bench_dir();
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    let path = dir.join(file_name);
     std::fs::write(&path, contents).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
 }

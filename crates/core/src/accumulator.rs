@@ -7,10 +7,10 @@
 //!
 //! * [`DenseAccumulator`] — a plain `i64`-per-dimension reference
 //!   implementation;
-//! * [`BitSliceAccumulator`] — a carry-save, bit-sliced counter array that
-//!   adds one packed 64-dimension mask word with O(1) amortized word
-//!   operations. This is both the fast path for training and a faithful
-//!   software model of the ripple behaviour of the hardware counter.
+//! * [`BitSliceAccumulator`] — a bit-sliced counter array that bundles
+//!   masks in 16-mask Harley–Seal carry-save blocks and binarizes with
+//!   an MSB-first bit-sliced compare against TOB, 64 dimensions per
+//!   word operation. This is the fast path for encoding and training.
 //!
 //! Both accumulate *counts of logic-1* per dimension; the bipolar sum is
 //! recovered as `2·count − total`, and binarization (`sign`) outputs +1
@@ -139,13 +139,33 @@ fn pack_threshold<T>(counts: &[T], dim: u32, predicate: impl Fn(&T) -> bool) -> 
     Hypervector::from_words(words, dim).expect("counts length matches dim by construction")
 }
 
-/// Carry-save bit-sliced accumulator.
+/// Masks per Harley–Seal block in [`BitSliceAccumulator::add_masks`]:
+/// a depth-4 carry-save tree takes 16 = 2⁴ masks to one carry at
+/// weight 16.
+pub const BUNDLE_BLOCK: usize = 16;
+
+/// Word lanes per step of the bundling adders: eight `u64`s, one
+/// 512-bit register (two AVX2, four SSE2). The fixed-size lane arrays
+/// are what lets LLVM vectorize the word-inner loops.
+const LANES: usize = 8;
+
+/// Bit-sliced accumulator: the software popcounter array of Fig. 5.
 ///
-/// Maintains K bit planes per 64-dimension word column; plane `k` holds
-/// bit `k` of each dimension's count. Adding a mask is a ripple-carry
-/// increment restricted to dimensions where the mask is 1 — on average it
-/// touches ~2 planes, independent of K, so adding one image's H masks
-/// costs `O(H · D/64)` word operations.
+/// Maintains K bit planes over the D/64 word columns; plane `k` holds
+/// bit `k` of every dimension's count, so one word operation updates
+/// 64 counters at once. The planes are grown to the bit length of the
+/// largest count a call can reach before its adders run, so no adder
+/// ever overflows and no inner loop allocates.
+///
+/// * **Bundling** ([`BitSliceAccumulator::add_masks`]) folds masks in
+///   blocks of [`BUNDLE_BLOCK`] through a Harley–Seal carry-save
+///   tree. Planes 0–3 double as the tree's ones/twos/fours/eights, so
+///   per block only the weight-16 carry ripples into planes 4…K: about
+///   `(15·5 + (K − 4)·3) / 16` word operations per mask and word
+///   column, against `~3·log₂(count)` for a per-mask ripple.
+/// * **Binarization** ([`BitSliceAccumulator::binarize_with_total`])
+///   compares each word's planes MSB-first against TOB with gt/eq
+///   masks — the masking logic of Fig. 5, 64 comparators per step.
 ///
 /// # Example
 ///
@@ -162,11 +182,11 @@ fn pack_threshold<T>(counts: &[T], dim: u32, predicate: impl Fn(&T) -> bool) -> 
 /// ```
 #[derive(Debug, Clone)]
 pub struct BitSliceAccumulator {
-    /// planes[k] is the k-th bit plane, one `Vec<u64>` over word columns.
-    planes: Vec<Vec<u64>>,
-    /// Reusable carry buffer for the kernel-routed ripple, so the hot
-    /// bundling loop stays allocation-free.
-    scratch: Vec<u64>,
+    /// The K bit planes, plane-major: plane `k` is
+    /// `planes[k·words .. (k+1)·words]`.
+    planes: Vec<u64>,
+    /// Word columns per plane, `⌈D/64⌉`.
+    words: usize,
     dim: u32,
     total: u64,
 }
@@ -180,9 +200,10 @@ impl BitSliceAccumulator {
     #[must_use]
     pub fn new(dim: u32) -> Self {
         assert!(dim > 0, "accumulator dimension must be nonzero");
+        let words = words_for_dim(dim);
         BitSliceAccumulator {
-            planes: vec![vec![0u64; words_for_dim(dim)]],
-            scratch: Vec::new(),
+            planes: vec![0u64; words],
+            words,
             dim,
             total: 0,
         }
@@ -203,47 +224,58 @@ impl BitSliceAccumulator {
     /// Current counter width in planes (grows on demand).
     #[must_use]
     pub fn planes(&self) -> usize {
-        self.planes.len()
+        self.planes.len() / self.words
+    }
+
+    /// Grow the planes so every count up to `max_count` fits.
+    fn grow_to(&mut self, max_count: u64) {
+        let needed = (u64::BITS - max_count.leading_zeros()).max(1) as usize;
+        if needed > self.planes() {
+            self.planes.resize(needed * self.words, 0);
+        }
     }
 
     /// Add one packed mask: every dimension whose mask bit is 1 is
-    /// incremented.
-    ///
-    /// The ripple runs whole-plane through the dispatched
-    /// [`Kernel::carry_save_step`] (SIMD where available) instead of
-    /// bit-serial per column; on average the carry dies after ~2
-    /// planes, so the cost stays O(D/64) amortized word operations.
+    /// incremented. Equivalent to `add_masks(&[words])`: a lone mask
+    /// ripples through all K planes, so bundling loops should hand
+    /// their masks to [`BitSliceAccumulator::add_masks`] in blocks.
     ///
     /// # Panics
     ///
     /// Panics if `words.len() != words_for_dim(dim)`.
     pub fn add_mask(&mut self, words: &[u64]) {
-        let wc = words_for_dim(self.dim);
-        assert_eq!(words.len(), wc, "mask word count mismatch");
-        self.scratch.clear();
-        self.scratch.extend_from_slice(words);
-        Self::ripple_in(&mut self.planes, &mut self.scratch, 0, wc);
-        self.total += 1;
+        self.add_masks(&[words]);
     }
 
-    /// Ripple the carry in `scratch` into the planes starting at weight
-    /// `start`, growing planes on demand.
-    fn ripple_in(planes: &mut Vec<Vec<u64>>, scratch: &mut [u64], start: usize, wc: usize) {
-        if scratch.iter().all(|&w| w == 0) {
-            return;
+    /// Add packed masks: every dimension is incremented once per mask
+    /// whose bit is 1 there.
+    ///
+    /// Whole blocks of [`BUNDLE_BLOCK`] masks go through the dispatched
+    /// [`Kernel::bundle_block`] Harley–Seal tree; the remainder ripples
+    /// in one mask at a time through the same per-word adder that
+    /// carries the tree's weight-16 output. The result is independent
+    /// of how the masks are split across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any mask's length is not `words_for_dim(dim)`.
+    pub fn add_masks(&mut self, masks: &[&[u64]]) {
+        for mask in masks {
+            assert_eq!(mask.len(), self.words, "mask word count mismatch");
         }
+        let added = masks.len() as u64;
+        self.grow_to(self.total.saturating_add(added));
+        let blocks = masks.chunks_exact(BUNDLE_BLOCK);
+        let rest = blocks.remainder();
         let kernel = Kernel::active();
-        let mut k = start;
-        loop {
-            while planes.len() <= k {
-                planes.push(vec![0u64; wc]);
-            }
-            let settled = kernel.carry_save_step(&mut planes[k], scratch);
-            k += 1;
-            if settled {
-                break;
-            }
+        for block in blocks {
+            let block: &[&[u64]; BUNDLE_BLOCK] = block.try_into().expect("exact chunk");
+            kernel.bundle_block(&mut self.planes, self.words, block);
         }
+        for mask in rest {
+            add_at_weight(&mut self.planes, self.words, 0, mask);
+        }
+        self.total += added;
     }
 
     /// Merge another accumulator's counts into this one.
@@ -258,39 +290,99 @@ impl BitSliceAccumulator {
                 right: other.dim,
             });
         }
-        // Ripple-add every plane of `other` at its weight.
-        let wc = words_for_dim(self.dim);
-        for (weight, plane) in other.planes.iter().enumerate() {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(plane);
-            Self::ripple_in(&mut self.planes, &mut self.scratch, weight, wc);
+        self.grow_to(self.total.saturating_add(other.total));
+        // Every plane of `other` at its weight. Planes past our width
+        // are all-zero: `other`'s counts fit in the grown planes.
+        let width = self.planes();
+        for (weight, plane) in other.planes.chunks_exact(self.words).enumerate() {
+            if weight < width {
+                add_at_weight(&mut self.planes, self.words, weight, plane);
+            }
         }
         self.total += other.total;
         Ok(())
     }
 
-    /// Extract the per-dimension counts.
-    #[must_use]
-    pub fn counts(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.dim as usize];
-        for (k, plane) in self.planes.iter().enumerate() {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let bit = (plane[i / 64] >> (i % 64)) & 1;
-                *slot |= bit << k;
+    /// Run `emit` on every dimension's count, in dimension order,
+    /// word column by word column: each column's K plane words are
+    /// read once and transposed eight planes × eight dimensions at a
+    /// time through [`SPREAD`], into one count byte per dimension and
+    /// group of eight planes.
+    fn map_counts<T>(&self, emit: impl Fn(u64) -> T) -> Vec<T> {
+        let words = self.words;
+        let groups = self.planes().div_ceil(8);
+        let mut out = Vec::with_capacity(self.dim as usize);
+        // bytes[g][i]: bits 8g..8g+8 of dimension i's count.
+        let mut bytes = [[0u8; 64]; 8];
+        for w in 0..words {
+            for (g, group) in bytes[..groups].iter_mut().enumerate() {
+                let mut column = [0u64; 8];
+                let mut depth = 0;
+                for plane in self.planes.chunks_exact(words).skip(8 * g).take(8) {
+                    column[depth] = plane[w];
+                    depth += 1;
+                }
+                for (byte, chunk) in group.chunks_exact_mut(8).enumerate() {
+                    let mut bits = 0u64;
+                    for (k, &plane) in column[..depth].iter().enumerate() {
+                        bits |= SPREAD[((plane >> (8 * byte)) & 0xff) as usize] << k;
+                    }
+                    chunk.copy_from_slice(&bits.to_le_bytes());
+                }
             }
+            let live = (self.dim as usize - w * 64).min(64);
+            out.extend((0..live).map(|i| {
+                let count = bytes[..groups]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |c, (g, group)| c | u64::from(group[i]) << (8 * g));
+                emit(count)
+            }));
         }
         out
     }
 
+    /// Extract the per-dimension counts.
+    #[must_use]
+    pub fn counts(&self) -> Vec<u64> {
+        self.map_counts(|c| c)
+    }
+
     /// Binarize against an explicit total: +1 where `2·count ≥ total`.
     ///
-    /// This is the paper's masking-logic decision with TOB = total/2;
-    /// using an explicit argument lets callers binarize a class
-    /// accumulator against `H × images` while reusing the same machinery
-    /// per image with `H`.
+    /// This is the paper's masking-logic decision (Fig. 5) with TOB =
+    /// total/2, since `2·count ≥ total ⇔ count ≥ T = ⌈total/2⌉`: each
+    /// word's planes are compared MSB-first against `T`, keeping a
+    /// "greater" and an "equal so far" mask per 64 dimensions. An
+    /// explicit argument lets callers binarize a class accumulator
+    /// against `H × images` while reusing the same machinery per image
+    /// with `H`.
     #[must_use]
     pub fn binarize_with_total(&self, total: u64) -> Hypervector {
-        pack_threshold(&self.counts(), self.dim, |&c| 2 * c >= total)
+        let threshold = total / 2 + total % 2;
+        let words = self.words;
+        let depth = self.planes();
+        let mut out = vec![0u64; words];
+        // Every count is below 2^depth, so a threshold with a bit at or
+        // above `depth` is never reached: all -1.
+        if depth >= 64 || threshold >> depth == 0 {
+            for (w, slot) in out.iter_mut().enumerate() {
+                let mut gt = 0u64;
+                let mut eq = u64::MAX;
+                for k in (0..depth).rev() {
+                    let plane = self.planes[k * words + w];
+                    if (threshold >> k) & 1 == 1 {
+                        eq &= plane;
+                    } else {
+                        gt |= eq & plane;
+                        eq &= !plane;
+                    }
+                }
+                *slot = gt | eq;
+            }
+        }
+        // Stray count bits past `dim` are masked off here.
+        Hypervector::from_words(out, self.dim).expect("word count matches dim by construction")
     }
 
     /// Binarize against the number of masks actually added.
@@ -302,20 +394,155 @@ impl BitSliceAccumulator {
     /// Per-dimension bipolar sums `2·count − total`.
     #[must_use]
     pub fn bipolar_sums(&self) -> Vec<i64> {
-        self.counts()
-            .iter()
-            .map(|&c| 2 * c as i64 - self.total as i64)
-            .collect()
+        let total = self.total as i64;
+        self.map_counts(|c| 2 * c as i64 - total)
     }
 
     /// Reset to the zero state, keeping the allocated planes.
     pub fn clear(&mut self) {
-        for plane in &mut self.planes {
-            for w in plane.iter_mut() {
-                *w = 0;
-            }
-        }
+        self.planes.fill(0);
         self.total = 0;
+    }
+}
+
+/// `SPREAD[b]` moves bit `i` of byte `b` to bit `8·i`: the byte-wise
+/// bit transpose behind the word-major count extraction.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            if (b >> i) & 1 == 1 {
+                table[b] |= 1 << (8 * i);
+            }
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+// The adders below are `#[inline(always)]` so that each
+// `#[target_feature]` variant of `Kernel::bundle_block` compiles the
+// whole block with its own register width; an out-of-line helper would
+// be built for the baseline target instead.
+
+/// Carry-save adder over `N` word lanes: returns `(carry, sum)` of
+/// `a + b + c` per bit.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+fn csa<const N: usize>(a: [u64; N], b: [u64; N], c: [u64; N]) -> ([u64; N], [u64; N]) {
+    let mut hi = [0u64; N];
+    let mut lo = [0u64; N];
+    for i in 0..N {
+        let u = a[i] ^ b[i];
+        hi[i] = (a[i] & b[i]) | (u & c[i]);
+        lo[i] = u ^ c[i];
+    }
+    (hi, lo)
+}
+
+/// Lanes `w..w+N` of `words`.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+fn lanes<const N: usize>(words: &[u64], w: usize) -> [u64; N] {
+    words[w..w + N].try_into().expect("N lanes")
+}
+
+/// The per-word adder: ripple `carry` into word lanes `w..w+N` of the
+/// planes from plane `weight` up. The planes were grown to hold every
+/// reachable count, so the carry out of the top plane is zero.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+fn ripple<const N: usize>(
+    planes: &mut [u64],
+    words: usize,
+    w: usize,
+    weight: usize,
+    mut carry: [u64; N],
+) {
+    for plane in planes.chunks_exact_mut(words).skip(weight) {
+        let lane = &mut plane[w..w + N];
+        for i in 0..N {
+            let t = lane[i] & carry[i];
+            lane[i] ^= carry[i];
+            carry[i] = t;
+        }
+    }
+    debug_assert!(carry.iter().all(|&c| c == 0), "bit-plane counter overflow");
+}
+
+/// Add `row` at weight `2^weight` into every word column of the planes.
+fn add_at_weight(planes: &mut [u64], words: usize, weight: usize, row: &[u64]) {
+    let mut w = 0;
+    while w + LANES <= words {
+        ripple::<LANES>(planes, words, w, weight, lanes(row, w));
+        w += LANES;
+    }
+    for (w, &word) in row.iter().enumerate().skip(w) {
+        ripple::<1>(planes, words, w, weight, [word]);
+    }
+}
+
+/// Harley–Seal over word lanes `w..w+N` of one 16-mask block. Planes
+/// 0–3 are the tree's ones/twos/fours/eights accumulators, so after
+/// the tree `ones + 2·twos + 4·fours + 8·eights + 16·sixteens` equals
+/// the old low count plus the block's column count, and only
+/// `sixteens` ripples on from plane 4.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+fn bundle_lanes<const N: usize>(
+    planes: &mut [u64],
+    words: usize,
+    block: &[&[u64]; BUNDLE_BLOCK],
+    w: usize,
+) {
+    let mask = |i: usize| lanes::<N>(block[i], w);
+    let mut ones = lanes::<N>(planes, w);
+    let mut twos = lanes::<N>(planes, words + w);
+    let mut fours = lanes::<N>(planes, 2 * words + w);
+    let mut eights = lanes::<N>(planes, 3 * words + w);
+    let mut eights_in = [[0u64; N]; 2];
+    for (half, eights_slot) in eights_in.iter_mut().enumerate() {
+        let mut fours_in = [[0u64; N]; 2];
+        for (quarter, fours_slot) in fours_in.iter_mut().enumerate() {
+            let base = 8 * half + 4 * quarter;
+            let (twos_a, o) = csa(ones, mask(base), mask(base + 1));
+            let (twos_b, o) = csa(o, mask(base + 2), mask(base + 3));
+            ones = o;
+            let (f, t) = csa(twos, twos_a, twos_b);
+            twos = t;
+            *fours_slot = f;
+        }
+        let (e, f) = csa(fours, fours_in[0], fours_in[1]);
+        fours = f;
+        *eights_slot = e;
+    }
+    let (sixteens, e) = csa(eights, eights_in[0], eights_in[1]);
+    eights = e;
+    for (k, plane) in [ones, twos, fours, eights].into_iter().enumerate() {
+        planes[k * words + w..k * words + w + N].copy_from_slice(&plane);
+    }
+    ripple(planes, words, w, 4, sixteens);
+}
+
+/// One 16-mask block into a plane array of at least five planes —
+/// the portable body every [`Kernel::bundle_block`] variant compiles.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+pub(crate) fn bundle_block_portable(
+    planes: &mut [u64],
+    words: usize,
+    block: &[&[u64]; BUNDLE_BLOCK],
+) {
+    let mut w = 0;
+    while w + LANES <= words {
+        bundle_lanes::<LANES>(planes, words, block, w);
+        w += LANES;
+    }
+    for w in w..words {
+        bundle_lanes::<1>(planes, words, block, w);
     }
 }
 
@@ -446,24 +673,83 @@ mod tests {
         assert_eq!(ones, i64::from(hv.count_plus_ones()));
     }
 
+    #[test]
+    fn stray_bits_past_dim_are_ignored() {
+        // Masks with garbage past `dim`: the dense reference skips
+        // those bits, so counts, sums and every binarization must too.
+        let mut rng = fixture_rng("accumulator_stray_bits");
+        for dim in [1u32, 63, 65, 130, 200] {
+            let mut masks = random_masks(40, dim, &mut rng);
+            for m in &mut masks {
+                *m.last_mut().unwrap() |= u64::MAX << (dim % 64);
+            }
+            let rows: Vec<&[u64]> = masks.iter().map(Vec::as_slice).collect();
+            let mut dense = DenseAccumulator::new(dim);
+            for m in &masks {
+                dense.add_mask(m);
+            }
+            let mut sliced = BitSliceAccumulator::new(dim);
+            sliced.add_masks(&rows);
+            let dc: Vec<u64> = dense.counts().iter().map(|&c| c as u64).collect();
+            assert_eq!(sliced.counts(), dc, "dim {dim}");
+            assert_eq!(sliced.bipolar_sums(), dense.bipolar_sums(), "dim {dim}");
+            assert_eq!(sliced.binarize(), dense.binarize(), "dim {dim}");
+            // total 0 sets every live bit, and only live bits.
+            assert_eq!(sliced.binarize_with_total(0).count_plus_ones(), dim);
+        }
+    }
+
+    /// Mask counts around the 16-mask block edges and the paper's
+    /// H = 784.
+    const BLOCK_EDGES: [usize; 8] = [0, 1, 15, 16, 17, 783, 784, 785];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_bit_slice_equals_dense(
             dim in 1u32..300,
             seed in any::<u64>(),
-            n_masks in 1usize..120,
+            edge in 0usize..BLOCK_EDGES.len(),
+            cut in any::<u64>(),
+            odd in 0u64..1000,
         ) {
+            let n_masks = BLOCK_EDGES[edge];
             let mut rng = uhd_lowdisc::rng::Xoshiro256StarStar::seeded(seed);
+            let masks = random_masks(n_masks, dim, &mut rng);
+            let rows: Vec<&[u64]> = masks.iter().map(Vec::as_slice).collect();
             let mut dense = DenseAccumulator::new(dim);
-            let mut sliced = BitSliceAccumulator::new(dim);
-            for m in random_masks(n_masks, dim, &mut rng) {
-                dense.add_mask(&m);
-                sliced.add_mask(&m);
+            for m in &masks {
+                dense.add_mask(m);
             }
+            // One block call, one mask at a time, and two block calls
+            // into separate accumulators merged.
+            let mut blocked = BitSliceAccumulator::new(dim);
+            blocked.add_masks(&rows);
+            let mut single = BitSliceAccumulator::new(dim);
+            for m in &masks {
+                single.add_mask(m);
+            }
+            let cut = (cut % (n_masks as u64 + 1)) as usize;
+            let mut merged = BitSliceAccumulator::new(dim);
+            merged.add_masks(&rows[..cut]);
+            let mut rest = BitSliceAccumulator::new(dim);
+            rest.add_masks(&rows[cut..]);
+            merged.merge(&rest).unwrap();
+
             let dc: Vec<u64> = dense.counts().iter().map(|&c| c as u64).collect();
-            prop_assert_eq!(sliced.counts(), dc);
-            prop_assert_eq!(sliced.binarize(), dense.binarize());
+            for sliced in [&blocked, &single, &merged] {
+                prop_assert_eq!(sliced.total(), dense.total());
+                prop_assert_eq!(&sliced.counts(), &dc);
+                prop_assert_eq!(sliced.bipolar_sums(), dense.bipolar_sums());
+                prop_assert_eq!(sliced.binarize(), dense.binarize());
+            }
+            // Explicit totals: empty, one, odd, the real one, and past
+            // the counter width (never reached: all -1).
+            let planes = blocked.planes();
+            for total in [0, 1, 2 * odd + 1, blocked.total(), (1 << planes) + 1, 2 << planes, u64::MAX] {
+                let expect = pack_threshold(&dc, dim, |&c| 2 * c >= total);
+                prop_assert_eq!(blocked.binarize_with_total(total), expect, "total {}", total);
+            }
         }
     }
 }

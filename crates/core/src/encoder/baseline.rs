@@ -18,7 +18,7 @@
 use std::borrow::Cow;
 
 use super::level::{generate_level_hypervectors, LevelScheme};
-use super::{check_acc, check_feature_len, Encoder, EncoderProfile};
+use super::{check_acc, check_feature_len, Encoder, EncoderProfile, MaskBlock};
 use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
 use crate::hypervector::{words_for_dim, Hypervector};
@@ -253,7 +253,8 @@ impl Encoder for BaselineEncoder {
         check_feature_len(self.config.pixels, image)?;
         check_acc(self.config.dim, acc)?;
         let wc = words_for_dim(self.config.dim);
-        let mut scratch = vec![0u64; wc];
+        // The bound masks, staged a block at a time.
+        let mut staged = MaskBlock::new(wc);
         let tail_mask = {
             let rem = self.config.dim % 64;
             if rem == 0 {
@@ -269,12 +270,13 @@ impl Encoder for BaselineEncoder {
             let p = self.positions.row(pixel as u32, &mut p_buf)?;
             let l = self.levels.row(level, &mut l_buf)?;
             // Binding: element-wise multiply = XNOR in the bit domain.
-            for w in 0..wc {
-                scratch[w] = !(p[w] ^ l[w]);
+            let mask = staged.next_row(acc);
+            for ((slot, &pw), &lw) in mask.iter_mut().zip(p).zip(l) {
+                *slot = !(pw ^ lw);
             }
-            scratch[wc - 1] &= tail_mask;
-            acc.add_mask(&scratch);
+            mask[wc - 1] &= tail_mask;
         }
+        staged.flush(acc);
         Ok(())
     }
 

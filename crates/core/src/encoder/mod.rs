@@ -34,7 +34,7 @@ pub mod uhd;
 
 use std::borrow::Cow;
 
-use crate::accumulator::BitSliceAccumulator;
+use crate::accumulator::{BitSliceAccumulator, BUNDLE_BLOCK};
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::item_memory::MemoryBackend;
@@ -209,6 +209,47 @@ pub(crate) fn check_feature_len(expected: usize, input: &[u8]) -> Result<(), Hdc
         });
     }
     Ok(())
+}
+
+/// A reusable staging buffer of [`BUNDLE_BLOCK`] mask rows: encoders
+/// that derive or bind their masks write them here, and whole blocks go
+/// to [`BitSliceAccumulator::add_masks`]'s Harley–Seal adder.
+pub(crate) struct MaskBlock {
+    rows: Vec<u64>,
+    words: usize,
+    len: usize,
+}
+
+impl MaskBlock {
+    /// An empty block of `words`-word rows.
+    pub(crate) fn new(words: usize) -> Self {
+        MaskBlock {
+            rows: vec![0u64; BUNDLE_BLOCK * words],
+            words,
+            len: 0,
+        }
+    }
+
+    /// The next row to fill, flushing a full block into `acc` first.
+    /// The caller must overwrite every word of the row.
+    pub(crate) fn next_row(&mut self, acc: &mut BitSliceAccumulator) -> &mut [u64] {
+        if self.len == BUNDLE_BLOCK {
+            self.flush(acc);
+        }
+        let start = self.len * self.words;
+        self.len += 1;
+        &mut self.rows[start..start + self.words]
+    }
+
+    /// Add the staged rows to `acc` and empty the block.
+    pub(crate) fn flush(&mut self, acc: &mut BitSliceAccumulator) {
+        let mut block: [&[u64]; BUNDLE_BLOCK] = [&[]; BUNDLE_BLOCK];
+        for (slot, row) in block.iter_mut().zip(self.rows.chunks_exact(self.words)) {
+            *slot = row;
+        }
+        acc.add_masks(&block[..self.len]);
+        self.len = 0;
+    }
 }
 
 /// Validate an accumulator dimension against an encoder's dimension.

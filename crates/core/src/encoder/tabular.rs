@@ -23,7 +23,7 @@
 use std::borrow::Cow;
 
 use super::level::LevelScheme;
-use super::{check_acc, check_feature_len, Encoder, EncoderProfile};
+use super::{check_acc, check_feature_len, Encoder, EncoderProfile, MaskBlock};
 use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
 use crate::hypervector::{words_for_dim, Hypervector};
@@ -203,20 +203,21 @@ impl Encoder for TabularEncoder {
     fn accumulate(&self, input: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
         check_feature_len(self.config.columns, input)?;
         check_acc(self.config.dim, acc)?;
-        let wc = self.words;
-        let mut scratch = vec![0u64; wc];
+        // The bound masks, staged a block at a time (16 columns make
+        // exactly one block).
+        let mut staged = MaskBlock::new(self.words);
         let mut k_buf = Vec::new();
         let mut l_buf = Vec::new();
         for (column, &value) in input.iter().enumerate() {
             let bin = self.bin_of(value);
             let k = self.keys.row(column as u32, &mut k_buf)?;
             let l = self.levels.row(bin, &mut l_buf)?;
-            for w in 0..wc {
-                scratch[w] = k[w] ^ l[w];
-            }
             // XOR of tail-clear operands stays tail-clear.
-            acc.add_mask(&scratch);
+            for ((slot, &kw), &lw) in staged.next_row(acc).iter_mut().zip(k).zip(l) {
+                *slot = kw ^ lw;
+            }
         }
+        staged.flush(acc);
         Ok(())
     }
 

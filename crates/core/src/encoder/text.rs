@@ -27,7 +27,7 @@
 
 use std::borrow::Cow;
 
-use super::{check_acc, Encoder, EncoderProfile};
+use super::{check_acc, Encoder, EncoderProfile, MaskBlock};
 use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
 use crate::hypervector::words_for_dim;
@@ -195,23 +195,24 @@ impl Encoder for NgramTextEncoder {
         self.check_features(input)?;
         check_acc(self.config.dim, acc)?;
         let n = self.config.order;
-        let wc = self.words;
-        let mut scratch = vec![0u64; wc];
+        // The bound n-gram masks, staged a block at a time.
+        let mut staged = MaskBlock::new(self.words);
         let mut row_buf = Vec::new();
         let symbols: Vec<usize> = input.iter().map(|&b| symbol_index(b)).collect();
         for gram in symbols.windows(n) {
-            scratch.fill(0);
+            // XOR of tail-clear operands stays tail-clear.
+            let mask = staged.next_row(acc);
+            mask.fill(0);
             for (k, &s) in gram.iter().enumerate() {
                 let row = self
                     .rotated
                     .row((k * TEXT_ALPHABET + s) as u32, &mut row_buf)?;
-                for w in 0..wc {
-                    scratch[w] ^= row[w];
+                for (slot, &rw) in mask.iter_mut().zip(row) {
+                    *slot ^= rw;
                 }
             }
-            // XOR of tail-clear operands stays tail-clear.
-            acc.add_mask(&scratch);
         }
+        staged.flush(acc);
         Ok(())
     }
 

@@ -22,8 +22,8 @@
 
 use std::borrow::Cow;
 
-use super::{check_acc, check_feature_len, Encoder, EncoderProfile};
-use crate::accumulator::BitSliceAccumulator;
+use super::{check_acc, check_feature_len, Encoder, EncoderProfile, MaskBlock};
+use crate::accumulator::{BitSliceAccumulator, BUNDLE_BLOCK};
 use crate::error::HdcError;
 use crate::hypervector::{words_for_dim, Hypervector};
 use crate::item_memory::{ItemMemory, MemoryBackend, RowRecipe};
@@ -187,6 +187,9 @@ pub struct UhdEncoder {
     /// Materialized only on the resident backend; rematerialized
     /// encoders recompute a pixel's column on demand.
     sobol_q: Vec<u8>,
+    /// `quantize_u8` of every intensity, so the per-pixel level lookup
+    /// on the request path is a table read, not a float round.
+    intensity_levels: [u32; 256],
     words: usize,
 }
 
@@ -238,6 +241,7 @@ impl UhdEncoder {
             quantizer,
             planes,
             sobol_q,
+            intensity_levels: std::array::from_fn(|v| quantizer.quantize_u8(v as u8)),
             words: wc,
         })
     }
@@ -257,7 +261,7 @@ impl UhdEncoder {
     /// Quantize an 8-bit intensity to its ξ-level index.
     #[must_use]
     pub fn level_of(&self, intensity: u8) -> u32 {
-        self.quantizer.quantize_u8(intensity)
+        self.intensity_levels[usize::from(intensity)]
     }
 
     /// The quantized Sobol scalar `Q(S_pixel[dim])`.
@@ -416,22 +420,31 @@ impl Encoder for UhdEncoder {
         check_acc(self.config.dim, acc)?;
         let levels = self.config.levels;
         if let Some(rows) = self.planes.resident_rows() {
-            for (pixel, &v) in image.iter().enumerate() {
-                let level = self.level_of(v);
-                // Arguments are in range by the checks above plus the
-                // quantizer's contract.
-                debug_assert!(pixel < self.config.pixels && level < levels);
-                acc.add_mask(rows[pixel * levels as usize + level as usize].words());
+            // Borrowed table rows, a block at a time from the stack:
+            // the resident request path allocates nothing.
+            let mut block: [&[u64]; BUNDLE_BLOCK] = [&[]; BUNDLE_BLOCK];
+            for (chunk, pixels) in image.chunks(BUNDLE_BLOCK).enumerate() {
+                for (i, (slot, &v)) in block.iter_mut().zip(pixels).enumerate() {
+                    let pixel = chunk * BUNDLE_BLOCK + i;
+                    let level = self.level_of(v);
+                    // Arguments are in range by the checks above plus
+                    // the quantizer's contract.
+                    debug_assert!(pixel < self.config.pixels && level < levels);
+                    *slot = rows[pixel * levels as usize + level as usize].words();
+                }
+                acc.add_masks(&block[..pixels.len()]);
             }
         } else {
+            let mut staged = MaskBlock::new(self.words);
             let mut scratch = Vec::with_capacity(self.words);
             for (pixel, &v) in image.iter().enumerate() {
                 let level = self.level_of(v);
                 let mask = self
                     .planes
                     .row(pixel as u32 * levels + level, &mut scratch)?;
-                acc.add_mask(mask);
+                staged.next_row(acc).copy_from_slice(mask);
             }
+            staged.flush(acc);
         }
         Ok(())
     }
@@ -563,6 +576,21 @@ mod tests {
             levels: 16,
             family: LdFamily::sobol(),
             backend: MemoryBackend::Resident,
+        }
+    }
+
+    #[test]
+    fn level_table_matches_the_quantizer() {
+        for levels in [2u32, 7, 16, 256] {
+            let enc = UhdEncoder::new(UhdConfig {
+                levels,
+                ..tiny_config()
+            })
+            .unwrap();
+            let q = Quantizer::new(levels).unwrap();
+            for v in 0..=255u8 {
+                assert_eq!(enc.level_of(v), q.quantize_u8(v), "levels {levels}, v {v}");
+            }
         }
     }
 

@@ -40,6 +40,8 @@
 
 use std::sync::OnceLock;
 
+use crate::accumulator::{bundle_block_portable, BUNDLE_BLOCK};
+
 /// Class-block width of the associative sweep: 4096 distance
 /// accumulators (16 KiB of `u32`) stay L1-resident while the class
 /// words stream through.
@@ -246,30 +248,40 @@ impl Kernel {
         }
     }
 
-    /// One plane of carry-save addition: per word,
-    /// `t = plane & carry; plane ^= carry; carry = t`. Returns `true`
-    /// when the carry is now all-zero (the ripple has settled).
+    /// Add one block of [`BUNDLE_BLOCK`] masks into a bit-sliced counter
+    /// array (`planes`: at least five planes of `words` words each,
+    /// plane-major) through a Harley–Seal carry-save tree.
     ///
     /// This is the inner step of
-    /// [`crate::accumulator::BitSliceAccumulator`]'s bundling — the
-    /// software mirror of the paper's per-dimension popcounter — so the
-    /// encoder bundling loops also run through the dispatched kernel.
+    /// [`crate::accumulator::BitSliceAccumulator::add_masks`] — the
+    /// software mirror of the paper's per-dimension popcounter — so
+    /// every encoder's bundling runs through the dispatched kernel.
+    /// The caller must have grown the planes to hold the block's
+    /// counts. Every variant compiles the same portable body, with the
+    /// wider registers the CPU feature allows.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length.
-    pub fn carry_save_step(&self, plane: &mut [u64], carry: &mut [u64]) -> bool {
-        assert_eq!(plane.len(), carry.len(), "kernel operand length mismatch");
-        crate::telemetry::record_op(crate::telemetry::KernelOp::CarrySaveStep);
+    /// Panics if a mask is not `words` long or `planes` is not at least
+    /// five whole planes.
+    pub fn bundle_block(&self, planes: &mut [u64], words: usize, block: &[&[u64]; BUNDLE_BLOCK]) {
+        assert!(
+            words > 0 && planes.len().is_multiple_of(words) && planes.len() / words >= 5,
+            "bundle_block needs at least five whole planes"
+        );
+        for mask in block {
+            assert_eq!(mask.len(), words, "kernel operand length mismatch");
+        }
+        crate::telemetry::record_op(crate::telemetry::KernelOp::BundleBlock);
         match self.kind {
-            KernelKind::Scalar => carry_save_step_scalar(plane, carry),
+            KernelKind::Scalar => bundle_block_portable(planes, words, block),
             // SAFETY: construction verified the CPU feature.
             #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => unsafe { avx2::carry_save_step(plane, carry) },
+            KernelKind::Avx2 => unsafe { avx2::bundle_block(planes, words, block) },
             #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512 => unsafe { avx512::carry_save_step(plane, carry) },
+            KernelKind::Avx512 => unsafe { avx512::bundle_block(planes, words, block) },
             #[allow(unreachable_patterns)]
-            _ => carry_save_step_scalar(plane, carry),
+            _ => bundle_block_portable(planes, words, block),
         }
     }
 }
@@ -362,30 +374,19 @@ fn hamming_to_all_scalar(slices: &[u64], classes: usize, query: &[u64], out: &mu
     }
 }
 
-fn carry_save_step_scalar(plane: &mut [u64], carry: &mut [u64]) -> bool {
-    let mut any = 0u64;
-    for (p, c) in plane.iter_mut().zip(carry.iter_mut()) {
-        let t = *p & *c;
-        *p ^= *c;
-        *c = t;
-        any |= t;
-    }
-    any == 0
-}
-
 // --------------------------------------------------------------------
 // AVX2: Mula nibble-lookup popcount (vpshufb + vpsadbw).
 // --------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{carry_save_step_scalar, WORD_BLOCK};
+    use super::{bundle_block_portable, BUNDLE_BLOCK, WORD_BLOCK};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_si128,
-        _mm256_loadu_si256, _mm256_or_si256, _mm256_permutevar8x32_epi32, _mm256_sad_epu8,
-        _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi32, _mm256_setr_epi8,
-        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_storeu_si256,
-        _mm256_testz_si256, _mm256_xor_si256, _mm_add_epi32, _mm_loadu_si128, _mm_storeu_si128,
+        _mm256_loadu_si256, _mm256_permutevar8x32_epi32, _mm256_sad_epu8, _mm256_set1_epi64x,
+        _mm256_set1_epi8, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256,
+        _mm_add_epi32, _mm_loadu_si128, _mm_storeu_si128,
     };
 
     /// Per-64-bit-lane popcounts of `x`: nibble lookup through
@@ -484,22 +485,8 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn carry_save_step(plane: &mut [u64], carry: &mut [u64]) -> bool {
-        let n = plane.len();
-        let mut anyv = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let p = _mm256_loadu_si256(plane.as_ptr().add(i).cast());
-            let c = _mm256_loadu_si256(carry.as_ptr().add(i).cast());
-            let t = _mm256_and_si256(p, c);
-            _mm256_storeu_si256(plane.as_mut_ptr().add(i).cast(), _mm256_xor_si256(p, c));
-            _mm256_storeu_si256(carry.as_mut_ptr().add(i).cast(), t);
-            anyv = _mm256_or_si256(anyv, t);
-            i += 4;
-        }
-        let simd_zero = _mm256_testz_si256(anyv, anyv) == 1;
-        let tail_zero = carry_save_step_scalar(&mut plane[i..], &mut carry[i..]);
-        simd_zero && tail_zero
+    pub unsafe fn bundle_block(planes: &mut [u64], words: usize, block: &[&[u64]; BUNDLE_BLOCK]) {
+        bundle_block_portable(planes, words, block);
     }
 }
 
@@ -509,12 +496,11 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{carry_save_step_scalar, WORD_BLOCK};
+    use super::{bundle_block_portable, BUNDLE_BLOCK, WORD_BLOCK};
     use std::arch::x86_64::{
         _mm256_add_epi32, _mm256_loadu_si256, _mm256_storeu_si256, _mm512_add_epi64,
-        _mm512_and_si512, _mm512_cvtepi64_epi32, _mm512_loadu_si512, _mm512_or_si512,
-        _mm512_popcnt_epi64, _mm512_reduce_add_epi64, _mm512_reduce_or_epi64, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512,
+        _mm512_cvtepi64_epi32, _mm512_loadu_si512, _mm512_popcnt_epi64, _mm512_reduce_add_epi64,
+        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_xor_si512,
     };
 
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
@@ -587,23 +573,9 @@ mod avx512 {
         }
     }
 
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn carry_save_step(plane: &mut [u64], carry: &mut [u64]) -> bool {
-        let n = plane.len();
-        let mut anyv = _mm512_setzero_si512();
-        let mut i = 0;
-        while i + 8 <= n {
-            let p = _mm512_loadu_si512(plane.as_ptr().add(i).cast());
-            let c = _mm512_loadu_si512(carry.as_ptr().add(i).cast());
-            let t = _mm512_and_si512(p, c);
-            _mm512_storeu_si512(plane.as_mut_ptr().add(i).cast(), _mm512_xor_si512(p, c));
-            _mm512_storeu_si512(carry.as_mut_ptr().add(i).cast(), t);
-            anyv = _mm512_or_si512(anyv, t);
-            i += 8;
-        }
-        let simd_zero = _mm512_reduce_or_epi64(anyv) == 0;
-        let tail_zero = carry_save_step_scalar(&mut plane[i..], &mut carry[i..]);
-        simd_zero && tail_zero
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn bundle_block(planes: &mut [u64], words: usize, block: &[&[u64]; BUNDLE_BLOCK]) {
+        bundle_block_portable(planes, words, block);
     }
 }
 
@@ -747,26 +719,27 @@ mod tests {
             }
         }
 
-        /// carry_save_step is bit-identical across kernels (state and
-        /// settled flag).
+        /// bundle_block is bit-identical across kernels, over word
+        /// counts that straddle the 8-lane step and plane depths from
+        /// the minimum five up.
         #[test]
-        fn prop_carry_save_step_matches_scalar(
-            n in 0usize..70,
+        fn prop_bundle_block_matches_scalar(
+            words in 1usize..40,
+            depth in 5usize..12,
             seed in any::<u64>(),
         ) {
             let mut rng = Xoshiro256StarStar::seeded(seed);
-            let plane = random_words(n, &mut rng);
-            let carry = random_words(n, &mut rng);
-            let mut ref_plane = plane.clone();
-            let mut ref_carry = carry.clone();
-            let ref_done = Kernel::scalar().carry_save_step(&mut ref_plane, &mut ref_carry);
+            // Counts below 2^(depth-1) leave room for the block's 16.
+            let mut planes = random_words(depth * words, &mut rng);
+            planes[(depth - 1) * words..].fill(0);
+            let masks: Vec<Vec<u64>> = (0..BUNDLE_BLOCK).map(|_| random_words(words, &mut rng)).collect();
+            let block: [&[u64]; BUNDLE_BLOCK] = std::array::from_fn(|i| masks[i].as_slice());
+            let mut expect = planes.clone();
+            Kernel::scalar().bundle_block(&mut expect, words, &block);
             for k in Kernel::available() {
-                let mut p = plane.clone();
-                let mut c = carry.clone();
-                let done = k.carry_save_step(&mut p, &mut c);
-                prop_assert_eq!(done, ref_done, "kernel {}", k.name());
-                prop_assert_eq!(&p, &ref_plane, "kernel {}", k.name());
-                prop_assert_eq!(&c, &ref_carry, "kernel {}", k.name());
+                let mut got = planes.clone();
+                k.bundle_block(&mut got, words, &block);
+                prop_assert_eq!(&got, &expect, "kernel {}", k.name());
             }
         }
     }

@@ -109,32 +109,6 @@ fn forced_scalar_fallback_matches_the_dispatched_kernel() {
     }
 }
 
-#[test]
-fn carry_save_step_agrees_across_kernels() {
-    let mut rng = Xoshiro256StarStar::seeded(0xca44);
-    for words in [1usize, 3, 4, 5, 7, 8, 9, 31, 129, 1025] {
-        let plane0: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
-        let carry0: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
-        let scalar = Kernel::scalar();
-        let mut plane_ref = plane0.clone();
-        let mut carry_ref = carry0.clone();
-        let settled_ref = scalar.carry_save_step(&mut plane_ref, &mut carry_ref);
-        for kernel in Kernel::available() {
-            let mut plane = plane0.clone();
-            let mut carry = carry0.clone();
-            let settled = kernel.carry_save_step(&mut plane, &mut carry);
-            assert_eq!(
-                settled,
-                settled_ref,
-                "kernel {} words {words}",
-                kernel.name()
-            );
-            assert_eq!(plane, plane_ref, "kernel {} words {words}", kernel.name());
-            assert_eq!(carry, carry_ref, "kernel {} words {words}", kernel.name());
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
