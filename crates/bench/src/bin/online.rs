@@ -215,7 +215,7 @@ fn render_report(r: &Report) -> String {
     )
     .unwrap();
     // The registry's own histogram view of the mixed phase: classify
-    // submit→completion.
+    // arrival→answer.
     writeln!(
         out,
         "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",

@@ -29,7 +29,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use uhd_bench::{
     env_flag, machine_json, tabular_encoder, text_encoder, uhd_encoder, ExperimentConfig,
     Latencies, Workbench,
@@ -48,6 +48,10 @@ use uhd_serve::{ModelRegistry, ServeConfig};
 
 /// The tenant name every registry in this bench serves its model under.
 const TENANT: &str = "bench";
+
+/// Minimum time each telemetry mode is timed for in the full-run
+/// instrumentation-overhead bench.
+const OVERHEAD_SPAN: Duration = Duration::from_millis(250);
 
 /// Start a registry serving `model` through `encoder` as its only
 /// tenant.
@@ -260,8 +264,10 @@ fn encode_layers_bench(quick: bool) -> Vec<EncodeLayers> {
 
 /// The instrumentation-overhead bench: the full image stream through
 /// the best sweep configuration with live telemetry (histograms,
-/// gauges, staged timing) vs a no-op recorder. Best-of-`reps` per mode
-/// so scheduler noise doesn't masquerade as overhead.
+/// gauges, staged timing) vs a no-op recorder. Waves alternate between
+/// the two modes until each has run for [`OVERHEAD_SPAN`] (one wave
+/// each in quick mode), and the best wave per mode counts, so
+/// scheduler noise doesn't masquerade as overhead.
 fn obs_overhead_bench(
     quick: bool,
     best: &SweepPoint,
@@ -269,18 +275,22 @@ fn obs_overhead_bench(
     model: &HdcModel,
     images: &[Vec<u8>],
 ) -> ObsOverhead {
-    let reps = if quick { 1 } else { 3 };
-    let time_mode = |telemetry: bool| -> f64 {
-        (0..reps)
-            .map(|_| {
-                let config =
-                    ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
-                wave_rate(&one_tenant(config, encoder.clone(), model), images)
-            })
-            .fold(0.0_f64, f64::max)
-    };
-    let noop_images_per_sec = time_mode(false);
-    let instrumented_images_per_sec = time_mode(true);
+    let span = if quick { Duration::ZERO } else { OVERHEAD_SPAN };
+    // Index 0: no-op recorder; index 1: live telemetry.
+    let registries = [false, true].map(|telemetry| {
+        let config = ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
+        one_tenant(config, encoder.clone(), model)
+    });
+    let mut best_rate = [0.0_f64; 2];
+    let mut spent = [Duration::ZERO; 2];
+    while best_rate.contains(&0.0) || spent.iter().any(|&s| s < span) {
+        for (mode, registry) in registries.iter().enumerate() {
+            let t0 = Instant::now();
+            best_rate[mode] = best_rate[mode].max(wave_rate(registry, images));
+            spent[mode] += t0.elapsed();
+        }
+    }
+    let [noop_images_per_sec, instrumented_images_per_sec] = best_rate;
     ObsOverhead {
         instrumented_images_per_sec,
         noop_images_per_sec,
@@ -573,7 +583,7 @@ fn render_report(
     .unwrap();
     writeln!(out, "  \"request_latency\": {},", latencies.json()).unwrap();
     // The registry's own view of the same run, from its lock-free
-    // histograms (submit→completion, so queue wait is included).
+    // histograms (arrival→answer, so the wait for a permit is included).
     writeln!(
         out,
         "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",

@@ -13,8 +13,8 @@ pub enum ServeError {
     /// The registry has shut down; no further requests are accepted.
     Closed,
     /// Answering this request panicked (e.g. a buggy custom encoder).
-    /// The worker caught the panic, failed only this request, and kept
-    /// serving. Under `panic = "abort"` (the release profile) the
+    /// The registry caught the panic, failed only this request, and
+    /// kept serving. Under `panic = "abort"` (the release profile) the
     /// process aborts instead and this error never surfaces.
     WorkerPanicked,
     /// Configuration rejected (e.g. zero shards or batch size).
@@ -38,13 +38,12 @@ pub enum ServeError {
         /// The class admission cap.
         limit: usize,
     },
-    /// Load shedding: the request queue already held the admission
-    /// threshold ([`crate::ServeConfig::shed_above`]) when this
-    /// submit arrived, so it was
-    /// rejected immediately instead of queueing unboundedly. Back off
-    /// and retry.
+    /// Load shedding: every permit was out and the line for one already
+    /// held the admission threshold ([`crate::ServeConfig::shed_above`])
+    /// when this request arrived, so it was rejected immediately
+    /// instead of queueing unboundedly. Back off and retry.
     Overloaded {
-        /// Queue depth observed at rejection time.
+        /// Callers waiting in line at rejection time.
         depth: usize,
         /// The configured admission threshold.
         shed_above: usize,
@@ -75,7 +74,7 @@ impl fmt::Display for ServeError {
             ServeError::Core(e) => write!(f, "classification failed: {e}"),
             ServeError::Closed => write!(f, "serving engine is shut down"),
             ServeError::WorkerPanicked => {
-                write!(f, "a worker shard panicked before answering this request")
+                write!(f, "answering this request panicked")
             }
             ServeError::InvalidConfig { reason } => {
                 write!(f, "invalid engine configuration: {reason}")

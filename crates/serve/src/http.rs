@@ -59,7 +59,9 @@ impl Default for HttpServerConfig {
 }
 
 /// A running HTTP front end: one accept thread, one detached handler
-/// thread per connection, all serving a shared [`ModelRegistry`].
+/// thread per connection, all serving a shared [`ModelRegistry`]. A
+/// handler thread answers its requests itself: classify and learn
+/// encode on it under one of the registry's permits.
 #[derive(Debug)]
 pub struct HttpServer {
     local_addr: SocketAddr,
@@ -437,8 +439,11 @@ fn error_response(error: &ServeError) -> HttpResponse {
     response
 }
 
+/// Serialize `response` into one buffer and send it with one
+/// `write_all`: on a `TCP_NODELAY` socket a separate head write would
+/// go out as its own segment.
 fn write_response(
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
     response: &HttpResponse,
     keep_alive: bool,
 ) -> io::Result<()> {
@@ -457,7 +462,9 @@ fn write_response(
     } else {
         ""
     };
-    let head = format!(
+    let mut wire = Vec::with_capacity(160 + response.body.len());
+    write!(
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n{}\r\n",
         response.status,
         reason,
@@ -465,9 +472,9 @@ fn write_response(
         response.body.len(),
         connection,
         retry,
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(&response.body)?;
+    )?;
+    wire.extend_from_slice(&response.body);
+    writer.write_all(&wire)?;
     writer.flush()
 }
 
@@ -563,6 +570,59 @@ mod tests {
             read_request(&mut io::Cursor::new(raw), 1 << 20),
             Err(ParseError::HeadTooLarge)
         ));
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_goes_out_in_one_write() {
+        let overloaded = error_response(&ServeError::Overloaded {
+            depth: 1,
+            shed_above: 1,
+        });
+        let cases = [
+            (
+                HttpResponse::json(200, "{\"generation\":3}"),
+                true,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 16\r\n\
+                 Connection: keep-alive\r\n\r\n{\"generation\":3}",
+            ),
+            (
+                HttpResponse::json(413, "{\"error\":\"body too large\"}"),
+                false,
+                "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+                 Content-Length: 26\r\nConnection: close\r\n\r\n{\"error\":\"body too large\"}",
+            ),
+            (
+                overloaded,
+                true,
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 71\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\n\
+                 {\"error\":\"overloaded: queue depth 1 at or above admission threshold 1\"}",
+            ),
+        ];
+        for (response, keep_alive, wire) in cases {
+            let mut writer = CountingWriter::default();
+            write_response(&mut writer, &response, keep_alive).unwrap();
+            assert_eq!(writer.writes, 1, "{wire}");
+            assert_eq!(String::from_utf8(writer.bytes).unwrap(), wire);
+        }
     }
 
     #[test]

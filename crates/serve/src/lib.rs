@@ -3,18 +3,21 @@
 //! The core crates answer one sample at a time; this crate turns
 //! trained [`uhd_core::HdcModel`]s into a **serving pool** shaped for
 //! heavy traffic. [`ModelRegistry`] is the one serving core: it serves
-//! any number of named models (tenants) through one shared worker pool,
-//! and a single-model server is simply a registry with one tenant. It
-//! is generic over [`uhd_core::Encoder`] feature streams — image,
-//! n-gram text and tabular workloads all flow through the same queue,
-//! shards, learner and stats, with no workload-specific branches:
+//! any number of named models (tenants) through one shared admission
+//! gate, and a single-model server is simply a registry with one
+//! tenant. It is generic over [`uhd_core::Encoder`] feature streams —
+//! image, n-gram text and tabular workloads all flow through the same
+//! gate, learner and stats, with no workload-specific branches:
 //!
-//! * **Micro-batching** — clients submit requests into a
-//!   lock-protected, condvar-signalled queue; worker shards drain
-//!   everything available (up to a batch cap) per wake-up, amortizing
-//!   synchronization and model-snapshot costs over the batch.
-//! * **Sharding** — `N` detached worker threads compete for batches,
-//!   scaling with cores; a batch may mix tenants.
+//! * **Caller-thread answering** — [`ModelRegistry::classify`] takes
+//!   one of `shards` permits and answers on the calling thread; each
+//!   permit owns its scratch buffers, so a request allocates nothing
+//!   and crosses no thread boundary. A caller finding every permit out
+//!   waits in line, and the line is capped by exact load shedding.
+//! * **Micro-batching** — [`ModelRegistry::classify_many`] answers
+//!   chunks of up to `max_batch` samples under one permit and one
+//!   model snapshot each, fanned out over at most `shards` scoped
+//!   threads.
 //! * **Bit-sliced associative memory** — every query is answered
 //!   through [`uhd_core::AssociativeMemory`]: class hypervectors
 //!   transposed into contiguous per-plane `u64` words so one streaming
@@ -23,8 +26,8 @@
 //! * **Hot model swap** — the "dynamic" in dynamic HDC: a per-tenant
 //!   generation-tagged `Arc<HdcModel>` that
 //!   [`ModelRegistry::update_model`] replaces atomically while queries
-//!   are in flight. Each micro-batch snapshots one generation per
-//!   tenant, so no request ever observes a torn model, and every
+//!   are in flight. Each request (or micro-batch) snapshots one
+//!   generation, so no request ever observes a torn model, and every
 //!   [`Response::generation`] names the model that produced it.
 //! * **Online learning** — [`ModelRegistry::learn`] and
 //!   [`ModelRegistry::feedback`] fold labelled samples synchronously
@@ -38,9 +41,9 @@
 //!   and boot from such files; [`HttpServer`] puts a registry behind a
 //!   dependency-free HTTP/1.1 front end.
 //! * **Observability** — every request is staged-timed (queue-wait vs
-//!   batch-compute vs total, per shard) into lock-free
+//!   batch-compute vs total, per permit) into lock-free
 //!   [`uhd_obs::Histogram`]s; [`StatsSnapshot`] reports p50/p99 plus
-//!   the queue high-water mark, and [`ModelRegistry::render_metrics`]
+//!   the high-water mark of the line for permits, and [`ModelRegistry::render_metrics`]
 //!   exposes the whole metric set (counters, gauges, latency
 //!   summaries, per-tenant series, kernel op counters) in the
 //!   Prometheus text format. Structured trace events (batch formed,
@@ -72,9 +75,9 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub(crate) mod gate;
 pub mod http;
 pub(crate) mod obs;
-pub mod queue;
 pub mod registry;
 pub mod request;
 pub mod stats;
@@ -82,7 +85,7 @@ pub mod stats;
 pub use error::ServeError;
 pub use http::{HttpServer, HttpServerConfig};
 pub use registry::{ModelRegistry, ServeConfig};
-pub use request::{Response, Ticket};
+pub use request::Response;
 pub use stats::StatsSnapshot;
 // Re-exported so clients can configure tracing and decode events
 // without naming `uhd-obs` directly.

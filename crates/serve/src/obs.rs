@@ -1,17 +1,19 @@
 //! The registry's observability bundle: one [`Recorder`] carrying the
 //! counter set ([`EngineStats`]), the staged latency histograms, the
-//! queue gauges, and the trace-event ring.
+//! gauges of the line for permits, and the trace-event ring.
 //!
 //! ## Staged timing
 //!
-//! Every request is stamped with a monotonic clock at submit. A worker
-//! shard then attributes its life to stages:
+//! Every request is stamped with a monotonic clock when it arrives at
+//! the admission gate. The thread answering it then attributes its
+//! life to stages, labelled by the permit (`shard`) it held:
 //!
-//! * **queue wait** (`uhd_request_queue_wait_ns{shard=…}`) — submit →
-//!   dequeue, recorded per request when the shard claims a batch;
+//! * **queue wait** (`uhd_request_queue_wait_ns{shard=…}`) — arrival →
+//!   permit taken, recorded per request;
 //! * **batch compute** (`uhd_batch_compute_ns{shard=…}`) — one sample
-//!   per micro-batch covering encode+search for the whole batch;
-//! * **total** (`uhd_request_total_ns`) — submit → response completed,
+//!   per micro-batch covering encode+search for the whole batch (a
+//!   single classify is a batch of one);
+//! * **total** (`uhd_request_total_ns`) — arrival → answer,
 //!   registry-wide (this is the histogram behind
 //!   [`crate::StatsSnapshot::p50_us`]/[`crate::StatsSnapshot::p99_us`]).
 
@@ -21,17 +23,17 @@ use std::sync::Arc;
 use std::time::Duration;
 use uhd_obs::{Gauge, Histogram, Recorder, TraceKind};
 
-/// All telemetry state shared by the registry handle and its worker
-/// shards.
+/// All telemetry state the registry records into from its callers'
+/// threads.
 #[derive(Debug)]
 pub(crate) struct ServeObs {
     pub(crate) recorder: Recorder,
     pub(crate) stats: EngineStats,
-    /// Per-shard submit→dequeue wait.
+    /// Per-permit arrival→permit wait.
     queue_wait: Vec<Arc<Histogram>>,
     /// Per-shard whole-batch compute time.
     compute: Vec<Arc<Histogram>>,
-    /// Registry-wide submit→completion latency.
+    /// Registry-wide arrival→answer latency.
     total: Arc<Histogram>,
     pub(crate) queue_depth: Gauge,
     pub(crate) queue_depth_hw: Gauge,
@@ -63,7 +65,7 @@ pub(crate) fn render_prometheus(recorder: &Recorder) -> String {
 }
 
 impl ServeObs {
-    /// Register the full metric set for `shards` worker shards on
+    /// Register the full metric set for `shards` permits on
     /// `recorder`.
     pub(crate) fn new(recorder: Recorder, shards: usize) -> Self {
         let stats = EngineStats::new(&recorder);

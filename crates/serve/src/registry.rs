@@ -1,10 +1,12 @@
 //! The model registry: named models served through **one** shared
-//! shard pool. It is the crate's only serving core; a single-model
+//! admission gate. It is the crate's only serving core; a single-model
 //! server is a registry with one tenant.
 //!
-//! Every request carries an `Arc` to its tenant's state, so a
-//! micro-batch drained by a worker may mix tenants freely and the
-//! pool's capacity is shared by all of them. Each tenant owns
+//! Requests are answered on the caller's thread. A caller takes one of
+//! `shards` permits (each owning its scratch accumulators and distance
+//! buffer, so a request allocates nothing and takes no second lock),
+//! encodes and searches, and hands the permit back. The permits are
+//! shared by every tenant. Each tenant owns
 //!
 //! * a named, generation-tagged `Arc<HdcModel>` hot-swap slot
 //!   ("dynamic HDC": [`ModelRegistry::update_model`] replaces it
@@ -24,26 +26,22 @@
 //!   [`ModelRegistry::register_from_snapshot`] boots a tenant from
 //!   such a file.
 //!
-//! The workers are **detached** threads holding an `Arc` of the shared
-//! state: the registry outlives its pool, so metrics remain scrapeable
-//! after [`ModelRegistry::shutdown`] — which is also what lets the
-//! terminal queue-depth gauge publish (see `BatchQueue::pop_batch`) be
-//! observed at all.
-//!
-//! Admission control is a single-lock depth check: past `shed_above`
-//! pending requests a submit returns [`ServeError::Overloaded`]
+//! Admission control is a single-lock depth check: a caller finding
+//! every permit out waits in line, and past `shed_above` callers in
+//! line a classify or learn returns [`ServeError::Overloaded`]
 //! immediately — shedding at the door instead of timing out every
-//! tenant once the queue grows unbounded.
+//! tenant once the line grows unbounded. [`ModelRegistry::shutdown`]
+//! closes the gate and returns once the line has been served; the
+//! registry stays scrapeable afterwards.
 
 use crate::error::ServeError;
+use crate::gate::{Gate, Permit, Rejected};
 use crate::obs::{render_prometheus, ServeObs};
-use crate::queue::{BatchQueue, Rejected};
-use crate::request::{Response, Slot, Ticket};
+use crate::request::Response;
 use crate::stats::StatsSnapshot;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 use uhd_core::{BitSliceAccumulator, Encoder, HdcModel, InferenceMode, OnlineLearner};
 use uhd_obs::{Counter, Gauge, Recorder, TraceEvent, TraceKind, TraceLevel};
@@ -53,15 +51,19 @@ use uhd_obs::{Counter, Gauge, Recorder, TraceEvent, TraceKind, TraceLevel};
 /// and snapshot file names without escaping.
 pub const MAX_TENANT_NAME: usize = 64;
 
-/// Sizing of the worker pool and its micro-batches, the inference mode
-/// requests are answered in, and the online-learning knobs.
+/// Sizing of the admission gate and of [`ModelRegistry::classify_many`]
+/// micro-batches, the inference mode requests are answered in, and the
+/// online-learning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker shards (threads) draining the request queue.
+    /// Permits (shards): how many requests are encoded at once, on
+    /// their callers' threads. Per-shard histograms are labelled by
+    /// permit.
     pub shards: usize,
-    /// Maximum requests one shard claims per queue pop.
+    /// Largest micro-batch [`ModelRegistry::classify_many`] answers
+    /// under one permit and one model snapshot.
     pub max_batch: usize,
-    /// Inference mode workers answer in.
+    /// Inference mode requests are answered in.
     /// [`InferenceMode::BinarizedQuery`] (the default) is the
     /// hardware-faithful fast path through the bit-sliced associative
     /// memory; the integer modes trade throughput for the accuracy of
@@ -77,8 +79,8 @@ pub struct ServeConfig {
     /// [`ModelRegistry::feedback`], bounding learner memory against a
     /// corrupt label stream.
     pub max_classes: usize,
-    /// Load-shedding admission threshold: a submit arriving while the
-    /// request queue already holds this many pending requests is
+    /// Load-shedding admission threshold: a classify or learn arriving
+    /// while this many callers already wait in line for a permit is
     /// rejected with [`ServeError::Overloaded`] instead of queueing
     /// unboundedly. The default `usize::MAX` disables shedding (must
     /// be nonzero — a zero threshold would reject everything).
@@ -136,8 +138,8 @@ impl ServeConfig {
         self
     }
 
-    /// Shed classify submits once the request queue holds `shed_above`
-    /// pending requests (must be nonzero; `usize::MAX` disables).
+    /// Shed classifies and learns once `shed_above` callers wait in
+    /// line (must be nonzero; `usize::MAX` disables).
     #[must_use]
     pub fn with_shed_above(mut self, shed_above: usize) -> Self {
         self.shed_above = shed_above;
@@ -159,7 +161,7 @@ impl ServeConfig {
         self
     }
 
-    /// One shard per available hardware thread, batches of 32.
+    /// One permit per available hardware thread, batches of 32.
     #[must_use]
     pub fn auto() -> Self {
         let shards = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -261,51 +263,41 @@ impl TenantState {
     }
 }
 
-/// One enqueued request: the tenant travels with it, so a worker batch
-/// may mix tenants freely.
+/// One permit's scratch: the shard label its timings are recorded
+/// under, the encode accumulators, and the distance buffer.
 #[derive(Debug)]
-struct TenantRequest {
-    tenant: Arc<TenantState>,
-    input: Vec<u8>,
-    slot: Arc<Slot>,
-    /// Monotonic submit time, the anchor of the staged latency
-    /// breakdown (queue-wait at dequeue, total at completion).
-    submitted_at: Instant,
+struct Lane {
+    shard: usize,
+    scratch: ScratchPool,
+    dists: Vec<u32>,
 }
 
-/// State shared between the registry handle and its detached workers.
-struct RegistryInner {
+/// A serving pool: named, hot-swappable, disk-persistable models
+/// behind one shared admission gate. See the [module docs](self).
+///
+/// All methods take `&self`; wrap the registry in an [`Arc`] to share
+/// it across client threads (the HTTP front end does exactly that).
+pub struct ModelRegistry {
     config: ServeConfig,
-    queue: BatchQueue<TenantRequest>,
+    gate: Gate<Lane>,
     /// Ordered so [`ModelRegistry::tenants`] and the exposition are
     /// deterministic.
     tenants: RwLock<BTreeMap<String, Arc<TenantState>>>,
     obs: ServeObs,
 }
 
-impl std::fmt::Debug for RegistryInner {
+impl std::fmt::Debug for ModelRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegistryInner")
+        f.debug_struct("ModelRegistry")
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
 
-/// A serving pool: named, hot-swappable, disk-persistable models
-/// behind one shared shard pool. See the [module docs](self).
-///
-/// All methods take `&self`; wrap the registry in an [`Arc`] to share
-/// it across client threads (the HTTP front end does exactly that).
-#[derive(Debug)]
-pub struct ModelRegistry {
-    inner: Arc<RegistryInner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
 impl ModelRegistry {
-    /// Start a registry: spawn `config.shards` detached workers over a
-    /// shared micro-batching queue and return the handle that owns
-    /// them.
+    /// Start a registry: an open admission gate over `config.shards`
+    /// permits. No thread is spawned; requests run on their callers'
+    /// threads.
     ///
     /// # Errors
     ///
@@ -319,32 +311,24 @@ impl ModelRegistry {
             Recorder::noop()
         };
         let obs = ServeObs::new(recorder, config.shards);
-        let inner = Arc::new(RegistryInner {
-            queue: BatchQueue::new()
-                .with_gauges(obs.queue_depth.clone(), obs.queue_depth_hw.clone()),
-            tenants: RwLock::new(BTreeMap::new()),
-            obs,
-            config,
-        });
-        inner.obs.event(
+        let lanes = (0..config.shards)
+            .map(|shard| Lane {
+                shard,
+                scratch: ScratchPool::default(),
+                dists: Vec::new(),
+            })
+            .collect();
+        let gate = Gate::new(lanes, obs.queue_depth.clone(), obs.queue_depth_hw.clone());
+        obs.event(
             TraceKind::KernelDispatched,
             kernel_ordinal(uhd_core::Kernel::active().name()),
             config.shards as u64,
         );
-        let mut workers = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let inner = Arc::clone(&inner);
-            let handle = std::thread::Builder::new()
-                .name(format!("uhd-registry-{shard}"))
-                .spawn(move || worker_loop(&inner, shard))
-                .map_err(|e| ServeError::InvalidConfig {
-                    reason: format!("failed to spawn worker thread: {e}"),
-                })?;
-            workers.push(handle);
-        }
         Ok(ModelRegistry {
-            inner,
-            workers: Mutex::new(workers),
+            config,
+            gate,
+            tenants: RwLock::new(BTreeMap::new()),
+            obs,
         })
     }
 
@@ -371,19 +355,18 @@ impl ModelRegistry {
                 got_dim: model.dim(),
             });
         }
-        if model.classes() > self.inner.config.max_classes {
+        if model.classes() > self.config.max_classes {
             return Err(ServeError::InvalidConfig {
                 reason: format!(
                     "tenant {name:?} model has {} classes but max_classes is {}",
                     model.classes(),
-                    self.inner.config.max_classes
+                    self.config.max_classes
                 ),
             });
         }
-        let learner =
-            OnlineLearner::from_model(&model).with_max_classes(self.inner.config.max_classes);
+        let learner = OnlineLearner::from_model(&model).with_max_classes(self.config.max_classes);
         let labels: [(&str, &str); 1] = [("tenant", name)];
-        let recorder = &self.inner.obs.recorder;
+        let recorder = &self.obs.recorder;
         let state = Arc::new(TenantState {
             name: name.to_string(),
             encoder,
@@ -401,11 +384,7 @@ impl ModelRegistry {
             learn_updates: recorder.counter_with("uhd_tenant_learn_updates_total", &labels),
             generation_gauge: recorder.gauge_with("uhd_tenant_generation", &labels),
         });
-        let mut tenants = self
-            .inner
-            .tenants
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut tenants = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
         if tenants.contains_key(name) {
             return Err(ServeError::DuplicateTenant {
                 name: name.to_string(),
@@ -436,16 +415,15 @@ impl ModelRegistry {
         self.register(name, encoder, model)
     }
 
-    /// Remove a tenant. In-flight requests still answer (they carry
-    /// their own `Arc` to the tenant's state); new submits see
+    /// Remove a tenant. In-flight requests still answer (they hold
+    /// their own `Arc` to the tenant's state); new requests see
     /// [`ServeError::UnknownTenant`].
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] when no such tenant exists.
     pub fn deregister(&self, name: &str) -> Result<(), ServeError> {
-        self.inner
-            .tenants
+        self.tenants
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(name)
@@ -458,8 +436,7 @@ impl ModelRegistry {
     /// Registered tenant names, sorted.
     #[must_use]
     pub fn tenants(&self) -> Vec<String> {
-        self.inner
-            .tenants
+        self.tenants
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .keys()
@@ -468,8 +445,7 @@ impl ModelRegistry {
     }
 
     fn tenant(&self, name: &str) -> Result<Arc<TenantState>, ServeError> {
-        self.inner
-            .tenants
+        self.tenants
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(name)
@@ -479,81 +455,157 @@ impl ModelRegistry {
             })
     }
 
-    /// Enqueue one sample for `tenant`; redeem with [`Ticket::wait`].
+    /// Take a permit for `requests` requests of `tenant`, waiting in
+    /// line while every permit is out. `admitted` counts them once they
+    /// are past the door; a shed is counted here.
+    fn admit(
+        &self,
+        tenant: &TenantState,
+        requests: usize,
+        admitted: impl FnOnce(),
+    ) -> Result<Permit<'_, Lane>, ServeError> {
+        let shed_above = self.config.shed_above;
+        self.gate
+            .acquire(shed_above, admitted)
+            .map_err(|rejected| match rejected {
+                Rejected::Closed => ServeError::Closed,
+                Rejected::Shed { depth } => {
+                    self.obs.stats.record_shed(requests);
+                    tenant.shed.add(requests as u64);
+                    ServeError::Overloaded { depth, shed_above }
+                }
+            })
+    }
+
+    /// Classify one sample for `tenant` on the calling thread.
     ///
     /// # Errors
     ///
     /// * [`ServeError::UnknownTenant`] for an unregistered name.
     /// * [`ServeError::Core`] for a sample failing the tenant
-    ///   encoder's [`Encoder::check_features`].
-    /// * [`ServeError::Overloaded`] when the shared queue already
-    ///   holds `shed_above` pending requests (admission is one lock
-    ///   acquisition: exact, not advisory).
+    ///   encoder's [`Encoder::check_features`], or a classification
+    ///   failure.
+    /// * [`ServeError::Overloaded`] when every permit is out and
+    ///   `shed_above` callers already wait in line (admission is one
+    ///   lock acquisition: exact, not advisory).
     /// * [`ServeError::Closed`] after shutdown.
-    pub fn submit(&self, tenant: &str, input: Vec<u8>) -> Result<Ticket, ServeError> {
+    /// * [`ServeError::WorkerPanicked`] when answering panicked.
+    pub fn classify(&self, tenant: &str, input: &[u8]) -> Result<Response, ServeError> {
         let tenant = self.tenant(tenant)?;
         tenant
             .encoder
-            .check_features(&input)
+            .check_features(input)
             .map_err(ServeError::Core)?;
-        let slot = Arc::new(Slot::default());
-        let request = TenantRequest {
-            tenant: Arc::clone(&tenant),
-            input,
-            slot: Arc::clone(&slot),
-            submitted_at: Instant::now(),
-        };
-        match self
-            .inner
-            .queue
-            .push_admitted(request, self.inner.config.shed_above)
-        {
-            Ok(()) => {
-                self.inner.obs.stats.record_submit();
-                tenant.requests.inc();
-                Ok(Ticket { slot })
-            }
-            Err(Rejected::Closed) => Err(ServeError::Closed),
-            Err(Rejected::Shed { depth }) => {
-                self.inner.obs.stats.record_shed();
-                tenant.shed.inc();
-                Err(ServeError::Overloaded {
-                    depth,
-                    shed_above: self.inner.config.shed_above,
-                })
-            }
-        }
+        let mut out = [Err(ServeError::Closed)];
+        self.serve_batch(&tenant, &[input], &mut out);
+        let [response] = out;
+        response
     }
 
-    /// Submit one sample for `tenant` and block for its answer.
+    /// Classify every sample for `tenant`: chunks of at most
+    /// `max_batch` samples are answered as micro-batches, fanned out
+    /// over at most `shards` threads (the caller's among them).
+    /// Responses are returned in input order.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ModelRegistry::submit`] plus any
-    /// per-request classification error.
-    pub fn classify(&self, tenant: &str, input: &[u8]) -> Result<Response, ServeError> {
-        self.submit(tenant, input.to_vec())?.wait()
-    }
-
-    /// Submit every sample for `tenant` before waiting on any of them,
-    /// so the worker shards can drain them as micro-batches. Responses
-    /// are returned in input order.
-    ///
-    /// # Errors
-    ///
-    /// The first error of [`ModelRegistry::submit`] (samples submitted
-    /// before it are still answered, but their responses are dropped)
-    /// or of a per-request classification.
+    /// The first error of [`ModelRegistry::classify`] in input order.
+    /// Every sample is validated before any is admitted; a shed or
+    /// failed chunk does not stop the others being answered.
     pub fn classify_many(
         &self,
         tenant: &str,
         inputs: &[Vec<u8>],
     ) -> Result<Vec<Response>, ServeError> {
-        let tickets = inputs
-            .iter()
-            .map(|input| self.submit(tenant, input.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        tickets.into_iter().map(Ticket::wait).collect()
+        let tenant = self.tenant(tenant)?;
+        for input in inputs {
+            tenant
+                .encoder
+                .check_features(input)
+                .map_err(ServeError::Core)?;
+        }
+        let max_batch = self.config.max_batch;
+        let mut out = vec![Err(ServeError::Closed); inputs.len()];
+        let chunks = Mutex::new(inputs.chunks(max_batch).zip(out.chunks_mut(max_batch)));
+        let work = || loop {
+            let Some((inputs, out)) = chunks.lock().unwrap_or_else(PoisonError::into_inner).next()
+            else {
+                break;
+            };
+            self.serve_batch(&tenant, inputs, out);
+        };
+        let threads = self.config.shards.min(inputs.len().div_ceil(max_batch));
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
+        });
+        out.into_iter().collect()
+    }
+
+    /// Answer `inputs` (already validated) as one micro-batch under one
+    /// permit and one model snapshot, writing each outcome to `out`.
+    /// Each request's life is attributed to queue-wait / batch-compute
+    /// / total. A panic inside one request (a buggy tenant encoder)
+    /// errors that request with [`ServeError::WorkerPanicked`] and the
+    /// registry keeps serving — one tenant's poison input must not take
+    /// down the shared permits. (Only where panics unwind: the release
+    /// profile aborts on panic.)
+    fn serve_batch<I: AsRef<[u8]>>(
+        &self,
+        tenant: &TenantState,
+        inputs: &[I],
+        out: &mut [Result<Response, ServeError>],
+    ) {
+        let n = inputs.len();
+        let arrived_at = Instant::now();
+        let admitted = || {
+            self.obs.stats.record_submit(n);
+            tenant.requests.add(n as u64);
+        };
+        let mut lane = match self.admit(tenant, n, admitted) {
+            Ok(lane) => lane,
+            Err(e) => return out.fill(Err(e)),
+        };
+        let lane = &mut *lane;
+        self.obs.stats.record_batch(n);
+        self.obs
+            .event(TraceKind::BatchFormed, lane.shard as u64, n as u64);
+        let started_at = Instant::now();
+        let waited = started_at.saturating_duration_since(arrived_at);
+        // One model snapshot per micro-batch: a publish or hot swap is
+        // visible to the very next batch.
+        let (generation, model) = tenant.model();
+        for (input, slot) in inputs.iter().zip(out) {
+            self.obs.record_queue_wait(lane.shard, waited);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                answer(
+                    tenant.encoder.as_ref(),
+                    &model,
+                    generation,
+                    input.as_ref(),
+                    self.config.mode,
+                    lane.scratch.get(tenant.encoder.dim()),
+                    &mut lane.dists,
+                )
+            }))
+            .unwrap_or_else(|_| {
+                // The panic may have left the scratch planes mid-write.
+                lane.scratch = ScratchPool::default();
+                self.obs.stats.record_worker_panic();
+                Err(ServeError::WorkerPanicked)
+            });
+            // Record before returning: a caller must find its own
+            // latency already in the histogram (count reconciles with
+            // the completion counter).
+            self.obs.record_total(arrived_at.elapsed());
+            if outcome.is_ok() {
+                tenant.completed.inc();
+            }
+            *slot = outcome;
+        }
+        self.obs.record_compute(lane.shard, started_at.elapsed());
     }
 
     /// Apply one labelled sample to `tenant`'s online learner
@@ -570,6 +622,9 @@ impl ModelRegistry {
     ///   learner rejects.
     /// * [`ServeError::InvalidLabel`] for a label at or beyond
     ///   `max_classes`.
+    /// * [`ServeError::Overloaded`] / [`ServeError::Closed`] under the
+    ///   same admission policy as [`ModelRegistry::classify`]: learn
+    ///   encodes under a permit too.
     pub fn learn(&self, tenant: &str, input: &[u8], label: usize) -> Result<u64, ServeError> {
         self.apply_sample(tenant, input, label, None)
     }
@@ -612,7 +667,7 @@ impl ModelRegistry {
             .encoder
             .check_features(input)
             .map_err(ServeError::Core)?;
-        let limit = self.inner.config.max_classes;
+        let limit = self.config.max_classes;
         for index in std::iter::once(label).chain(predicted) {
             if index >= limit {
                 return Err(ServeError::InvalidLabel {
@@ -621,20 +676,25 @@ impl ModelRegistry {
                 });
             }
         }
-        let stats = &self.inner.obs.stats;
-        stats.record_learn_submit();
-        // Encode outside the learner lock, in the *integer* encoding
-        // domain (per-sample bipolar accumulator sums): bundling is
-        // linear there, so streaming observations reproduce single-pass
-        // batch training exactly — the convergent path — where
-        // bundling binarized ±1 encodings would collapse on the dark,
-        // sparse datasets of DESIGN.md §4.
-        let mut scratch = BitSliceAccumulator::new(tenant.encoder.dim());
-        tenant
-            .encoder
-            .accumulate(input, &mut scratch)
-            .map_err(ServeError::Core)?;
-        let sums = scratch.bipolar_sums();
+        let stats = &self.obs.stats;
+        // Encode under a permit (its scratch accumulator, no allocation)
+        // but outside the learner lock, which is taken only after the
+        // permit is back (lock order: permit → learner → model). The
+        // encoding stays in the *integer* domain (per-sample bipolar
+        // accumulator sums): bundling is linear there, so streaming
+        // observations reproduce single-pass batch training exactly —
+        // the convergent path — where bundling binarized ±1 encodings
+        // would collapse on the dark, sparse datasets of DESIGN.md §4.
+        let sums = {
+            let mut lane = self.admit(&tenant, 1, || stats.record_learn_submit())?;
+            let scratch = lane.scratch.get(tenant.encoder.dim());
+            scratch.clear();
+            tenant
+                .encoder
+                .accumulate(input, scratch)
+                .map_err(ServeError::Core)?;
+            scratch.bipolar_sums()
+        };
         let mut guard = tenant
             .learner
             .lock()
@@ -648,7 +708,7 @@ impl ModelRegistry {
                 stats.record_learn_update();
                 tenant.learn_updates.inc();
                 guard.unpublished += 1;
-                if guard.unpublished >= self.inner.config.snapshot_every {
+                if guard.unpublished >= self.config.snapshot_every {
                     let model = guard.learner.snapshot().map_err(ServeError::Core)?;
                     return Ok(self.publish_snapshot(&tenant, &mut guard, model));
                 }
@@ -656,7 +716,7 @@ impl ModelRegistry {
             Ok(false) => {}
             Err(e) => {
                 stats.record_learn_rejected();
-                self.inner.obs.event(
+                self.obs.event(
                     TraceKind::SampleRejected,
                     label as u64,
                     predicted.map_or(u64::MAX, |p| p as u64),
@@ -679,8 +739,8 @@ impl ModelRegistry {
         model: HdcModel,
     ) -> u64 {
         let generation = tenant.publish(model);
-        self.inner.obs.stats.record_snapshot();
-        self.inner.obs.event(
+        self.obs.stats.record_snapshot();
+        self.obs.event(
             TraceKind::SnapshotPublished,
             generation,
             learner.unpublished as u64,
@@ -728,12 +788,12 @@ impl ModelRegistry {
                 got_dim: model.dim(),
             });
         }
-        if model.classes() > self.inner.config.max_classes {
+        if model.classes() > self.config.max_classes {
             return Err(ServeError::InvalidConfig {
                 reason: format!(
                     "swapped-in model has {} classes but max_classes is {}",
                     model.classes(),
-                    self.inner.config.max_classes
+                    self.config.max_classes
                 ),
             });
         }
@@ -745,15 +805,12 @@ impl ModelRegistry {
             .learner
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        guard.learner =
-            OnlineLearner::from_model(&model).with_max_classes(self.inner.config.max_classes);
+        guard.learner = OnlineLearner::from_model(&model).with_max_classes(self.config.max_classes);
         guard.unpublished = 0;
         let generation = tenant.publish(model);
         drop(guard);
-        self.inner.obs.stats.record_swap();
-        self.inner
-            .obs
-            .event(TraceKind::ModelSwapped, generation, classes);
+        self.obs.stats.record_swap();
+        self.obs.event(TraceKind::ModelSwapped, generation, classes);
         Ok(generation)
     }
 
@@ -785,18 +842,18 @@ impl ModelRegistry {
         })
     }
 
-    /// Requests currently queued (not yet claimed by a worker).
+    /// Callers currently waiting in line for a permit.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.depth()
+        self.gate.depth()
     }
 
     /// Point-in-time registry counters (summed over all tenants) plus
-    /// histogram-derived latency quantiles and the request-queue
-    /// high-water mark.
+    /// histogram-derived latency quantiles and the high-water mark of
+    /// the line for permits.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.obs.snapshot()
+        self.obs.snapshot()
     }
 
     /// Render the registry's full metric set in the Prometheus text
@@ -804,11 +861,11 @@ impl ModelRegistry {
     /// per-tenant labelled series (`uhd_tenant_*{tenant="…"}`), staged
     /// per-shard latency summaries (queue-wait, batch-compute) plus the
     /// registry-wide total, and the process-global kernel identity/op
-    /// counters. Usable **after shutdown** too — the registry outlives
-    /// its worker pool. Empty when telemetry is disabled.
+    /// counters. Usable **after shutdown** too. Empty when telemetry is
+    /// disabled.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        render_prometheus(&self.inner.obs.recorder)
+        render_prometheus(&self.obs.recorder)
     }
 
     /// Render the registry metrics as JSON (see
@@ -816,7 +873,7 @@ impl ModelRegistry {
     /// telemetry is disabled.
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        self.inner.obs.recorder.render_json()
+        self.obs.recorder.render_json()
     }
 
     /// The trace events currently resident in the registry's ring
@@ -824,20 +881,16 @@ impl ModelRegistry {
     /// `UHD_LOG` or [`ServeConfig::with_trace_level`]).
     #[must_use]
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner.obs.recorder.events()
+        self.obs.recorder.events()
     }
 
-    /// Stop accepting requests, drain everything already admitted, and
-    /// join the worker pool. Idempotent; also run by `Drop`. The
-    /// registry remains usable for metric scrapes afterwards.
+    /// Stop accepting requests (later arrivals get
+    /// [`ServeError::Closed`]) and return once every caller already in
+    /// line has been answered and every permit is back. Idempotent;
+    /// also run by `Drop`. The registry remains usable for metric
+    /// scrapes afterwards.
     pub fn shutdown(&self) {
-        self.inner.queue.close();
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        for handle in workers.drain(..) {
-            // A worker that somehow died panicking already errored its
-            // claimed requests; nothing to propagate here.
-            let _ = handle.join();
-        }
+        self.gate.close();
     }
 }
 
@@ -875,9 +928,9 @@ fn kernel_ordinal(name: &str) -> u64 {
     }
 }
 
-/// Per-worker scratch accumulators, keyed by hypervector dimension —
-/// tenants may differ in `dim`, and a batch may mix them.
-#[derive(Default)]
+/// Per-permit scratch accumulators, keyed by hypervector dimension —
+/// tenants may differ in `dim`.
+#[derive(Debug, Default)]
 struct ScratchPool {
     pool: Vec<(u32, BitSliceAccumulator)>,
 }
@@ -889,79 +942,6 @@ impl ScratchPool {
         }
         self.pool.push((dim, BitSliceAccumulator::new(dim)));
         &mut self.pool.last_mut().expect("just pushed").1
-    }
-}
-
-/// One detached worker: claim a micro-batch (possibly mixing tenants),
-/// answer each request against its own tenant's current model
-/// generation — attributing each request's life to queue-wait /
-/// batch-compute / total along the way. A panic inside one request (a
-/// buggy tenant encoder) errors that request with
-/// [`ServeError::WorkerPanicked`] and the worker keeps serving — one
-/// tenant's poison input must not take down the shared pool. (Only
-/// where panics unwind: the release profile aborts on panic.)
-fn worker_loop(inner: &RegistryInner, shard: usize) {
-    let mut batch: Vec<TenantRequest> = Vec::with_capacity(inner.config.max_batch);
-    let mut scratch = ScratchPool::default();
-    let mut dists: Vec<u32> = Vec::new();
-    while inner.queue.pop_batch(inner.config.max_batch, &mut batch) {
-        inner.obs.stats.record_batch(batch.len());
-        inner
-            .obs
-            .event(TraceKind::BatchFormed, shard as u64, batch.len() as u64);
-        // One clock read covers the whole batch's queue-wait stamps.
-        let dequeued_at = Instant::now();
-        // Consecutive requests for the same tenant (the common case
-        // under single-tenant bursts) reuse one model snapshot — but
-        // only within this micro-batch. The cache dies at the batch
-        // boundary so a publish/hot-swap is visible to the very next
-        // batch even under continuous same-tenant traffic.
-        let mut snapshot: Option<(Arc<TenantState>, u64, Arc<HdcModel>)> = None;
-        for request in batch.drain(..) {
-            inner.obs.record_queue_wait(
-                shard,
-                dequeued_at.saturating_duration_since(request.submitted_at),
-            );
-            let cached =
-                matches!(&snapshot, Some((tenant, _, _)) if Arc::ptr_eq(tenant, &request.tenant));
-            if !cached {
-                let (generation, model) = request.tenant.model();
-                snapshot = Some((Arc::clone(&request.tenant), generation, model));
-            }
-            let (_, generation, model) = snapshot.as_ref().expect("just set");
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                answer(
-                    request.tenant.encoder.as_ref(),
-                    model,
-                    *generation,
-                    &request.input,
-                    inner.config.mode,
-                    scratch.get(request.tenant.encoder.dim()),
-                    &mut dists,
-                )
-            }));
-            let outcome = match outcome {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    // The panic may have left the scratch planes (or
-                    // the snapshot cache) mid-write; rebuild both.
-                    scratch = ScratchPool::default();
-                    snapshot = None;
-                    inner.obs.stats.record_worker_panic();
-                    Err(ServeError::WorkerPanicked)
-                }
-            };
-            let ok = outcome.is_ok();
-            // Record before completing: a client returning from its
-            // wait must find its own latency already in the histogram
-            // (count reconciles with the completion counter).
-            inner.obs.record_total(request.submitted_at.elapsed());
-            request.slot.complete(outcome);
-            if ok {
-                request.tenant.completed.inc();
-            }
-        }
-        inner.obs.record_compute(shard, dequeued_at.elapsed());
     }
 }
 
@@ -1002,6 +982,7 @@ mod tests {
     use uhd_core::encoder::uhd::{UhdConfig, UhdEncoder};
     use uhd_core::model::LabelledSamples;
     use uhd_core::HdcError;
+    use uhd_testutil::{GateEncoder, Latch};
 
     const PIXELS: usize = 8;
 
@@ -1122,13 +1103,33 @@ mod tests {
 
     #[test]
     fn submit_rejects_wrong_image_sizes_eagerly() {
-        let (encoder, model, _, _) = fixture(256);
+        let (encoder, model, images, _) = fixture(256);
         let registry = one_tenant(ServeConfig::new(1, 4), encoder, model);
         assert!(matches!(
-            registry.submit("t", vec![0u8; PIXELS + 1]),
+            registry.classify("t", &[0u8; PIXELS + 1]),
+            Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
+        ));
+        // One bad sample fails a whole batch before any is admitted.
+        let mut batch = images.clone();
+        batch.push(vec![0u8; PIXELS + 1]);
+        assert!(matches!(
+            registry.classify_many("t", &batch),
             Err(ServeError::Core(HdcError::ImageSizeMismatch { .. }))
         ));
         assert_eq!(registry.stats().submitted, 0);
+    }
+
+    #[test]
+    fn classify_many_answers_chunks_as_micro_batches() {
+        let (encoder, model, images, _) = fixture(256);
+        let registry = one_tenant(ServeConfig::new(2, 8), encoder, model);
+        assert_eq!(registry.classify_many("t", &images).unwrap().len(), 20);
+        let stats = registry.stats();
+        // 20 samples in chunks of at most 8: 8 + 8 + 4.
+        assert_eq!((stats.batches, stats.largest_batch), (3, 8));
+        assert_eq!((stats.submitted, stats.completed), (20, 20));
+        assert!(registry.classify_many("t", &[]).unwrap().is_empty());
+        assert_eq!(registry.stats().batches, 3);
     }
 
     #[test]
@@ -1313,8 +1314,8 @@ mod tests {
             })
             .collect();
         let poisoned = PanickingEncoder(UhdEncoder::new(encoder.config().clone()).unwrap());
-        // One shard: the worker that catches the panic is the one that
-        // must go on answering the healthy tenant.
+        // One permit: the follow-up request can only be answered if the
+        // permit came back from the panicking one.
         let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
         registry
             .register("poison", Arc::new(poisoned), model.clone())
@@ -1322,11 +1323,11 @@ mod tests {
         registry
             .register("healthy", Arc::new(encoder), model)
             .unwrap();
-        // Submitted together, so the two may share a micro-batch.
-        let poison = registry.submit("poison", vec![255u8; PIXELS]).unwrap();
-        let follow = registry.submit("healthy", images[0].clone()).unwrap();
-        assert!(matches!(poison.wait(), Err(ServeError::WorkerPanicked)));
-        let follow = follow.wait().unwrap();
+        assert!(matches!(
+            registry.classify("poison", &[255u8; PIXELS]),
+            Err(ServeError::WorkerPanicked)
+        ));
+        let follow = registry.classify("healthy", &images[0]).unwrap();
         assert_eq!(
             (follow.class, follow.score.to_bits()),
             (serial[0].0, serial[0].1.to_bits())
@@ -1382,7 +1383,7 @@ mod tests {
         registry.register("alpha", enc_a, model_a.clone()).unwrap();
         registry.register("beta", enc_b, model_b).unwrap();
         assert_eq!(registry.tenants(), vec!["alpha", "beta"]);
-        // Interleave submits across tenants of *different* dimensions;
+        // Interleave requests across tenants of *different* dimensions;
         // answers must match each tenant's serial path.
         for (image, &label) in images.iter().zip(&labels) {
             let a = registry.classify("alpha", image).unwrap();
@@ -1481,47 +1482,83 @@ mod tests {
 
     #[test]
     fn hot_swap_is_visible_to_a_worker_with_a_warm_snapshot_cache() {
-        // One shard: the same worker answers every request, so by the
-        // time of the swap its per-batch model cache has been warmed by
-        // earlier same-tenant traffic. A publish must still reach it —
-        // the cache may only live within a single micro-batch.
+        // One permit: every request runs on the same lane, after a run
+        // of same-tenant traffic. A publish must still reach the very
+        // next request — a model snapshot may only live within a single
+        // request or micro-batch.
         let (encoder, model, images, labels) = fixture(256);
         let swapped = swapped_model(encoder.as_ref(), &images, &labels);
         let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
         registry.register("t", Arc::clone(&encoder), model).unwrap();
-        // Warm the worker's cache with continuous same-tenant traffic.
+        // Continuous same-tenant traffic on the one lane.
         for image in &images {
             assert_eq!(registry.classify("t", image).unwrap().generation, 0);
         }
         assert_eq!(registry.update_model("t", swapped).unwrap(), 1);
-        // Still the same tenant, same worker: a stale cache would keep
+        // Still the same tenant, same lane: a stale snapshot would keep
         // serving generation 0 with the old labelling.
         for (image, &label) in images.iter().zip(&labels) {
             let response = registry.classify("t", image).unwrap();
-            assert_eq!(response.generation, 1, "worker served a stale generation");
+            assert_eq!(response.generation, 1, "served a stale generation");
             assert_eq!(response.class, 1 - label);
+        }
+    }
+
+    /// A one-tenant registry whose encoder parks until the latch opens.
+    fn gated(config: ServeConfig) -> (ModelRegistry, Arc<Latch>, Vec<Vec<u8>>, Vec<usize>) {
+        let (encoder, model, images, labels) = uhd_fixture(256);
+        let (gated, latch) = GateEncoder::new(encoder);
+        (
+            one_tenant(config, Arc::new(gated), model),
+            latch,
+            images,
+            labels,
+        )
+    }
+
+    /// Spin until `n` callers wait in line for a permit.
+    fn until_waiting(registry: &ModelRegistry, n: usize) {
+        while registry.queue_depth() != n {
+            std::thread::yield_now();
         }
     }
 
     #[test]
     fn shutdown_drains_then_rejects_and_metrics_survive() {
-        let (encoder, model, images, _) = fixture(256);
-        let registry = ModelRegistry::start(ServeConfig::new(1, 2)).unwrap();
-        registry.register("t", encoder, model).unwrap();
-        let tickets: Vec<Ticket> = images
-            .iter()
-            .map(|img| registry.submit("t", img.clone()).unwrap())
-            .collect();
-        registry.shutdown();
-        for ticket in tickets {
-            assert!(ticket.wait().is_ok(), "admitted requests drain at shutdown");
-        }
+        // One permit, parked in the gated encoder, and a full line.
+        let line = 3;
+        let (registry, latch, images, _) = gated(ServeConfig::new(1, 2).with_shed_above(line));
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = images[..=line]
+                .iter()
+                .map(|img| scope.spawn(|| registry.classify("t", img)))
+                .collect();
+            until_waiting(&registry, line);
+            let shutdown = scope.spawn(|| registry.shutdown());
+            // Shed while the line is full, then closed once shutdown
+            // has shut the door.
+            loop {
+                match registry.classify("t", &images[0]) {
+                    Err(ServeError::Closed) => break,
+                    Err(ServeError::Overloaded { .. }) => std::thread::yield_now(),
+                    other => panic!("expected Overloaded or Closed, got {other:?}"),
+                }
+            }
+            latch.open();
+            shutdown.join().unwrap();
+            for caller in callers {
+                assert!(
+                    caller.join().unwrap().is_ok(),
+                    "admitted requests drain at shutdown"
+                );
+            }
+        });
         assert!(matches!(
-            registry.submit("t", images[0].clone()),
+            registry.classify("t", &images[0]),
             Err(ServeError::Closed)
         ));
-        // The registry outlives its pool: the scrape still renders,
-        // and the terminal queue-depth publish left the gauge at 0.
+        // The registry outlives shutdown: the scrape still renders,
+        // and the line's depth gauge is back at 0.
         let metrics = registry.render_metrics();
         assert!(metrics.contains("uhd_queue_depth 0\n"));
         assert!(metrics.contains("uhd_tenant_completed_total{tenant=\"t\"}"));
@@ -1529,94 +1566,69 @@ mod tests {
 
     #[test]
     fn pending_requests_are_drained_at_shutdown() {
-        let (encoder, model, images, labels) = fixture(256);
-        let registry = one_tenant(ServeConfig::new(1, 2), encoder, model);
-        let tickets: Vec<Ticket> = images
+        let (registry, latch, images, labels) = gated(ServeConfig::new(1, 2));
+        let registry = Arc::new(registry);
+        let callers: Vec<_> = images
             .iter()
-            .map(|img| registry.submit("t", img.clone()).unwrap())
+            .map(|img| {
+                let (registry, img) = (Arc::clone(&registry), img.clone());
+                std::thread::spawn(move || registry.classify("t", &img))
+            })
             .collect();
-        // Dropping the handle is the other way to shut down: it must
-        // drain the queue exactly like an explicit `shutdown()`.
+        until_waiting(&registry, images.len() - 1);
+        // Dropping the owner's handle is the other way to shut down:
+        // callers still in line keep the registry alive, are answered,
+        // and the last handle out closes the gate.
         drop(registry);
-        for (ticket, &label) in tickets.into_iter().zip(&labels) {
-            assert_eq!(ticket.wait().unwrap().class, label);
-        }
-    }
-
-    /// Delegates to a real encoder but parks `accumulate` until
-    /// released, so the test can freeze the pool and fill the queue.
-    struct GateEncoder {
-        inner: UhdEncoder,
-        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
-    }
-
-    impl Encoder for GateEncoder {
-        fn dim(&self) -> u32 {
-            self.inner.dim()
-        }
-        fn features(&self) -> usize {
-            self.inner.features()
-        }
-        fn accumulate(&self, image: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
-            let (open, released) = &*self.gate;
-            let mut open = open.lock().unwrap();
-            while !*open {
-                open = released.wait(open).unwrap();
-            }
-            drop(open);
-            self.inner.accumulate(image, acc)
-        }
-        fn profile(&self) -> uhd_core::EncoderProfile {
-            self.inner.profile()
+        latch.open();
+        for (caller, &label) in callers.into_iter().zip(&labels) {
+            assert_eq!(caller.join().unwrap().unwrap().class, label);
         }
     }
 
     #[test]
     fn admission_control_sheds_past_the_threshold() {
-        let (encoder, model, images, _) = uhd_fixture(256);
-        let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
-        let gated = GateEncoder {
-            inner: encoder,
-            gate: Arc::clone(&gate),
-        };
-        let registry = one_tenant(
-            ServeConfig::new(1, 1).with_shed_above(2),
-            Arc::new(gated),
-            model,
-        );
-        // The lone worker claims the first request and parks in the
-        // gated encoder, leaving the queue empty.
-        let parked = registry.submit("t", images[0].clone()).unwrap();
-        while registry.queue_depth() != 0 {
-            std::thread::yield_now();
-        }
-        // Fill the queue to the threshold…
-        let queued = [
-            registry.submit("t", images[0].clone()).unwrap(),
-            registry.submit("t", images[1].clone()).unwrap(),
-        ];
-        // …past it, the single-lock depth check says no.
-        match registry.submit("t", images[2].clone()) {
-            Err(ServeError::Overloaded { depth, shed_above }) => {
-                assert_eq!(depth, 2);
-                assert_eq!(shed_above, 2);
+        let (registry, latch, images, _) = gated(ServeConfig::new(1, 1).with_shed_above(2));
+        std::thread::scope(|scope| {
+            // The lone permit parks in the gated encoder; two more
+            // callers fill the line to the threshold…
+            let admitted: Vec<_> = images[..3]
+                .iter()
+                .map(|img| scope.spawn(|| registry.classify("t", img)))
+                .collect();
+            until_waiting(&registry, 2);
+            // …past it, the single-lock depth check says no.
+            match registry.classify("t", &images[2]) {
+                Err(ServeError::Overloaded { depth, shed_above }) => {
+                    assert_eq!(depth, 2);
+                    assert_eq!(shed_above, 2);
+                }
+                other => panic!("expected Overloaded, got {other:?}"),
             }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        // A batch classify is shed at its first submit, same threshold.
-        assert!(matches!(
-            registry.classify_many("t", &images[..1]),
-            Err(ServeError::Overloaded { .. })
-        ));
-        assert_eq!(registry.stats().requests_shed, 2);
-        assert_eq!(registry.stats().submitted, 3);
-        // Open the gate: everything admitted still completes.
-        *gate.0.lock().unwrap() = true;
-        gate.1.notify_all();
-        assert!(parked.wait().is_ok());
-        for ticket in queued {
-            assert!(ticket.wait().is_ok());
-        }
+            // A batch classify is shed at its first chunk, same
+            // threshold.
+            assert!(matches!(
+                registry.classify_many("t", &images[..1]),
+                Err(ServeError::Overloaded { .. })
+            ));
+            assert_eq!(registry.stats().requests_shed, 2);
+            assert_eq!(registry.stats().submitted, 3);
+            // So is a learn: it encodes under a permit too.
+            assert!(matches!(
+                registry.learn("t", &images[0], 0),
+                Err(ServeError::Overloaded { .. })
+            ));
+            assert_eq!(registry.stats().requests_shed, 3);
+            assert!(registry
+                .render_metrics()
+                .contains("uhd_tenant_shed_total{tenant=\"t\"} 3\n"));
+            assert_eq!(registry.stats().learn_submitted, 0);
+            // Open the gate: everything admitted still completes.
+            latch.open();
+            for caller in admitted {
+                assert!(caller.join().unwrap().is_ok());
+            }
+        });
     }
 
     #[test]

@@ -43,12 +43,12 @@ impl EngineStats {
         }
     }
 
-    pub(crate) fn record_submit(&self) {
-        self.submitted.inc();
+    pub(crate) fn record_submit(&self, requests: usize) {
+        self.submitted.add(requests as u64);
     }
 
-    pub(crate) fn record_shed(&self) {
-        self.shed.inc();
+    pub(crate) fn record_shed(&self, requests: usize) {
+        self.shed.add(requests as u64);
     }
 
     pub(crate) fn record_batch(&self, size: usize) {
@@ -122,16 +122,20 @@ pub struct StatsSnapshot {
     /// telemetry and `BENCH_*.json` trajectories are attributable to
     /// the instruction set actually used.
     pub kernel: &'static str,
-    /// Requests accepted by [`crate::ModelRegistry::submit`].
+    /// Classify requests admitted by [`crate::ModelRegistry::classify`]
+    /// / [`crate::ModelRegistry::classify_many`] (holding a permit or
+    /// waiting in line for one).
     pub submitted: u64,
-    /// Requests rejected by load-shedding admission control (queue
-    /// depth at or above the configured `shed_above` threshold); each
-    /// returned [`crate::ServeError::Overloaded`] to its caller.
+    /// Classify and learn requests rejected by load-shedding admission
+    /// control (the line for permits at or above the configured
+    /// `shed_above` threshold); each returned
+    /// [`crate::ServeError::Overloaded`] to its caller.
     pub requests_shed: u64,
-    /// Requests claimed by a worker shard (counted per micro-batch,
-    /// when the batch forms).
+    /// Classify requests that took a permit (counted per micro-batch,
+    /// when the batch starts).
     pub completed: u64,
-    /// Micro-batches executed across all shards.
+    /// Micro-batches executed across all permits (a single classify is
+    /// a batch of one).
     pub batches: u64,
     /// Largest micro-batch observed.
     pub largest_batch: u64,
@@ -154,9 +158,9 @@ pub struct StatsSnapshot {
     /// [`crate::ModelRegistry::publish`] (not counted in
     /// `model_swaps`).
     pub snapshots_published: u64,
-    /// High-water mark of the request queue depth.
+    /// High-water mark of the line for permits.
     pub queue_depth_hw: u64,
-    /// Median end-to-end request latency (submit → response) in
+    /// Median end-to-end request latency (arrival → response) in
     /// microseconds, from the registry's lock-free histogram. 0 until a
     /// request completes; bounded relative error
     /// [`uhd_obs::RELATIVE_ERROR`].
@@ -186,9 +190,9 @@ mod tests {
     fn counters_accumulate() {
         let recorder = Recorder::new(TraceLevel::Off);
         let stats = EngineStats::new(&recorder);
-        stats.record_submit();
-        stats.record_submit();
-        stats.record_shed();
+        stats.record_submit(1);
+        stats.record_submit(1);
+        stats.record_shed(1);
         stats.record_batch(2);
         stats.record_swap();
         stats.record_learn_submit();
@@ -221,7 +225,7 @@ mod tests {
     fn counters_surface_in_the_recorder_exposition() {
         let recorder = Recorder::new(TraceLevel::Off);
         let stats = EngineStats::new(&recorder);
-        stats.record_submit();
+        stats.record_submit(1);
         stats.record_batch(1);
         stats.record_worker_panic();
         let text = recorder.render_text();

@@ -10,12 +10,15 @@
 //! * [`rng`] — canonical seeded RNG constructors and mask/image
 //!   generators;
 //! * [`data`] — synthetic-dataset builders sized for tests;
-//! * [`approx`] — absolute/relative tolerance comparison helpers.
+//! * [`approx`] — absolute/relative tolerance comparison helpers;
+//! * [`gate`] — an encoder that parks until released, for serving
+//!   tests that need a permit held.
 
 #![warn(missing_docs)]
 
 pub mod approx;
 pub mod data;
+pub mod gate;
 pub mod rng;
 
 pub use approx::{assert_close, close, rel_close};
@@ -23,4 +26,5 @@ pub use data::{
     tiny_labelled, tiny_labelled_features, tiny_language_id, tiny_mnist, tiny_sensor_rows,
     TINY_SEED,
 };
+pub use gate::{GateEncoder, Latch};
 pub use rng::{fixture_rng, random_image, random_masks};

@@ -142,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         txt_train.classes(),
     )?;
 
-    // One pool, many models: both tenants share the worker shards.
+    // One pool, many models: both tenants share the registry's permits.
     // Integer similarity is the mode the paper's accuracy tables use.
     let registry = Arc::new(ModelRegistry::start(
         ServeConfig::new(2, 16).with_mode(InferenceMode::IntegerBoth),

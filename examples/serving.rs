@@ -10,7 +10,7 @@
 //!
 //! Demonstrates the dynamic-HDC serving loop: start a registry over a
 //! model trained on the first slice of the stream, keep answering
-//! queries through the micro-batching worker pool, then `update_model`
+//! queries in micro-batches through its admission gate, then `update_model`
 //! a generation trained on the full stream into the live registry —
 //! single-pass HDC training makes such refreshes cheap enough to do
 //! continuously.
@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.model_swaps,
     );
     println!(
-        "latency:  p50 {} us, p99 {} us submit->completion | queue high-water {}",
+        "latency:  p50 {} us, p99 {} us arrival->answer | queue high-water {}",
         stats.p50_us, stats.p99_us, stats.queue_depth_hw
     );
     println!(
@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The per-shard staged-latency summaries from the Prometheus text
     // exposition (the full document also carries every counter, the
-    // queue gauges, and — under `--features telemetry` — kernel op
+    // line gauges, and — under `--features telemetry` — kernel op
     // counts).
     println!("telemetry excerpt (render_metrics):");
     for line in metrics_text.lines().filter(|line| {

@@ -14,8 +14,9 @@
 //!   cost model.
 //! * [`datasets`] — IDX loading and procedural synthetic datasets
 //!   (images, language-ID text, sensor rows).
-//! * [`serve`] — the multi-tenant model registry: micro-batching,
-//!   sharded workers, a bit-sliced associative memory, hot model swap,
+//! * [`serve`] — the multi-tenant model registry: a shared admission
+//!   gate answering on callers' threads, micro-batching, a bit-sliced
+//!   associative memory, hot model swap,
 //!   online learning and an HTTP front end.
 //! * [`obs`] — lock-free latency histograms, trace-event ring, and the
 //!   Prometheus-text/JSON metrics exposition behind the registry's

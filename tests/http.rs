@@ -12,6 +12,7 @@ use uhd::serve::http::{HttpServer, HttpServerConfig};
 use uhd::serve::registry::ModelRegistry;
 use uhd::serve::ServeConfig;
 use uhd_testutil::data::{tiny_labelled, tiny_mnist};
+use uhd_testutil::GateEncoder;
 
 fn serving_fixture() -> (Arc<ModelRegistry>, HttpServer, Vec<Vec<u8>>, Vec<usize>) {
     let (train, test) = tiny_mnist(200, 30);
@@ -129,6 +130,46 @@ fn the_error_status_table_holds_on_the_wire() {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     assert_eq!(parse_response(&raw).0, 413);
+}
+
+/// Learn sits behind the same admission gate as classify: with the
+/// lone permit parked in an encode and the line full, `POST /learn` is
+/// shed with 503 + `Retry-After` and counted as a shed request.
+#[test]
+fn learn_is_shed_past_the_admission_threshold() {
+    let (train, test) = tiny_mnist(120, 10);
+    let encoder = UhdEncoder::new(UhdConfig::new(256, train.pixels())).unwrap();
+    let model = HdcModel::train(&encoder, tiny_labelled(&train), train.classes()).unwrap();
+    let (gated, latch) = GateEncoder::new(encoder);
+    let registry =
+        Arc::new(ModelRegistry::start(ServeConfig::new(1, 1).with_shed_above(1)).unwrap());
+    registry.register("t", Arc::new(gated), model).unwrap();
+    let server = HttpServer::start(Arc::clone(&registry), HttpServerConfig::default()).unwrap();
+    let images = test.images();
+    std::thread::scope(|scope| {
+        // One classify parks on the permit, one more waits in line.
+        let callers: Vec<_> = images[..2]
+            .iter()
+            .map(|img| scope.spawn(|| registry.classify("t", img)))
+            .collect();
+        while registry.queue_depth() != 1 {
+            std::thread::yield_now();
+        }
+        let (status, head, body) = request(&server, "POST", "/v1/t/learn?label=0", &images[2]);
+        assert_eq!(status, 503, "body: {body}");
+        assert!(head.contains("Retry-After: 1"), "head: {head}");
+        latch.open();
+        for caller in callers {
+            assert!(caller.join().unwrap().is_ok());
+        }
+    });
+    let metrics = registry.render_metrics();
+    assert!(metrics.contains("uhd_requests_shed_total 1\n"));
+    assert!(metrics.contains("uhd_tenant_shed_total{tenant=\"t\"} 1\n"));
+    assert!(metrics.contains("uhd_learn_submitted_total 0\n"));
+    // With the line empty again, the same learn is applied.
+    let (status, _, body) = request(&server, "POST", "/v1/t/learn?label=0", &images[2]);
+    assert_eq!(status, 200, "body: {body}");
 }
 
 #[test]

@@ -7,10 +7,12 @@
 use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, LabelledSamples};
+use uhd::core::Encoder;
 use uhd::datasets::image::Dataset;
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
 use uhd::serve::{ModelRegistry, ServeConfig, ServeError, TraceKind, TraceLevel};
 use uhd_bench::json::{parse, Json};
+use uhd_testutil::GateEncoder;
 
 fn fixture(train_n: usize, test_n: usize, dim: u32, seed: u64) -> (UhdEncoder, HdcModel, Dataset) {
     let (train, test) =
@@ -22,28 +24,43 @@ fn fixture(train_n: usize, test_n: usize, dim: u32, seed: u64) -> (UhdEncoder, H
 }
 
 /// A registry serving `model` through `encoder` as its only tenant, `t`.
-fn one_tenant(config: ServeConfig, encoder: UhdEncoder, model: HdcModel) -> ModelRegistry {
+fn one_tenant(
+    config: ServeConfig,
+    encoder: impl Encoder + 'static,
+    model: HdcModel,
+) -> ModelRegistry {
     let registry = ModelRegistry::start(config).unwrap();
     registry.register("t", Arc::new(encoder), model).unwrap();
     registry
 }
 
-/// One wave of traffic through a single shard: every request's staged
-/// timing must land in the histograms (count reconciles with the
+/// One wave of traffic through a single permit: every request's
+/// staged timing must land in the histograms (count reconciles with the
 /// completion counter), the per-shard series must render with shard
-/// labels, and the queue high-water mark must have seen the wave.
+/// labels, and the line's high-water mark must have seen the wave.
 #[test]
 fn staged_timing_lands_in_the_exposition_with_per_shard_labels() {
     let (encoder, model, test) = fixture(200, 100, 512, 42);
     let config = ServeConfig::new(1, 8).with_trace_level(TraceLevel::Off);
-    let registry = one_tenant(config, encoder, model);
-    let responses = registry.classify_many("t", test.images()).unwrap();
-    assert_eq!(responses.len(), test.len());
+    let (gated, latch) = GateEncoder::new(encoder);
+    let registry = one_tenant(config, gated, model);
+    // Two halves of the wave share the one permit: the first to take it
+    // parks until the other waits in line.
+    let (first, second) = test.images().split_at(test.len() / 2);
+    let answered = std::thread::scope(|scope| {
+        let halves = [first, second].map(|half| scope.spawn(|| registry.classify_many("t", half)));
+        while registry.queue_depth() != 1 {
+            std::thread::yield_now();
+        }
+        latch.open();
+        halves.map(|h| h.join().unwrap().unwrap().len())
+    });
+    assert_eq!(answered.iter().sum::<usize>(), test.len());
     let (stats, text) = (registry.stats(), registry.render_metrics());
 
     assert_eq!(stats.completed, 100);
-    // Requests are submitted one by one while the shard drains them,
-    // so how deep the queue got depends on scheduling.
+    // How deep the line got past the first waiter depends on
+    // scheduling.
     assert!(
         (1..=100).contains(&stats.queue_depth_hw),
         "the high-water mark must have seen the wave (got {})",
@@ -186,36 +203,42 @@ fn telemetry_off_serves_identically_but_exposes_nothing() {
     assert!(events.is_empty());
 }
 
-/// Regression for the queue-gauge shutdown freeze: gauge publishes
-/// race outside the queue lock, so the last write before shutdown
-/// could be a stale nonzero depth — and the closed-and-empty exit in
-/// `pop_batch` used to return without republishing. The registry's
-/// detached workers outlive `shutdown()`, letting a post-shutdown
-/// scrape observe the terminal depth: it must be 0, while the
-/// high-water mark keeps its historical value.
+/// Regression for the queue-gauge shutdown freeze: a post-shutdown
+/// scrape must read the terminal depth of the line for permits — 0 —
+/// while the high-water mark keeps its historical value. The gauge is
+/// written under the gate's lock, so no stale write can land last.
 #[test]
 fn queue_depth_gauge_reads_zero_after_shutdown() {
     let (encoder, model, test) = fixture(150, 50, 512, 9);
+    let (gated, latch) = GateEncoder::new(encoder);
     let registry = one_tenant(
         ServeConfig::new(2, 8).with_trace_level(TraceLevel::Off),
-        encoder,
+        gated,
         model,
     );
-    // One wave deep enough to move both gauges…
-    let tickets: Vec<_> = test
-        .images()
-        .iter()
-        .map(|img| registry.submit("t", img.clone()).unwrap())
-        .collect();
-    registry.shutdown();
-    for ticket in tickets {
-        ticket.wait().unwrap();
-    }
-    // …then the terminal publish must land before the scrape.
+    // One wave deep enough to move both gauges: two callers park on
+    // the permits, the rest wait in line when shutdown starts…
+    std::thread::scope(|scope| {
+        let callers: Vec<_> = test
+            .images()
+            .iter()
+            .map(|img| scope.spawn(|| registry.classify("t", img)))
+            .collect();
+        while registry.queue_depth() != test.len() - 2 {
+            std::thread::yield_now();
+        }
+        let shutdown = scope.spawn(|| registry.shutdown());
+        latch.open();
+        shutdown.join().unwrap();
+        for caller in callers {
+            caller.join().unwrap().unwrap();
+        }
+    });
+    // …then the terminal depth must be what the scrape reads.
     let text = registry.render_metrics();
     assert!(
         text.contains("uhd_queue_depth 0\n"),
-        "terminal queue depth must republish 0 at shutdown:\n{text}"
+        "terminal queue depth must read 0 after shutdown:\n{text}"
     );
     let hw = text
         .lines()

@@ -1,15 +1,16 @@
 //! Integration suite for the multi-tenant model registry: heterogeneous
-//! tenants behind one shard pool, disk snapshot persistence, hot swap
-//! under concurrent traffic, and load-shedding admission control.
+//! tenants behind one admission gate, disk snapshot persistence, hot
+//! swap under concurrent traffic, and load-shedding admission control.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, InferenceMode, LabelledSamples};
-use uhd::core::{BitSliceAccumulator, Encoder, HdcError, NgramTextConfig, NgramTextEncoder};
+use uhd::core::{Encoder, NgramTextConfig, NgramTextEncoder};
 use uhd::serve::registry::ModelRegistry;
-use uhd::serve::{ServeConfig, ServeError};
+use uhd::serve::{Response, ServeConfig, ServeError};
 use uhd_testutil::data::{tiny_labelled, tiny_labelled_features, tiny_language_id, tiny_mnist};
+use uhd_testutil::GateEncoder;
 
 fn image_tenant(dim: u32) -> (Arc<dyn Encoder>, HdcModel, Vec<Vec<u8>>, Vec<usize>) {
     let (train, test) = tiny_mnist(200, 60);
@@ -31,7 +32,7 @@ fn text_tenant(dim: u32) -> (Arc<dyn Encoder>, HdcModel, Vec<Vec<u8>>) {
 }
 
 /// Acceptance: two tenants of *different workloads and dimensions*
-/// (image + n-gram text) served through one pool answer bit-identically
+/// (image + n-gram text) served through one gate answer bit-identically
 /// to their serial single-model paths, and the scrape carries both
 /// tenants' labelled series.
 #[test]
@@ -45,28 +46,30 @@ fn heterogeneous_tenants_match_their_serial_paths() {
     registry
         .register("langid", Arc::clone(&txt_enc), txt_model.clone())
         .unwrap();
-    // Interleave the two tenants' traffic so batches mix them.
-    let img_tickets: Vec<_> = images
-        .iter()
-        .map(|s| registry.submit("digits", s.clone()).unwrap())
-        .collect();
-    let txt_tickets: Vec<_> = texts
-        .iter()
-        .map(|s| registry.submit("langid", s.clone()).unwrap())
-        .collect();
-    for (ticket, sample) in img_tickets.into_iter().zip(&images) {
+    // Run the two tenants' traffic concurrently so they share the
+    // permits.
+    let serve = |tenant: &'static str, samples: &[Vec<u8>]| -> Vec<Response> {
+        samples
+            .iter()
+            .map(|s| registry.classify(tenant, s).unwrap())
+            .collect()
+    };
+    let (img_answers, txt_answers) = std::thread::scope(|scope| {
+        let img = scope.spawn(|| serve("digits", &images));
+        let txt = scope.spawn(|| serve("langid", &texts));
+        (img.join().unwrap(), txt.join().unwrap())
+    });
+    for (got, sample) in img_answers.into_iter().zip(&images) {
         let serial = img_model
             .classify_with(img_enc.as_ref(), sample, InferenceMode::BinarizedQuery)
             .unwrap();
-        let got = ticket.wait().unwrap();
         assert_eq!((got.class, got.score), serial);
         assert_eq!(got.generation, 0);
     }
-    for (ticket, sample) in txt_tickets.into_iter().zip(&texts) {
+    for (got, sample) in txt_answers.into_iter().zip(&texts) {
         let serial = txt_model
             .classify_with(txt_enc.as_ref(), sample, InferenceMode::BinarizedQuery)
             .unwrap();
-        let got = ticket.wait().unwrap();
         assert_eq!((got.class, got.score), serial);
     }
     let metrics = registry.render_metrics();
@@ -168,74 +171,102 @@ fn concurrent_classifies_survive_hotswap_and_persist() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Delegates to a real encoder but parks `accumulate` until released,
-/// so the test can freeze the pool and fill the queue deterministically.
-struct GateEncoder {
-    inner: UhdEncoder,
-    gate: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl Encoder for GateEncoder {
-    fn dim(&self) -> u32 {
-        self.inner.dim()
-    }
-    fn features(&self) -> usize {
-        self.inner.features()
-    }
-    fn accumulate(&self, input: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
-        let (open, released) = &*self.gate;
-        let mut open = open.lock().unwrap();
-        while !*open {
-            open = released.wait(open).unwrap();
-        }
-        drop(open);
-        self.inner.accumulate(input, acc)
-    }
-    fn profile(&self) -> uhd::core::EncoderProfile {
-        self.inner.profile()
-    }
-}
-
-/// Acceptance: past the configured admission threshold, submits return
-/// `Overloaded` (and the shed counters say so), while everything
+/// Acceptance: past the configured admission threshold, classifies
+/// return `Overloaded` (and the shed counters say so), while everything
 /// admitted still completes.
 #[test]
 fn admission_control_sheds_past_the_threshold() {
     let (train, test) = tiny_mnist(120, 10);
     let encoder = UhdEncoder::new(UhdConfig::new(256, train.pixels())).unwrap();
     let model = HdcModel::train(&encoder, tiny_labelled(&train), train.classes()).unwrap();
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let gated: Arc<dyn Encoder> = Arc::new(GateEncoder {
-        inner: encoder,
-        gate: Arc::clone(&gate),
-    });
+    let (gated, latch) = GateEncoder::new(encoder);
     let registry = ModelRegistry::start(ServeConfig::new(1, 1).with_shed_above(2)).unwrap();
-    registry.register("t", gated, model).unwrap();
+    registry.register("t", Arc::new(gated), model).unwrap();
     let images = test.images();
-    // The lone worker claims the first request and parks in the gated
-    // encoder, leaving the queue empty.
-    let parked = registry.submit("t", images[0].clone()).unwrap();
-    while registry.queue_depth() != 0 {
-        std::thread::yield_now();
-    }
-    let queued = [
-        registry.submit("t", images[1].clone()).unwrap(),
-        registry.submit("t", images[2].clone()).unwrap(),
-    ];
-    match registry.submit("t", images[3].clone()) {
-        Err(ServeError::Overloaded { depth, shed_above }) => {
-            assert_eq!((depth, shed_above), (2, 2));
+    std::thread::scope(|scope| {
+        // The lone permit parks in the gated encoder and two callers
+        // wait in line behind it.
+        let admitted: Vec<_> = images[..3]
+            .iter()
+            .map(|img| scope.spawn(|| registry.classify("t", img)))
+            .collect();
+        while registry.queue_depth() != 2 {
+            std::thread::yield_now();
         }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    let metrics = registry.render_metrics();
-    assert!(metrics.contains("uhd_requests_shed_total 1\n"));
-    assert!(metrics.contains("uhd_tenant_shed_total{tenant=\"t\"} 1\n"));
-    // Open the gate: everything admitted completes.
-    *gate.0.lock().unwrap() = true;
-    gate.1.notify_all();
-    assert!(parked.wait().is_ok());
-    for ticket in queued {
-        assert!(ticket.wait().is_ok());
+        match registry.classify("t", &images[3]) {
+            Err(ServeError::Overloaded { depth, shed_above }) => {
+                assert_eq!((depth, shed_above), (2, 2));
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        let metrics = registry.render_metrics();
+        assert!(metrics.contains("uhd_requests_shed_total 1\n"));
+        assert!(metrics.contains("uhd_tenant_shed_total{tenant=\"t\"} 1\n"));
+        // Open the gate: everything admitted completes.
+        latch.open();
+        for caller in admitted {
+            assert!(caller.join().unwrap().is_ok());
+        }
+    });
+}
+
+/// Read one series' value out of a Prometheus text exposition.
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from:\n{text}"))
+}
+
+/// Stress for the admission gate: 8 threads × 200 classifies on two
+/// permits. Unshed, every answer is the serial one; with a line of one,
+/// each call is that answer or `Overloaded` — never a panic or a hang —
+/// and the counters reconcile afterwards.
+#[test]
+fn gate_stress_answers_serially_or_sheds() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 200;
+    let (encoder, model, images, _) = image_tenant(256);
+    let serial: Vec<(usize, f64)> = images
+        .iter()
+        .map(|img| {
+            let query = encoder.encode(img).unwrap();
+            model.classify_encoded(&query).unwrap()
+        })
+        .collect();
+    for shed_above in [usize::MAX, 1] {
+        let config = ServeConfig::new(2, 8).with_shed_above(shed_above);
+        let registry = ModelRegistry::start(config).unwrap();
+        registry
+            .register("t", Arc::clone(&encoder), model.clone())
+            .unwrap();
+        let shed: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (registry, images, serial) = (&registry, &images, &serial);
+                    scope.spawn(move || {
+                        let mut shed = 0;
+                        for i in 0..CALLS {
+                            let at = (t * CALLS + i) % images.len();
+                            match registry.classify("t", &images[at]) {
+                                Ok(r) => assert_eq!((r.class, r.score), serial[at]),
+                                Err(ServeError::Overloaded { .. }) if shed_above == 1 => shed += 1,
+                                Err(e) => panic!("unexpected {e:?}"),
+                            }
+                        }
+                        shed
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let stats = registry.stats();
+        let attempted = (THREADS * CALLS) as u64;
+        assert_eq!(stats.requests_shed, shed as u64);
+        assert_eq!(stats.submitted + stats.requests_shed, attempted);
+        assert_eq!(stats.completed, stats.submitted);
+        let text = registry.render_metrics();
+        assert_eq!(metric(&text, "uhd_queue_depth"), 0);
+        assert!(metric(&text, "uhd_queue_depth_hw") <= shed_above as u64);
     }
 }

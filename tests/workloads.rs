@@ -142,7 +142,7 @@ fn dyn_encoder_trait_objects_serve_every_workload() {
     }
 }
 
-/// Submit-time validation is eager and encoder-driven: the registry asks
+/// Admission-time validation is eager and encoder-driven: the registry asks
 /// the encoder (`check_features`), so a variable-length text encoder
 /// rejects out-of-range sentences with `FeatureCountOutOfRange` while
 /// the fixed-shape tabular encoder rejects with the exact-length error
@@ -155,12 +155,12 @@ fn submit_validation_is_delegated_to_the_encoder() {
     // In-range lengths are accepted even though they differ.
     assert!(registry.classify("t", &[b'a'; 10]).is_ok());
     assert!(registry.classify("t", &vec![b'b'; max_len]).is_ok());
-    // Too short and too long are rejected before queueing.
-    match registry.submit("t", vec![b'a'; 2]) {
+    // Too short and too long are rejected before admission.
+    match registry.classify("t", &[b'a'; 2]) {
         Err(ServeError::Core(HdcError::FeatureCountOutOfRange { got: 2, .. })) => {}
         other => panic!("expected FeatureCountOutOfRange, got {other:?}"),
     }
-    match registry.submit("t", vec![b'a'; max_len + 1]) {
+    match registry.classify("t", &vec![b'a'; max_len + 1]) {
         Err(ServeError::Core(HdcError::FeatureCountOutOfRange { .. })) => {}
         other => panic!("expected FeatureCountOutOfRange, got {other:?}"),
     }
@@ -169,7 +169,7 @@ fn submit_validation_is_delegated_to_the_encoder() {
     let columns = rows.max_sample_len();
     let registry = one_tenant(ServeConfig::new(1, 4), Arc::new(tab_enc), tab_model);
     assert!(registry.classify("t", &vec![128u8; columns]).is_ok());
-    match registry.submit("t", vec![128u8; columns - 1]) {
+    match registry.classify("t", &vec![128u8; columns - 1]) {
         Err(ServeError::Core(HdcError::ImageSizeMismatch { expected, got })) => {
             assert_eq!((expected, got), (columns, columns - 1));
         }
