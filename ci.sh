@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the uHD workspace.
 #
-#   ./ci.sh            fmt check, clippy -D warnings, release build,
-#                      full test suite, rustdoc -D warnings, bench
-#                      compile check
+#   ./ci.sh            fmt check, clippy -D warnings, release build
+#                      (workspace + wirebench), full test suite,
+#                      rustdoc -D warnings, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
 #                      binary and example (UHD_BENCH_QUICK + tiny sizes);
 #                      quick BENCH_*.json go to target/bench-quick/, so
@@ -29,6 +29,11 @@ cargo clippy --all-targets -- -D warnings
 
 step "cargo build --release"
 cargo build --release
+
+# wirebench/ is its own workspace, so the build above skips it; a
+# public-API change that breaks the benchmark driver fails here.
+step "cargo build --release (wirebench)"
+cargo build --release --offline --manifest-path wirebench/Cargo.toml
 
 step "cargo test -q"
 cargo test -q

@@ -5,12 +5,13 @@
 //! vectors are bundled by popcount and binarized by sign. Generating a
 //! *good* pseudo-random P/L assignment is a lottery — the paper's
 //! Table IV re-rolls the tables up to i = 100 times and reports the
-//! accuracy spread — so [`BaselineEncoder::regenerate`] supports exactly
-//! that iteration loop.
+//! accuracy spread — and each iteration of that loop builds a fresh
+//! encoder from its own seed or stream.
 //!
 //! Both tables live in [`ItemMemory`]: [`BaselineEncoder::new`] keeps
 //! the historical behaviour (tables drawn from a caller stream, always
-//! resident, bit-identical to every previous release), while
+//! resident, bit-identical to every previous release — the tables the
+//! paper-table benches report), while
 //! [`BaselineEncoder::from_seed`] derives them from one `u64` seed and
 //! can therefore run on the rematerialized backend with O(seed)
 //! persistent state.
@@ -169,26 +170,6 @@ impl BaselineEncoder {
             levels,
             quantizer,
         })
-    }
-
-    /// Re-roll the P and L tables in place — one iteration of the
-    /// "generate vectors, hope they are orthogonal" loop the paper's
-    /// Table IV and Fig. 6(a) sweep over. The fresh tables are drawn
-    /// from `source` and are therefore resident, whatever backend the
-    /// encoder was built on.
-    pub fn regenerate<S: UniformSource + ?Sized>(&mut self, source: &mut S) {
-        let positions: Vec<Hypervector> = (0..self.config.pixels)
-            .map(|_| Hypervector::random(self.config.dim, source))
-            .collect();
-        let levels = generate_level_hypervectors(
-            self.config.dim,
-            self.config.levels,
-            self.config.scheme,
-            source,
-        );
-        self.positions =
-            ItemMemory::from_rows("position", positions).expect("validated shape cannot fail");
-        self.levels = ItemMemory::from_rows("level", levels).expect("validated shape cannot fail");
     }
 
     /// The position hypervectors (one per pixel), when resident.
@@ -378,15 +359,6 @@ mod tests {
             enc.accumulate(&[0u8; 16], &mut acc),
             Err(HdcError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn regenerate_changes_tables() {
-        let mut enc = small_encoder(6);
-        let before = enc.position_hypervectors().unwrap()[0].clone();
-        let mut rng = Xoshiro256StarStar::seeded(777);
-        enc.regenerate(&mut rng);
-        assert_ne!(enc.position_hypervectors().unwrap()[0], before);
     }
 
     #[test]

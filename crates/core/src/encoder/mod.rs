@@ -22,9 +22,7 @@
 //! The [`Encoder`] trait is what training, inference, serving, examples
 //! and benches program against; [`EncoderProfile`] exposes the
 //! per-sample operation counts that drive the embedded-platform cost
-//! model (paper Table I). The old image-specific name [`ImageEncoder`]
-//! survives as a deprecated alias trait so downstream code compiles
-//! with warnings rather than breaking.
+//! model (paper Table I).
 
 pub mod baseline;
 pub mod level;
@@ -80,15 +78,6 @@ pub struct EncoderProfile {
     pub resident_bytes: u64,
 }
 
-impl EncoderProfile {
-    /// The feature count under its historical image-era name.
-    #[deprecated(note = "renamed: read the `features` field instead")]
-    #[must_use]
-    pub fn pixels(&self) -> usize {
-        self.features
-    }
-}
-
 /// An encoder from byte-valued feature streams to D-dimensional
 /// hypervectors.
 ///
@@ -112,12 +101,6 @@ pub trait Encoder: Send + Sync {
     /// the exact required stream length; for variable-length workloads
     /// it is the maximum accepted length (see [`Encoder::check_features`]).
     fn features(&self) -> usize;
-
-    /// The feature count under its historical image-era name.
-    #[deprecated(note = "renamed to `Encoder::features`")]
-    fn pixels(&self) -> usize {
-        self.features()
-    }
 
     /// Validate a sample's feature count against this encoder.
     ///
@@ -188,17 +171,6 @@ pub trait Encoder: Send + Sync {
     /// model.
     fn profile(&self) -> EncoderProfile;
 }
-
-/// Deprecated alias for [`Encoder`], kept so pre-refactor code — both
-/// `E: ImageEncoder` bounds and `&dyn ImageEncoder` trait objects —
-/// compiles with a warning instead of breaking. Every `Encoder` is an
-/// `ImageEncoder` via the blanket impl, and `dyn ImageEncoder`
-/// satisfies `Encoder` bounds through the supertrait.
-#[deprecated(note = "renamed to `Encoder`; the trait is no longer image-specific")]
-pub trait ImageEncoder: Encoder {}
-
-#[allow(deprecated)]
-impl<T: Encoder + ?Sized> ImageEncoder for T {}
 
 /// Validate an exact feature-stream length against an encoder's count.
 pub(crate) fn check_feature_len(expected: usize, input: &[u8]) -> Result<(), HdcError> {
@@ -326,40 +298,6 @@ mod tests {
                 got: 3
             })
         ));
-    }
-
-    #[test]
-    fn deprecated_pixels_delegates_to_features() {
-        let enc = Constant {
-            dim: 64,
-            features: 9,
-        };
-        #[allow(deprecated)]
-        let p = enc.pixels();
-        assert_eq!(p, 9);
-        #[allow(deprecated)]
-        let fp = enc.profile().pixels();
-        assert_eq!(fp, 9);
-    }
-
-    #[test]
-    fn image_encoder_alias_accepts_every_encoder() {
-        #[allow(deprecated)]
-        fn takes_legacy<E: ImageEncoder + ?Sized>(enc: &E) -> u32 {
-            enc.dim()
-        }
-        let enc = Constant {
-            dim: 128,
-            features: 2,
-        };
-        assert_eq!(takes_legacy(&enc), 128);
-        // Legacy trait objects still satisfy the new bound.
-        #[allow(deprecated)]
-        let legacy: &dyn ImageEncoder = &enc;
-        fn takes_new<E: Encoder + ?Sized>(enc: &E) -> u32 {
-            enc.dim()
-        }
-        assert_eq!(takes_new(legacy), 128);
     }
 
     #[test]

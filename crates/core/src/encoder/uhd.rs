@@ -112,6 +112,25 @@ impl LdFamily {
             }
         }
     }
+
+    /// Fill `out` with the quantized scalars `Q(S_pixel[0..len])` — the
+    /// M-bit values the hardware keeps in BRAM (Fig. 3(a)). Every
+    /// quantized column (plane rows, plane tables, the unary gate path)
+    /// comes from here. Callers validate `ξ ≤ 256`, so each level fits
+    /// a byte.
+    pub(crate) fn quantized_column(
+        &self,
+        pixel: usize,
+        len: usize,
+        quantizer: Quantizer,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HdcError> {
+        debug_assert!(quantizer.levels() <= 256);
+        let values = self.values(pixel, len)?;
+        out.clear();
+        out.extend(values.iter().map(|&s| quantizer.quantize_unit(s) as u8));
+        Ok(())
+    }
 }
 
 /// Configuration for the uHD encoders.
@@ -182,11 +201,6 @@ pub struct UhdEncoder {
     /// materialize via scatter + prefix-OR; rematerialized tables
     /// derive rows from the LD family on demand.
     planes: ItemMemory,
-    /// Quantized Sobol scalars `Q(S_p[j])`, flattened `[pixel][dim]` —
-    /// exactly the M-bit values the hardware keeps in BRAM (Fig. 3(a)).
-    /// Materialized only on the resident backend; rematerialized
-    /// encoders recompute a pixel's column on demand.
-    sobol_q: Vec<u8>,
     /// `quantize_u8` of every intensity, so the per-pixel level lookup
     /// on the request path is a table read, not a float round.
     intensity_levels: [u32; 256],
@@ -223,24 +237,10 @@ impl UhdEncoder {
             },
             config.backend,
         )?;
-        let sobol_q = if planes.is_resident() {
-            let dim = config.dim as usize;
-            let mut q = vec![0u8; config.pixels * dim];
-            for pixel in 0..config.pixels {
-                let values = config.family.values(pixel, dim)?;
-                for (j, &s) in values.iter().enumerate() {
-                    q[pixel * dim + j] = quantizer.quantize_unit(s) as u8;
-                }
-            }
-            q
-        } else {
-            Vec::new()
-        };
         Ok(UhdEncoder {
             config,
             quantizer,
             planes,
-            sobol_q,
             intensity_levels: std::array::from_fn(|v| quantizer.quantize_u8(v as u8)),
             words: wc,
         })
@@ -264,30 +264,9 @@ impl UhdEncoder {
         self.intensity_levels[usize::from(intensity)]
     }
 
-    /// The quantized Sobol scalar `Q(S_pixel[dim])`.
-    ///
-    /// O(1) on the resident backend; on the rematerialized backend this
-    /// regenerates the pixel's sequence, costing O(D) per call — batch
-    /// callers should use [`UhdEncoder::quantized_pixel_levels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixel` or `dim` are out of range.
-    #[must_use]
-    pub fn sobol_level(&self, pixel: usize, dim: usize) -> u32 {
-        assert!(pixel < self.config.pixels && dim < self.config.dim as usize);
-        if self.sobol_q.is_empty() {
-            let mut column = Vec::new();
-            self.quantized_pixel_levels(pixel, &mut column)
-                .expect("family validated at construction");
-            u32::from(column[dim])
-        } else {
-            u32::from(self.sobol_q[pixel * self.config.dim as usize + dim])
-        }
-    }
-
     /// Fill `out` with the quantized scalars `Q(S_pixel[0..D])` of one
-    /// pixel. Works on both backends (copies on the resident one).
+    /// pixel, regenerated from the LD family on either backend (O(D)
+    /// work per call; the request path never needs it).
     ///
     /// # Errors
     ///
@@ -300,19 +279,9 @@ impl UhdEncoder {
                 len: self.config.pixels,
             });
         }
-        let dim = self.config.dim as usize;
-        out.clear();
-        if self.sobol_q.is_empty() {
-            let values = self.config.family.values(pixel, dim)?;
-            out.extend(
-                values
-                    .iter()
-                    .map(|&s| self.quantizer.quantize_unit(s) as u8),
-            );
-        } else {
-            out.extend_from_slice(&self.sobol_q[pixel * dim..(pixel + 1) * dim]);
-        }
-        Ok(())
+        self.config
+            .family
+            .quantized_column(pixel, self.config.dim as usize, self.quantizer, out)
     }
 
     /// The packed level-hypervector mask for (`pixel`, quantized level),
@@ -465,7 +434,7 @@ impl Encoder for UhdEncoder {
             table_bytes: h * d * m_bits / 8,
             working_bytes: d * 4,
             backend: self.config.backend,
-            resident_bytes: self.planes.resident_bytes() + self.sobol_q.len() as u64,
+            resident_bytes: self.planes.resident_bytes(),
         }
     }
 }
@@ -611,6 +580,16 @@ mod tests {
             ..tiny_config()
         })
         .is_err());
+        // Quantized columns are bytes: ξ = 257 would truncate them.
+        for config in [tiny_config(), tiny_config().rematerialized()] {
+            assert!(matches!(
+                UhdEncoder::new(UhdConfig {
+                    levels: 257,
+                    ..config
+                }),
+                Err(HdcError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -697,11 +676,19 @@ mod tests {
                 .collect();
             assert_eq!(res.encode(&image).unwrap(), rem.encode(&image).unwrap());
         }
-        assert_eq!(rem.sobol_level(4, 100), res.sobol_level(4, 100));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for pixel in 0..9 {
+            res.quantized_pixel_levels(pixel, &mut a).unwrap();
+            rem.quantized_pixel_levels(pixel, &mut b).unwrap();
+            assert_eq!(a.len(), 128);
+            assert_eq!(a, b, "pixel {pixel}");
+        }
         // The rematerialized instance pins far less heap while quoting
-        // the same nominal hardware table size.
+        // the same nominal hardware table size; the resident one holds
+        // exactly the plane table (pixels · ξ · D bits), nothing more.
         let (pr, pm) = (res.profile(), rem.profile());
         assert_eq!(pr.table_bytes, pm.table_bytes);
+        assert_eq!(pr.resident_bytes, 9 * 16 * 128 / 8);
         assert!(pm.resident_bytes < pr.resident_bytes);
         assert_eq!(pm.backend, MemoryBackend::rematerialized());
     }

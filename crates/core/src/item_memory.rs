@@ -180,6 +180,12 @@ impl RowRecipe {
                         reason: "need at least 2 levels".into(),
                     });
                 }
+                // Quantized columns are bytes: M ≤ 8 bits.
+                if levels > 256 {
+                    return Err(HdcError::InvalidConfig {
+                        reason: format!("plane tables hold at most 256 levels, got {levels}"),
+                    });
+                }
                 if !rows.is_multiple_of(levels) {
                     return Err(HdcError::InvalidConfig {
                         reason: format!(
@@ -236,11 +242,16 @@ impl RowRecipe {
             RowRecipe::ThresholdPlanes { family, levels } => {
                 let pixel = (row / levels) as usize;
                 let level = row % levels;
-                let quantizer = Quantizer::new(levels)?;
-                let values = family.values(pixel, dim as usize)?;
+                let mut column = Vec::new();
+                family.quantized_column(
+                    pixel,
+                    dim as usize,
+                    Quantizer::new(levels)?,
+                    &mut column,
+                )?;
                 out.fill(0);
-                for (j, &s) in values.iter().enumerate() {
-                    if level >= quantizer.quantize_unit(s) {
+                for (j, &q) in column.iter().enumerate() {
+                    if level >= u32::from(q) {
                         out[j / 64] |= 1u64 << (j % 64);
                     }
                 }
@@ -285,15 +296,15 @@ impl RowRecipe {
                 let pixels = (rows / levels) as usize;
                 let mut out = Vec::with_capacity(rows as usize);
                 let mut planes = vec![0u64; lv * wc];
+                let mut column = Vec::new();
                 for pixel in 0..pixels {
-                    let values = family.values(pixel, dim as usize)?;
+                    family.quantized_column(pixel, dim as usize, quantizer, &mut column)?;
                     planes.fill(0);
                     // Scatter: mark each dimension in the plane of its
                     // own level, then prefix-OR so plane q covers all
                     // levels ≤ q.
-                    for (j, &s) in values.iter().enumerate() {
-                        let qs = quantizer.quantize_unit(s) as usize;
-                        planes[qs * wc + j / 64] |= 1u64 << (j % 64);
+                    for (j, &q) in column.iter().enumerate() {
+                        planes[usize::from(q) * wc + j / 64] |= 1u64 << (j % 64);
                     }
                     for q in 1..lv {
                         for w in 0..wc {

@@ -54,15 +54,11 @@ pub use encoder::baseline::{BaselineConfig, BaselineEncoder};
 pub use encoder::tabular::{TabularConfig, TabularEncoder};
 pub use encoder::text::{NgramTextConfig, NgramTextEncoder};
 pub use encoder::uhd::{LdFamily, UhdConfig, UhdEncoder, UhdExactEncoder};
-#[allow(deprecated)]
-pub use encoder::ImageEncoder;
 pub use encoder::{Encoder, EncoderProfile};
 pub use error::HdcError;
 pub use hypervector::Hypervector;
 pub use item_memory::{derive_seed, ItemMemory, MemoryBackend, RowRecipe};
 pub use kernels::Kernel;
-#[allow(deprecated)]
-pub use model::LabelledImages;
 pub use model::{HdcModel, InferenceMode, LabelledSamples};
 pub use online::OnlineLearner;
 pub use snapshot::{AlignedBytes, SnapshotError};

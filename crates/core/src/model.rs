@@ -66,10 +66,6 @@ pub struct LabelledSamples<'a> {
     pub labels: &'a [usize],
 }
 
-/// Deprecated image-era alias for [`LabelledSamples`].
-#[deprecated(note = "renamed to `LabelledSamples`; the model layer is no longer image-specific")]
-pub type LabelledImages<'a> = LabelledSamples<'a>;
-
 impl<'a> LabelledSamples<'a> {
     /// Bundle samples and labels, checking the obvious invariants.
     ///
@@ -594,6 +590,11 @@ impl HdcModel {
                 .map(|c| u64::from_le_bytes(c.try_into().expect("chunked")))
                 .collect();
             offset = end;
+            // `to_bytes` writes clear padding bits; set ones would be
+            // masked away and break the byte-exact round trip.
+            if dim % 64 != 0 && words[wc - 1] >> (dim % 64) != 0 {
+                return Err(bad("nonzero padding bits past the model dimension"));
+            }
             class_hvs.push(Hypervector::from_words(words, dim)?);
         }
         let mut class_sums = Vec::with_capacity(classes);

@@ -1,0 +1,232 @@
+//! Robustness of the model snapshot format at its trust boundary:
+//! seeded property fuzzing of `HdcModel::from_bytes` and
+//! `snapshot::from_aligned_bytes` over random, truncated and
+//! mutated-valid inputs, and recovery from a snapshot writer that was
+//! killed mid-write.
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
+use uhd::core::model::{HdcModel, LabelledSamples};
+use uhd::core::snapshot::{self, AlignedBytes};
+use uhd::core::{Encoder, HdcError};
+use uhd::lowdisc::rng::Xoshiro256StarStar;
+use uhd::serve::registry::ModelRegistry;
+use uhd::serve::ServeConfig;
+
+/// Hypervector dimension of the fixtures: not a multiple of 64, so
+/// every class hypervector's last word carries padding bits.
+const DIM: u32 = 100;
+const PIXELS: usize = 6;
+
+fn encoder() -> UhdEncoder {
+    UhdEncoder::new(UhdConfig::new(DIM, PIXELS)).unwrap()
+}
+
+/// A small three-class model; `shade` varies the training data so two
+/// generations are distinguishable.
+fn model(shade: u8) -> HdcModel {
+    let images = vec![
+        vec![10 + shade; PIXELS],
+        vec![240 - shade; PIXELS],
+        vec![128; PIXELS],
+        vec![20 + shade; PIXELS],
+        vec![250 - shade; PIXELS],
+        vec![120 + shade; PIXELS],
+    ];
+    let labels = vec![0, 1, 2, 0, 1, 2];
+    HdcModel::train(
+        &encoder(),
+        LabelledSamples::new(&images, &labels).unwrap(),
+        3,
+    )
+    .unwrap()
+}
+
+fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = Xoshiro256StarStar::seeded(seed);
+    (0..len).map(|_| (rng.next_u64() >> 56) as u8).collect()
+}
+
+/// The decoder contract on arbitrary input: a typed
+/// [`HdcError::InvalidConfig`], or a model whose encoding is exactly
+/// the input. The direct and the aligned entry points must agree.
+/// Returns whether the input decoded.
+fn check_decode(bytes: &[u8]) -> bool {
+    let aligned = AlignedBytes::from_slice(bytes);
+    let outcomes = [
+        HdcModel::from_bytes(bytes),
+        snapshot::from_aligned_bytes(aligned.as_bytes()),
+    ];
+    for outcome in &outcomes {
+        match outcome {
+            Ok(model) => assert_eq!(model.to_bytes(), bytes, "decode is not byte-exact"),
+            Err(e) => assert!(
+                matches!(e, HdcError::InvalidConfig { .. }),
+                "untyped rejection: {e:?}"
+            ),
+        }
+    }
+    assert_eq!(
+        outcomes[0].is_ok(),
+        outcomes[1].is_ok(),
+        "entry points disagree"
+    );
+    outcomes[0].is_ok()
+}
+
+/// `payload` behind the 16-byte header `UHDM | version | dim | classes`.
+fn with_header(version: u32, dim: u32, classes: u32, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = b"UHDM".to_vec();
+    for field in [version, dim, classes] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+#[test]
+fn every_truncation_of_a_valid_encoding_is_rejected() {
+    let good = model(0).to_bytes();
+    assert!(check_decode(&good));
+    for len in 0..good.len() {
+        assert!(!check_decode(&good[..len]), "prefix of {len} bytes decoded");
+    }
+    let mut longer = good;
+    longer.push(0);
+    assert!(!check_decode(&longer));
+}
+
+#[test]
+fn set_padding_bits_are_rejected() {
+    let mut bytes = model(0).to_bytes();
+    // The last word of class 0's hypervector: bits 36..64 are padding.
+    let last_word = 16 + 8;
+    bytes[last_word + 7] |= 0x80;
+    assert!(!check_decode(&bytes));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Unstructured garbage of any length.
+    #[test]
+    fn random_bytes_never_panic(seed in any::<u64>(), len in 0usize..4096) {
+        check_decode(&random_bytes(seed, len));
+    }
+
+    /// Random payloads behind a well-formed header, with the length
+    /// exact or a few bytes off: exercises the sizing, padding and
+    /// word-decode paths that garbage never reaches.
+    #[test]
+    fn random_payload_behind_valid_header(
+        seed in any::<u64>(),
+        dim in 1u32..=200,
+        classes in 1u32..=4,
+        slack in 0usize..=16,
+        clear_padding in any::<bool>(),
+    ) {
+        let wc = dim.div_ceil(64) as usize;
+        let exact = classes as usize * (wc * 8 + dim as usize * 8);
+        // slack 8 is the exact length; the rest are 1..=8 bytes short
+        // or long.
+        let len = (exact + slack).saturating_sub(8);
+        let mut payload = random_bytes(seed, len);
+        if clear_padding && !dim.is_multiple_of(64) {
+            for class in 0..classes as usize {
+                let last = (class * wc + wc - 1) * 8;
+                if last + 8 <= payload.len() {
+                    let word = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
+                    let clear = word & ((1u64 << (dim % 64)) - 1);
+                    payload[last..last + 8].copy_from_slice(&clear.to_le_bytes());
+                }
+            }
+        }
+        let decoded = check_decode(&with_header(1, dim, classes, &payload));
+        prop_assert_eq!(decoded, len == exact && (clear_padding || dim.is_multiple_of(64)));
+    }
+
+    /// Single-byte mutations of a valid encoding, anywhere in it.
+    #[test]
+    fn single_byte_mutations_decode_exactly_or_fail(pos in any::<u64>(), flip in 1u8..=255) {
+        let mut bytes = model(0).to_bytes();
+        let at = (pos % bytes.len() as u64) as usize;
+        bytes[at] ^= flip;
+        let decoded = check_decode(&bytes);
+        if at < 16 {
+            prop_assert!(!decoded, "a corrupted header byte at {} decoded", at);
+        }
+    }
+
+    /// Header-field rewrites: each of version, dim and classes set to a
+    /// near-miss of its true value or to an arbitrary one (including
+    /// size-overflowing counts) over the honest payload.
+    #[test]
+    fn header_field_mutations_decode_exactly_or_fail(
+        field in 1usize..4,
+        near in any::<bool>(),
+        delta in 1u32..=3,
+        raw in any::<u32>(),
+    ) {
+        let good = model(0).to_bytes();
+        let mut bytes = good.clone();
+        let at = field * 4;
+        let original = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let value = if near { original.wrapping_add(delta) } else { raw };
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let decoded = check_decode(&bytes);
+        prop_assert_eq!(decoded, value == original);
+    }
+}
+
+/// A writer killed mid-write leaves a truncated `<name>.tmp-<pid>-<n>`
+/// beside the snapshot. The snapshot itself is untouched: it loads
+/// byte-identically, a registry boots from it, and later saves still
+/// succeed — also when the stray occupies the very temp name the next
+/// save picks.
+#[test]
+fn stray_partial_write_leaves_the_snapshot_loadable() {
+    let dir = std::env::temp_dir().join(format!("uhd-snap-crash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("digits.uhdm");
+    let old = model(0);
+    snapshot::save_atomic(&old, &path).unwrap();
+
+    let newer = model(30);
+    let partial = newer.to_bytes();
+    let partial = &partial[..partial.len() / 2];
+    // One stray from another (dead) process, and strays on the temp
+    // names this process's next saves will use.
+    let foreign = dir.join("digits.uhdm.tmp-4294967295-0");
+    std::fs::write(&foreign, partial).unwrap();
+    for seq in 0..4 {
+        let own = dir.join(format!("digits.uhdm.tmp-{}-{seq}", std::process::id()));
+        std::fs::write(own, partial).unwrap();
+    }
+
+    let loaded = snapshot::load(&path).unwrap();
+    assert_eq!(loaded.to_bytes(), old.to_bytes());
+
+    let encoder: Arc<dyn Encoder> = Arc::new(encoder());
+    let registry = ModelRegistry::start(ServeConfig::new(1, 4)).unwrap();
+    registry
+        .register_from_snapshot("booted", Arc::clone(&encoder), &path)
+        .unwrap();
+    registry
+        .register("direct", Arc::clone(&encoder), old.clone())
+        .unwrap();
+    for shade in [0u8, 60, 130, 200, 255] {
+        let sample = vec![shade; PIXELS];
+        let booted = registry.classify("booted", &sample).unwrap();
+        let direct = registry.classify("direct", &sample).unwrap();
+        assert_eq!((booted.class, booted.score), (direct.class, direct.score));
+    }
+
+    snapshot::save_atomic(&newer, &path).unwrap();
+    assert_eq!(snapshot::load(&path).unwrap().to_bytes(), newer.to_bytes());
+    // The dead writer's stray is left alone, and still never decodes.
+    assert_eq!(std::fs::read(&foreign).unwrap(), partial);
+    assert!(snapshot::load(&foreign).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
