@@ -53,6 +53,10 @@ const TENANT: &str = "bench";
 /// instrumentation-overhead bench.
 const OVERHEAD_SPAN: Duration = Duration::from_millis(250);
 
+/// Minimum wave pairs in the full-run instrumentation-overhead bench,
+/// so its median has pairs to choose from however fast a wave runs.
+const OVERHEAD_PAIRS: usize = 7;
+
 /// Start a registry serving `model` through `encoder` as its only
 /// tenant.
 fn one_tenant(config: ServeConfig, encoder: Arc<dyn Encoder>, model: &HdcModel) -> ModelRegistry {
@@ -262,12 +266,28 @@ fn encode_layers_bench(quick: bool) -> Vec<EncodeLayers> {
         .collect()
 }
 
+/// The median of `values` (the mean of the middle two for an even
+/// count).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        f64::midpoint(sorted[mid - 1], sorted[mid])
+    } else {
+        sorted[mid]
+    }
+}
+
 /// The instrumentation-overhead bench: the full image stream through
 /// the best sweep configuration with live telemetry (histograms,
-/// gauges, staged timing) vs a no-op recorder. Waves alternate between
-/// the two modes until each has run for [`OVERHEAD_SPAN`] (one wave
-/// each in quick mode), and the best wave per mode counts, so
-/// scheduler noise doesn't masquerade as overhead.
+/// gauges, staged timing) vs a no-op recorder. Waves run in pairs, one
+/// per mode, with the order flipped every pair, until each mode has run
+/// for [`OVERHEAD_SPAN`] over at least [`OVERHEAD_PAIRS`] pairs (one
+/// pair in quick mode). The overhead is the median of the per-pair
+/// ratios: each pair's two waves share the host's state at that
+/// moment, and a wave that scheduler noise slows moves one pair, not
+/// the estimate. The reported rates are each mode's median wave.
 fn obs_overhead_bench(
     quick: bool,
     best: &SweepPoint,
@@ -275,27 +295,37 @@ fn obs_overhead_bench(
     model: &HdcModel,
     images: &[Vec<u8>],
 ) -> ObsOverhead {
-    let span = if quick { Duration::ZERO } else { OVERHEAD_SPAN };
+    let (span, min_pairs) = if quick {
+        (Duration::ZERO, 1)
+    } else {
+        (OVERHEAD_SPAN, OVERHEAD_PAIRS)
+    };
     // Index 0: no-op recorder; index 1: live telemetry.
     let registries = [false, true].map(|telemetry| {
         let config = ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
         one_tenant(config, encoder.clone(), model)
     });
-    let mut best_rate = [0.0_f64; 2];
+    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     let mut spent = [Duration::ZERO; 2];
-    while best_rate.contains(&0.0) || spent.iter().any(|&s| s < span) {
-        for (mode, registry) in registries.iter().enumerate() {
+    while rates[0].len() < min_pairs || spent.iter().any(|&s| s < span) {
+        let pair = rates[0].len();
+        for step in 0..2 {
+            let mode = (pair + step) % 2;
             let t0 = Instant::now();
-            best_rate[mode] = best_rate[mode].max(wave_rate(registry, images));
+            rates[mode].push(wave_rate(&registries[mode], images));
             spent[mode] += t0.elapsed();
         }
     }
-    let [noop_images_per_sec, instrumented_images_per_sec] = best_rate;
+    let [noop, instrumented] = &rates;
+    let overheads: Vec<f64> = noop
+        .iter()
+        .zip(instrumented)
+        .map(|(n, i)| (n - i) / n * 100.0)
+        .collect();
     ObsOverhead {
-        instrumented_images_per_sec,
-        noop_images_per_sec,
-        overhead_pct: (noop_images_per_sec - instrumented_images_per_sec) / noop_images_per_sec
-            * 100.0,
+        instrumented_images_per_sec: median(instrumented),
+        noop_images_per_sec: median(noop),
+        overhead_pct: median(&overheads),
     }
 }
 

@@ -278,6 +278,29 @@ impl BitSliceAccumulator {
         self.total += added;
     }
 
+    /// Add masks whose contributions `total` already counts: every
+    /// dimension is incremented once per mask whose bit is 1 there,
+    /// and `total` stays put. Each mask must refine a contribution
+    /// counted earlier (a lit pixel's delta row on top of the all-dark
+    /// bundle it was counted in), so no count ever passes `total` and
+    /// the counter never widens past its bit length.
+    ///
+    /// This is [`BitSliceAccumulator::add_masks`] with the masks
+    /// already counted: it grows the planes to `total` and restores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more masks are passed than `total` counts, or on a
+    /// mask of the wrong length.
+    pub(crate) fn add_uncounted_masks(&mut self, masks: &[&[u64]]) {
+        let total = self.total;
+        self.total = total
+            .checked_sub(masks.len() as u64)
+            .expect("uncounted masks refine contributions already in total");
+        self.add_masks(masks);
+        debug_assert_eq!(self.total, total);
+    }
+
     /// Merge another accumulator's counts into this one.
     ///
     /// # Errors
@@ -289,6 +312,16 @@ impl BitSliceAccumulator {
                 left: self.dim,
                 right: other.dim,
             });
+        }
+        if self.total == 0 {
+            // Nothing counted yet, so every plane is zero: the merge is
+            // a copy of `other`'s planes.
+            if self.planes.len() < other.planes.len() {
+                self.planes.resize(other.planes.len(), 0);
+            }
+            self.planes[..other.planes.len()].copy_from_slice(&other.planes);
+            self.total = other.total;
+            return Ok(());
         }
         self.grow_to(self.total.saturating_add(other.total));
         // Every plane of `other` at its weight. Planes past our width
@@ -635,6 +668,80 @@ mod tests {
         one.add_mask(&m);
         deep2.merge(&one).unwrap();
         assert_eq!(deep2.counts(), vec![5001u64; 64]);
+    }
+
+    #[test]
+    fn merge_into_an_empty_accumulator_copies_the_planes() {
+        let dim = 130u32;
+        let mut rng = fixture_rng("accumulator_merge_empty");
+        let masks = random_masks(40, dim, &mut rng);
+        let rows: Vec<&[u64]> = masks.iter().map(Vec::as_slice).collect();
+        let mut src = BitSliceAccumulator::new(dim);
+        src.add_masks(&rows);
+        // A fresh receiver, and a cleared one wider than `src`.
+        let mut wide = BitSliceAccumulator::new(dim);
+        for _ in 0..5000 {
+            wide.add_mask(&[u64::MAX, u64::MAX, 0b11]);
+        }
+        wide.clear();
+        for mut dst in [BitSliceAccumulator::new(dim), wide] {
+            dst.merge(&src).unwrap();
+            assert_eq!(dst.total(), src.total());
+            assert_eq!(dst.counts(), src.counts());
+            assert_eq!(dst.binarize(), src.binarize());
+            assert!(dst.planes() >= src.planes());
+            // The copy leaves a working accumulator behind.
+            dst.merge(&src).unwrap();
+            let doubled: Vec<u64> = src.counts().iter().map(|c| 2 * c).collect();
+            assert_eq!(dst.counts(), doubled);
+        }
+    }
+
+    #[test]
+    fn uncounted_masks_refine_without_widening() {
+        // Split each mask into a counted half and an uncounted rest:
+        // the sum matches the dense reference of the whole masks,
+        // `total` counts each mask once and the counter stays at
+        // bits(total) planes.
+        let dim = 130u32;
+        let mut rng = fixture_rng("accumulator_uncounted");
+        for n in [1usize, 15, 16, 17, 784] {
+            let masks = random_masks(n, dim, &mut rng);
+            let splits = random_masks(n, dim, &mut rng);
+            let mut dense = DenseAccumulator::new(dim);
+            let mut sliced = BitSliceAccumulator::new(dim);
+            let counted: Vec<Vec<u64>> = masks
+                .iter()
+                .zip(&splits)
+                .map(|(m, r)| m.iter().zip(r).map(|(a, b)| a & b).collect())
+                .collect();
+            let rest: Vec<Vec<u64>> = masks
+                .iter()
+                .zip(&splits)
+                .map(|(m, r)| m.iter().zip(r).map(|(a, b)| a & !b).collect())
+                .collect();
+            for m in &masks {
+                dense.add_mask(m);
+            }
+            sliced.add_masks(&counted.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            sliced.add_uncounted_masks(&rest.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let dc: Vec<u64> = dense.counts().iter().map(|&c| c as u64).collect();
+            assert_eq!(sliced.total(), n as u64);
+            assert_eq!(sliced.counts(), dc, "n {n}");
+            assert_eq!(sliced.bipolar_sums(), dense.bipolar_sums());
+            assert_eq!(sliced.binarize(), dense.binarize());
+            assert_eq!(
+                sliced.planes(),
+                (u64::BITS - (n as u64).leading_zeros()) as usize
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already in total")]
+    fn uncounted_masks_past_total_panic() {
+        let mut acc = BitSliceAccumulator::new(64);
+        acc.add_uncounted_masks(&[&[1]]);
     }
 
     #[test]

@@ -190,15 +190,28 @@ pub(crate) struct MaskBlock {
     rows: Vec<u64>,
     words: usize,
     len: usize,
+    /// How a block enters the accumulator: counted toward `total` or not.
+    add: fn(&mut BitSliceAccumulator, &[&[u64]]),
 }
 
 impl MaskBlock {
-    /// An empty block of `words`-word rows.
+    /// An empty block of `words`-word rows, each counted toward the
+    /// accumulator's `total`.
     pub(crate) fn new(words: usize) -> Self {
         MaskBlock {
             rows: vec![0u64; BUNDLE_BLOCK * words],
             words,
             len: 0,
+            add: BitSliceAccumulator::add_masks,
+        }
+    }
+
+    /// An empty block of rows that refine contributions `total` already
+    /// counts (see `BitSliceAccumulator::add_uncounted_masks`).
+    pub(crate) fn uncounted(words: usize) -> Self {
+        MaskBlock {
+            add: BitSliceAccumulator::add_uncounted_masks,
+            ..MaskBlock::new(words)
         }
     }
 
@@ -219,7 +232,7 @@ impl MaskBlock {
         for (slot, row) in block.iter_mut().zip(self.rows.chunks_exact(self.words)) {
             *slot = row;
         }
-        acc.add_masks(&block[..self.len]);
+        (self.add)(acc, &block[..self.len]);
         self.len = 0;
     }
 }

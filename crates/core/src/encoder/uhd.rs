@@ -13,7 +13,10 @@
 //! paths are provided, all proven equivalent where they overlap:
 //!
 //! * the **plane-table path** ([`UhdEncoder`]) — pre-computed per-pixel
-//!   threshold bit-planes, the fast path used for training and benches;
+//!   threshold bit-planes, the fast path used for training and benches.
+//!   Every pixel at level 0 adds the same mask whatever the image, so
+//!   the encoder bundles those dark masks once at construction and per
+//!   image adds only the lit pixels' delta rows on top;
 //! * the **unary gate path** ([`UhdEncoder::encode_via_unary`]) — every
 //!   comparison walks the Fig. 4 comparator on UST-fetched streams;
 //! * the **exact path** ([`UhdExactEncoder`]) — unquantized fixed-point
@@ -196,11 +199,21 @@ impl UhdConfig {
 pub struct UhdEncoder {
     config: UhdConfig,
     quantizer: Quantizer,
-    /// Threshold bit-planes as an item memory, row `p·ξ + q`: bit `j`
-    /// of row `(p, q)` is 1 iff `q ≥ Q(S_p[j])`. Resident tables
-    /// materialize via scatter + prefix-OR; rematerialized tables
-    /// derive rows from the LD family on demand.
+    /// Threshold bit-planes as an item memory of disjoint rows,
+    /// `p·ξ + q`: row `(p, 0)` is the dark mask `[Q(S_p[j]) = 0]`, row
+    /// `(p, L ≥ 1)` the delta `[1 ≤ Q(S_p[j]) ≤ L]`, and the level-`L`
+    /// comparator mask is their OR. Resident tables materialize via
+    /// scatter + prefix-OR; rematerialized tables derive rows from the
+    /// LD family on demand.
     planes: ItemMemory,
+    /// The all-dark bundle `B = Σ_p row(p, 0)` with total H. An image's
+    /// counts are `B + Σ_{p lit} row(p, L_p)`: the dark rows of the lit
+    /// pixels are in `B` already, and their deltas add the rest.
+    dark: BitSliceAccumulator,
+    /// An all-zero row that pads the last partial block of delta rows
+    /// to a full Harley–Seal block: one block costs less than even a
+    /// single mask rippled in on its own.
+    zero_row: Vec<u64>,
     /// `quantize_u8` of every intensity, so the per-pixel level lookup
     /// on the request path is a table read, not a float round.
     intensity_levels: [u32; 256],
@@ -237,10 +250,13 @@ impl UhdEncoder {
             },
             config.backend,
         )?;
+        let dark = dark_bundle(&planes, config.pixels, config.levels)?;
         Ok(UhdEncoder {
             config,
             quantizer,
             planes,
+            dark,
+            zero_row: vec![0u64; wc],
             intensity_levels: std::array::from_fn(|v| quantizer.quantize_u8(v as u8)),
             words: wc,
         })
@@ -252,7 +268,8 @@ impl UhdEncoder {
         &self.config
     }
 
-    /// The threshold-plane item memory (row `pixel·ξ + level`).
+    /// The threshold-plane item memory (row `pixel·ξ + level`: the dark
+    /// row at level 0, disjoint delta rows above it).
     #[must_use]
     pub fn plane_memory(&self) -> &ItemMemory {
         &self.planes
@@ -284,41 +301,32 @@ impl UhdEncoder {
             .quantized_column(pixel, self.config.dim as usize, self.quantizer, out)
     }
 
-    /// The packed level-hypervector mask for (`pixel`, quantized level),
-    /// borrowed from the resident plane table.
-    ///
-    /// Bit `j` is 1 iff the hypervector element is +1.
-    ///
-    /// # Errors
-    ///
-    /// * [`HdcError::IndexOutOfRange`] for a bad pixel or level.
-    /// * [`HdcError::TableNotResident`] on the rematerialized backend —
-    ///   use [`UhdEncoder::pixel_mask_into`] there.
-    pub fn pixel_mask(&self, pixel: usize, level: u32) -> Result<&[u64], HdcError> {
-        self.check_mask_args(pixel, level)?;
-        let rows = self
-            .planes
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "plane" })?;
-        Ok(rows[pixel * self.config.levels as usize + level as usize].words())
-    }
-
-    /// [`UhdEncoder::pixel_mask`] for any backend: resident rows are
-    /// borrowed from the table, rematerialized rows are derived into
-    /// `scratch` and borrowed from there.
+    /// The packed level-hypervector mask for (`pixel`, quantized
+    /// level), written into `scratch` on either backend: the dark row
+    /// OR the level's delta row. Bit `j` is 1 iff the hypervector
+    /// element is +1.
     ///
     /// # Errors
     ///
     /// [`HdcError::IndexOutOfRange`] for a bad pixel or level.
     pub fn pixel_mask_into<'a>(
-        &'a self,
+        &self,
         pixel: usize,
         level: u32,
         scratch: &'a mut Vec<u64>,
     ) -> Result<&'a [u64], HdcError> {
         self.check_mask_args(pixel, level)?;
-        self.planes
-            .row(pixel as u32 * self.config.levels + level, scratch)
+        let base = pixel as u32 * self.config.levels;
+        let mut row = Vec::new();
+        scratch.clear();
+        scratch.extend_from_slice(self.planes.row(base, &mut row)?);
+        if level > 0 {
+            let delta = self.planes.row(base + level, &mut row)?;
+            for (word, &d) in scratch.iter_mut().zip(delta) {
+                *word |= d;
+            }
+        }
+        Ok(scratch)
     }
 
     fn check_mask_args(&self, pixel: usize, level: u32) -> Result<(), HdcError> {
@@ -388,26 +396,43 @@ impl Encoder for UhdEncoder {
         check_feature_len(self.config.pixels, image)?;
         check_acc(self.config.dim, acc)?;
         let levels = self.config.levels;
+        // Every pixel's dark row, counted toward `total`; the lit
+        // pixels' delta rows then refine counts `total` already holds.
+        acc.merge(&self.dark)?;
         if let Some(rows) = self.planes.resident_rows() {
             // Borrowed table rows, a block at a time from the stack:
             // the resident request path allocates nothing.
             let mut block: [&[u64]; BUNDLE_BLOCK] = [&[]; BUNDLE_BLOCK];
-            for (chunk, pixels) in image.chunks(BUNDLE_BLOCK).enumerate() {
-                for (i, (slot, &v)) in block.iter_mut().zip(pixels).enumerate() {
-                    let pixel = chunk * BUNDLE_BLOCK + i;
-                    let level = self.level_of(v);
-                    // Arguments are in range by the checks above plus
-                    // the quantizer's contract.
-                    debug_assert!(pixel < self.config.pixels && level < levels);
-                    *slot = rows[pixel * levels as usize + level as usize].words();
+            let mut len = 0;
+            for (pixel, &v) in image.iter().enumerate() {
+                let level = self.level_of(v);
+                if level == 0 {
+                    continue;
                 }
-                acc.add_masks(&block[..pixels.len()]);
+                // In range by the checks above plus the quantizer's
+                // contract.
+                debug_assert!(pixel < self.config.pixels && level < levels);
+                block[len] = rows[pixel * levels as usize + level as usize].words();
+                len += 1;
+                if len == BUNDLE_BLOCK {
+                    acc.add_uncounted_masks(&block);
+                    len = 0;
+                }
             }
+            // Zero rows add nothing; they need `total ≥ 16` of room.
+            if len > 0 && acc.total() >= BUNDLE_BLOCK as u64 {
+                block[len..].fill(&self.zero_row);
+                len = BUNDLE_BLOCK;
+            }
+            acc.add_uncounted_masks(&block[..len]);
         } else {
-            let mut staged = MaskBlock::new(self.words);
+            let mut staged = MaskBlock::uncounted(self.words);
             let mut scratch = Vec::with_capacity(self.words);
             for (pixel, &v) in image.iter().enumerate() {
                 let level = self.level_of(v);
+                if level == 0 {
+                    continue;
+                }
                 let mask = self
                     .planes
                     .row(pixel as u32 * levels + level, &mut scratch)?;
@@ -434,9 +459,28 @@ impl Encoder for UhdEncoder {
             table_bytes: h * d * m_bits / 8,
             working_bytes: d * 4,
             backend: self.config.backend,
-            resident_bytes: self.planes.resident_bytes(),
+            resident_bytes: self.planes.resident_bytes()
+                + ((self.dark.planes() + 1) * self.words) as u64 * 8,
         }
     }
+}
+
+/// The all-dark bundle: every pixel's level-0 row of `planes`, on
+/// either backend.
+fn dark_bundle(
+    planes: &ItemMemory,
+    pixels: usize,
+    levels: u32,
+) -> Result<BitSliceAccumulator, HdcError> {
+    let mut dark = BitSliceAccumulator::new(planes.dim());
+    let mut staged = MaskBlock::new(planes.words());
+    let mut scratch = Vec::new();
+    for pixel in 0..pixels {
+        let row = planes.row(pixel as u32 * levels, &mut scratch)?;
+        staged.next_row(&mut dark).copy_from_slice(row);
+    }
+    staged.flush(&mut dark);
+    Ok(dark)
 }
 
 /// The exact (unquantized) uHD encoder.
@@ -596,12 +640,13 @@ mod tests {
     fn plane_table_matches_direct_quantized_comparison() {
         let enc = UhdEncoder::new(tiny_config()).unwrap();
         let quantizer = Quantizer::new(16).unwrap();
+        let mut scratch = Vec::new();
         for pixel in 0..9 {
             let mut sobol = SobolDimension::new(pixel).unwrap();
             sobol.seek(1000 + pixel as u64 * 63); // the LdFamily::sobol() phase
             let values = sobol.take_values(128);
             for level in 0..16u32 {
-                let mask = enc.pixel_mask(pixel, level).unwrap();
+                let mask = enc.pixel_mask_into(pixel, level, &mut scratch).unwrap();
                 for (j, &s) in values.iter().enumerate() {
                     let expect = level >= quantizer.quantize_unit(s);
                     let got = (mask[j / 64] >> (j % 64)) & 1 == 1;
@@ -614,12 +659,27 @@ mod tests {
     #[test]
     fn masks_grow_monotonically_with_level() {
         let enc = UhdEncoder::new(tiny_config()).unwrap();
+        let (mut lo_buf, mut hi_buf) = (Vec::new(), Vec::new());
         for pixel in 0..9 {
             for level in 1..16u32 {
-                let lo = enc.pixel_mask(pixel, level - 1).unwrap();
-                let hi = enc.pixel_mask(pixel, level).unwrap();
+                let lo = enc.pixel_mask_into(pixel, level - 1, &mut lo_buf).unwrap();
+                let hi = enc.pixel_mask_into(pixel, level, &mut hi_buf).unwrap();
                 for (a, b) in lo.iter().zip(hi.iter()) {
                     assert_eq!(a & !b, 0, "mask must be monotone in level");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_rows_are_disjoint_from_the_dark_row() {
+        let enc = UhdEncoder::new(tiny_config()).unwrap();
+        let rows = enc.plane_memory().resident_rows().unwrap();
+        for pixel in 0..9 {
+            let dark = rows[pixel * 16].words();
+            for level in 1..16 {
+                for (d, z) in rows[pixel * 16 + level].words().iter().zip(dark) {
+                    assert_eq!(d & z, 0, "pixel {pixel} level {level}");
                 }
             }
         }
@@ -630,7 +690,8 @@ mod tests {
         // Intensity 255 quantizes to xi-1 which is >= every quantized
         // Sobol value, so the mask is full.
         let enc = UhdEncoder::new(tiny_config()).unwrap();
-        let mask = enc.pixel_mask(0, 15).unwrap();
+        let mut scratch = Vec::new();
+        let mask = enc.pixel_mask_into(0, 15, &mut scratch).unwrap();
         let ones: u32 = mask.iter().map(|w| w.count_ones()).sum();
         assert_eq!(ones, 128);
     }
@@ -638,32 +699,36 @@ mod tests {
     #[test]
     fn pixel_mask_misuse_errors_instead_of_panicking() {
         let enc = UhdEncoder::new(tiny_config()).unwrap();
-        assert!(matches!(
-            enc.pixel_mask(9, 0),
-            Err(HdcError::IndexOutOfRange {
-                what: "pixel",
-                index: 9,
-                len: 9
-            })
-        ));
-        assert!(matches!(
-            enc.pixel_mask(0, 16),
-            Err(HdcError::IndexOutOfRange {
-                what: "level",
-                index: 16,
-                len: 16
-            })
-        ));
         let remat = UhdEncoder::new(tiny_config().rematerialized()).unwrap();
-        assert!(matches!(
-            remat.pixel_mask(0, 0),
-            Err(HdcError::TableNotResident { what: "plane" })
-        ));
         let mut scratch = Vec::new();
-        assert_eq!(
-            remat.pixel_mask_into(3, 7, &mut scratch).unwrap(),
-            enc.pixel_mask(3, 7).unwrap()
-        );
+        for e in [&enc, &remat] {
+            assert!(matches!(
+                e.pixel_mask_into(9, 0, &mut scratch),
+                Err(HdcError::IndexOutOfRange {
+                    what: "pixel",
+                    index: 9,
+                    len: 9
+                })
+            ));
+            assert!(matches!(
+                e.pixel_mask_into(0, 16, &mut scratch),
+                Err(HdcError::IndexOutOfRange {
+                    what: "level",
+                    index: 16,
+                    len: 16
+                })
+            ));
+        }
+        let mut other = Vec::new();
+        for pixel in 0..9 {
+            for level in 0..16 {
+                assert_eq!(
+                    remat.pixel_mask_into(pixel, level, &mut scratch).unwrap(),
+                    enc.pixel_mask_into(pixel, level, &mut other).unwrap(),
+                    "pixel {pixel} level {level}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -685,10 +750,12 @@ mod tests {
         }
         // The rematerialized instance pins far less heap while quoting
         // the same nominal hardware table size; the resident one holds
-        // exactly the plane table (pixels · ξ · D bits), nothing more.
+        // exactly the plane table (pixels · ξ · D bits), the all-dark
+        // bundle (bits(9) = 4 planes of D bits) and one zero pad row,
+        // nothing more.
         let (pr, pm) = (res.profile(), rem.profile());
         assert_eq!(pr.table_bytes, pm.table_bytes);
-        assert_eq!(pr.resident_bytes, 9 * 16 * 128 / 8);
+        assert_eq!(pr.resident_bytes, 9 * 16 * 128 / 8 + (4 + 1) * 128 / 8);
         assert!(pm.resident_bytes < pr.resident_bytes);
         assert_eq!(pm.backend, MemoryBackend::rematerialized());
     }

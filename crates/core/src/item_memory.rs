@@ -117,9 +117,13 @@ pub enum RowRecipe {
         /// Which level construction the chain uses.
         scheme: LevelScheme,
     },
-    /// uHD threshold bit-planes: row `p·levels + q` has bit `j` set iff
-    /// `q ≥ Q(S_p[j])` for the family's pixel-`p` sequence — the
-    /// prefix-OR'd monotone masks of the plane-table fast path.
+    /// uHD threshold bit-planes as disjoint rows over the quantized
+    /// scalars `q_j = Q(S_p[j])` of the family's pixel-`p` sequence:
+    /// row `p·levels` is the dark mask `[q_j = 0]`, and row
+    /// `p·levels + L` for `L ≥ 1` is the delta `[1 ≤ q_j ≤ L]`. The
+    /// level-`L` comparator mask `[q_j ≤ L]` is the OR of the dark row
+    /// and the delta row, so an encoder bundles the dark rows once and
+    /// each lit pixel's delta row on top.
     ThresholdPlanes {
         /// Low-discrepancy family supplying the per-pixel sequences.
         family: LdFamily,
@@ -249,9 +253,12 @@ impl RowRecipe {
                     Quantizer::new(levels)?,
                     &mut column,
                 )?;
+                // Level 0 keeps the dark scalars; a higher level keeps
+                // the lit ones it reaches.
+                let kept = if level == 0 { 0..=0 } else { 1..=level };
                 out.fill(0);
                 for (j, &q) in column.iter().enumerate() {
-                    if level >= u32::from(q) {
+                    if kept.contains(&u32::from(q)) {
                         out[j / 64] |= 1u64 << (j % 64);
                     }
                 }
@@ -301,12 +308,13 @@ impl RowRecipe {
                     family.quantized_column(pixel, dim as usize, quantizer, &mut column)?;
                     planes.fill(0);
                     // Scatter: mark each dimension in the plane of its
-                    // own level, then prefix-OR so plane q covers all
-                    // levels ≤ q.
+                    // own level, then prefix-OR from plane 1 so plane
+                    // q ≥ 1 covers levels 1..=q and plane 0 stays the
+                    // dark mask.
                     for (j, &q) in column.iter().enumerate() {
                         planes[usize::from(q) * wc + j / 64] |= 1u64 << (j % 64);
                     }
-                    for q in 1..lv {
+                    for q in 2..lv {
                         for w in 0..wc {
                             let prev = planes[(q - 1) * wc + w];
                             planes[q * wc + w] |= prev;
@@ -762,15 +770,30 @@ mod tests {
             MemoryBackend::rematerialized(),
         )
         .unwrap();
+        // The full level-L mask is the dark row OR the delta row.
+        let full = |pixel: u32, level: u32| {
+            let dark = im.row_hypervector(pixel * 16).unwrap();
+            if level == 0 {
+                return dark;
+            }
+            let delta = im.row_hypervector(pixel * 16 + level).unwrap();
+            let words = dark.words().iter().zip(delta.words()).map(|(a, b)| a | b);
+            Hypervector::from_words(words.collect(), 128).unwrap()
+        };
         for pixel in 0..9u32 {
+            let dark = im.row_hypervector(pixel * 16).unwrap();
             for level in 1..16u32 {
-                let lo = im.row_hypervector(pixel * 16 + level - 1).unwrap();
-                let hi = im.row_hypervector(pixel * 16 + level).unwrap();
+                let lo = full(pixel, level - 1);
+                let hi = full(pixel, level);
                 for (a, b) in lo.words().iter().zip(hi.words()) {
                     assert_eq!(a & !b, 0, "mask must be monotone in level");
                 }
+                let delta = im.row_hypervector(pixel * 16 + level).unwrap();
+                for (d, z) in delta.words().iter().zip(dark.words()) {
+                    assert_eq!(d & z, 0, "delta rows must be disjoint from the dark row");
+                }
             }
-            let top = im.row_hypervector(pixel * 16 + 15).unwrap();
+            let top = full(pixel, 15);
             assert_eq!(top.count_plus_ones(), 128);
         }
     }

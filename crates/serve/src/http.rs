@@ -647,4 +647,292 @@ mod tests {
         assert_eq!(error_response(&ServeError::Closed).status, 503);
         assert_eq!(error_response(&ServeError::WorkerPanicked).status, 500);
     }
+
+    /// Seeded fuzz of the request reader: random, truncated and
+    /// mutated-valid heads and bodies. Every case ends in a typed
+    /// `ParseError` or the request that was sent, and the reader pulls
+    /// no more than the head budget plus the body cap off the wire.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// SplitMix64 step: the case generator's byte source.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(state: &mut u64, bound: usize) -> usize {
+            (next(state) % bound as u64) as usize
+        }
+
+        /// `len` bytes drawn from `alphabet`.
+        fn token(state: &mut u64, alphabet: &[u8], len: usize) -> String {
+            (0..len)
+                .map(|_| char::from(alphabet[below(state, alphabet.len())]))
+                .collect()
+        }
+
+        const PATH: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789/_-.";
+        const QUERY: &[u8] = b"abcxyz0123456789=&?%";
+        const VALUE: &[u8] = b"abc XYZ 019 ;,/:=\"-";
+
+        /// A request as sent, and the parse it must produce.
+        struct Sent {
+            wire: Vec<u8>,
+            /// Where the body starts in `wire`.
+            head_len: usize,
+            method: String,
+            path: String,
+            query: String,
+            keep_alive: bool,
+            body: Vec<u8>,
+        }
+
+        /// A well-formed request with random method, target, version,
+        /// header case, line endings, filler headers and body.
+        fn valid_request(state: &mut u64) -> Sent {
+            let method = ["GET", "POST", "PUT", "DELETE"][below(state, 4)].to_string();
+            let len = below(state, 24);
+            let path = format!("/{}", token(state, PATH, len));
+            let len = below(state, 16);
+            let query = if below(state, 2) == 0 {
+                String::new()
+            } else {
+                token(state, QUERY, len)
+            };
+            let http11 = below(state, 3) != 0;
+            let eol = if below(state, 4) == 0 { "\n" } else { "\r\n" };
+            let mut keep_alive = http11;
+            let target = if query.is_empty() && below(state, 2) == 0 {
+                path.clone()
+            } else {
+                format!("{path}?{query}")
+            };
+            let version = if http11 { "HTTP/1.1" } else { "HTTP/1.0" };
+            let mut head = format!("{method} {target} {version}{eol}");
+            let len = below(state, 48);
+            let body: Vec<u8> = (0..len).map(|_| next(state) as u8).collect();
+            let mut length_sent = false;
+            for _ in 0..below(state, 5) {
+                match below(state, 4) {
+                    0 => {
+                        let len = below(state, 6) + 1;
+                        let name = token(state, b"xyzXYZ-", len);
+                        let len = below(state, 20);
+                        let value = token(state, VALUE, len);
+                        let _ = write!(head, "X-{name}:{value}{eol}");
+                    }
+                    1 => {
+                        let (value, alive) = if below(state, 2) == 0 {
+                            ("close", false)
+                        } else {
+                            ("Keep-Alive", true)
+                        };
+                        keep_alive = alive;
+                        let _ = write!(head, "connection: {value}{eol}");
+                    }
+                    2 if !length_sent => {
+                        length_sent = true;
+                        let _ = write!(head, "Content-Length:  {} {eol}", body.len());
+                    }
+                    _ => {
+                        let _ = write!(head, "Host: localhost{eol}");
+                    }
+                }
+            }
+            let body = if length_sent { body } else { Vec::new() };
+            head.push_str(eol);
+            let head_len = head.len();
+            let mut wire = head.into_bytes();
+            wire.extend_from_slice(&body);
+            Sent {
+                wire,
+                head_len,
+                method,
+                path,
+                query,
+                keep_alive,
+                body,
+            }
+        }
+
+        /// A `BufRead` that counts the bytes its caller consumed.
+        struct Counting<R> {
+            inner: R,
+            consumed: usize,
+        }
+
+        impl<R: BufRead> Read for Counting<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.consumed += n;
+                Ok(n)
+            }
+        }
+
+        impl<R: BufRead> BufRead for Counting<R> {
+            fn fill_buf(&mut self) -> io::Result<&[u8]> {
+                self.inner.fill_buf()
+            }
+            fn consume(&mut self, amt: usize) {
+                self.consumed += amt;
+                self.inner.consume(amt);
+            }
+        }
+
+        /// Parse one request off `reader` and check the bounds every
+        /// outcome must respect.
+        fn bounded_read<R: BufRead>(
+            reader: &mut Counting<R>,
+            max_body: usize,
+        ) -> Result<HttpRequest, ParseError> {
+            let before = reader.consumed;
+            let result = read_request(reader, max_body);
+            let pulled = reader.consumed - before;
+            match &result {
+                Ok(request) => {
+                    assert!(request.body.len() <= max_body);
+                    assert!(pulled <= MAX_HEAD_BYTES + request.body.len());
+                    let head = request.method.len() + request.path.len() + request.query.len();
+                    assert!(head <= MAX_HEAD_BYTES);
+                }
+                Err(_) => assert!(pulled <= MAX_HEAD_BYTES + max_body, "pulled {pulled}"),
+            }
+            result
+        }
+
+        fn assert_parsed(result: Result<HttpRequest, ParseError>, sent: &Sent) {
+            let request = match result {
+                Ok(request) => request,
+                Err(e) => panic!("valid request rejected: {e:?}"),
+            };
+            assert_eq!(request.method, sent.method);
+            assert_eq!(request.path, sent.path);
+            assert_eq!(request.query, sent.query);
+            assert_eq!(request.keep_alive, sent.keep_alive);
+            assert_eq!(request.body, sent.body);
+        }
+
+        fn counting(bytes: Vec<u8>) -> Counting<io::Cursor<Vec<u8>>> {
+            Counting {
+                inner: io::Cursor::new(bytes),
+                consumed: 0,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Back-to-back valid requests on one keep-alive stream
+            /// parse to what was sent, then the stream ends cleanly.
+            #[test]
+            fn prop_valid_requests_round_trip(seed in any::<u64>(), count in 1usize..4) {
+                let mut state = seed;
+                let sent: Vec<Sent> = (0..count).map(|_| valid_request(&mut state)).collect();
+                let wire: Vec<u8> = sent.iter().flat_map(|s| s.wire.iter().copied()).collect();
+                let mut reader = counting(wire);
+                for s in &sent {
+                    assert_parsed(bounded_read(&mut reader, 64), s);
+                }
+                prop_assert!(matches!(bounded_read(&mut reader, 64), Err(ParseError::Eof)));
+            }
+
+            /// A request cut short is refused — or, when only the
+            /// final line break is missing, still the request sent.
+            #[test]
+            fn prop_truncated_requests_are_refused(seed in any::<u64>(), cut in any::<u64>()) {
+                let mut state = seed;
+                let sent = valid_request(&mut state);
+                let cut = (cut % sent.wire.len() as u64) as usize;
+                let mut reader = counting(sent.wire[..cut].to_vec());
+                match bounded_read(&mut reader, 64) {
+                    Ok(_) if cut == 0 => panic!("an empty stream parsed"),
+                    Ok(request) => {
+                        prop_assert_eq!(cut, sent.wire.len() - 1);
+                        prop_assert_eq!(request.method, sent.method);
+                        prop_assert_eq!(request.body, sent.body);
+                    }
+                    Err(ParseError::Eof) => prop_assert_eq!(cut, 0),
+                    Err(ParseError::Malformed(_)) => prop_assert!(cut > 0),
+                    Err(e) => panic!("cut {cut}: unexpected {e:?}"),
+                }
+            }
+
+            /// Byte flips, insertions and deletions anywhere give a
+            /// typed error or a bounded request; overwrites confined
+            /// to the body give the sent request with that body.
+            #[test]
+            fn prop_mutated_requests_stay_typed(seed in any::<u64>(), edits in 1usize..5) {
+                let mut state = seed;
+                let sent = valid_request(&mut state);
+                let mut wire = sent.wire.clone();
+                for _ in 0..edits {
+                    let at = below(&mut state, wire.len() + 1);
+                    let byte = [b':', b'\n', b'\r', b' ', b'?', 0, 0xff, next(&mut state) as u8]
+                        [below(&mut state, 8)];
+                    match below(&mut state, 3) {
+                        0 if at < wire.len() => wire[at] = byte,
+                        1 if at < wire.len() => {
+                            wire.remove(at);
+                        }
+                        _ => wire.insert(at, byte),
+                    }
+                }
+                let _ = bounded_read(&mut counting(wire), 64);
+
+                if !sent.body.is_empty() {
+                    let mut wire = sent.wire.clone();
+                    let mut body = sent.body.clone();
+                    for _ in 0..edits {
+                        let at = below(&mut state, body.len());
+                        body[at] = next(&mut state) as u8;
+                        wire[sent.head_len + at] = body[at];
+                    }
+                    let expect = Sent { body, wire: Vec::new(), ..sent };
+                    assert_parsed(bounded_read(&mut counting(wire), 64), &expect);
+                }
+            }
+
+            /// Random bytes, and endless streams behind a random
+            /// prefix: the reader stops at its budget with a typed
+            /// error, whatever the peer sends.
+            #[test]
+            fn prop_random_bytes_stay_bounded(
+                seed in any::<u64>(),
+                len in 0usize..512,
+                max_body in 0usize..128,
+            ) {
+                let mut state = seed;
+                let bytes: Vec<u8> = (0..len).map(|_| next(&mut state) as u8).collect();
+                let _ = bounded_read(&mut counting(bytes.clone()), max_body);
+
+                let fill = [b'a', b' ', b'\n', b':', 0][below(&mut state, 5)];
+                let endless = io::BufReader::new(io::Cursor::new(bytes).chain(io::repeat(fill)));
+                let mut reader = Counting { inner: endless, consumed: 0 };
+                let _ = bounded_read(&mut reader, max_body);
+            }
+
+            /// A declared body past the cap is refused before any of it
+            /// is read, and a head past the budget before it is
+            /// buffered.
+            #[test]
+            fn prop_caps_are_enforced(seed in any::<u64>(), over in 1usize..1 << 20) {
+                let mut state = seed;
+                let max_body = below(&mut state, 64);
+                let head = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", max_body + over);
+                let mut reader = counting(head.clone().into_bytes());
+                prop_assert!(matches!(bounded_read(&mut reader, max_body), Err(ParseError::TooLarge)));
+                prop_assert_eq!(reader.consumed, head.len());
+
+                let pad = MAX_HEAD_BYTES + below(&mut state, 64);
+                let flood = format!("GET /{} HTTP/1.1\r\n\r\n", "p".repeat(pad));
+                let mut reader = counting(flood.into_bytes());
+                prop_assert!(matches!(bounded_read(&mut reader, max_body), Err(ParseError::HeadTooLarge)));
+            }
+        }
+    }
 }
