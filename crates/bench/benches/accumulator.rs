@@ -3,7 +3,8 @@
 //! the bit-sliced accumulator fed a block at a time (`add_masks`, the
 //! encoders' path) and one mask at a time (`bit_slice`), against the
 //! naive dense accumulator; then its binarization and bipolar-sum
-//! readouts.
+//! readouts, and the online learner's per-sample step: one request's
+//! counts merged into a class counter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -94,6 +95,30 @@ fn bench_readouts(c: &mut Criterion) {
         });
     }
     sums.finish();
+    // The online learner merges each request's counts into its class's
+    // pending counter and reads the sums out once per snapshot. The
+    // counter holds 2^15 to 2^16 − 1 masks, so it stays at 16 planes;
+    // it is reset before it would widen.
+    let mut merge = c.benchmark_group("merge_request");
+    for d in DIMS {
+        let request = filled(d, 6);
+        let mut base = BitSliceAccumulator::new(d);
+        while base.total() < 1 << 15 {
+            base.merge(&request).unwrap();
+        }
+        assert_eq!(base.planes(), 16);
+        let mut class = base.clone();
+        merge.bench_with_input(BenchmarkId::new("into_16_planes", d), &d, |b, _| {
+            b.iter(|| {
+                if class.total() + request.total() >= 1 << 16 {
+                    class.clone_from(&base);
+                }
+                class.merge(black_box(&request)).unwrap();
+                black_box(class.total())
+            });
+        });
+    }
+    merge.finish();
 }
 
 criterion_group!(benches, bench_accumulators, bench_readouts);

@@ -128,8 +128,13 @@ impl DenseAccumulator {
 
 /// Pack `predicate(count)` per dimension into a hypervector, building
 /// whole words instead of `set_bit` (and its per-dimension bounds
-/// assert) — the shared binarization tail of both accumulators.
-fn pack_threshold<T>(counts: &[T], dim: u32, predicate: impl Fn(&T) -> bool) -> Hypervector {
+/// assert) — the shared binarization tail of the dense accumulator and
+/// of [`crate::model::HdcModel::from_class_sums`].
+pub(crate) fn pack_threshold<T>(
+    counts: &[T],
+    dim: u32,
+    predicate: impl Fn(&T) -> bool,
+) -> Hypervector {
     let mut words = vec![0u64; words_for_dim(dim)];
     for (i, c) in counts.iter().enumerate() {
         if predicate(c) {
@@ -273,7 +278,7 @@ impl BitSliceAccumulator {
             kernel.bundle_block(&mut self.planes, self.words, block);
         }
         for mask in rest {
-            add_at_weight(&mut self.planes, self.words, 0, mask);
+            add_row(&mut self.planes, self.words, mask);
         }
         self.total += added;
     }
@@ -303,6 +308,11 @@ impl BitSliceAccumulator {
 
     /// Merge another accumulator's counts into this one.
     ///
+    /// One ripple-carry pass: each word column adds `other`'s planes to
+    /// this one's plane by plane, eight words per step, with one
+    /// carry per bit. The planes are grown first to hold the merged
+    /// total, so the carry out of the top plane is zero.
+    ///
     /// # Errors
     ///
     /// [`HdcError::DimensionMismatch`] if dimensions differ.
@@ -324,28 +334,33 @@ impl BitSliceAccumulator {
             return Ok(());
         }
         self.grow_to(self.total.saturating_add(other.total));
-        // Every plane of `other` at its weight. Planes past our width
-        // are all-zero: `other`'s counts fit in the grown planes.
-        let width = self.planes();
-        for (weight, plane) in other.planes.chunks_exact(self.words).enumerate() {
-            if weight < width {
-                add_at_weight(&mut self.planes, self.words, weight, plane);
-            }
+        // Planes of `other` past our width are all-zero: its counts fit
+        // in the grown planes.
+        let width = self.planes.len().min(other.planes.len());
+        let addend = &other.planes[..width];
+        let words = self.words;
+        let mut w = 0;
+        while w + LANES <= words {
+            add_planes::<LANES>(&mut self.planes, addend, words, w);
+            w += LANES;
+        }
+        for w in w..words {
+            add_planes::<1>(&mut self.planes, addend, words, w);
         }
         self.total += other.total;
         Ok(())
     }
 
-    /// Run `emit` on every dimension's count, in dimension order,
-    /// word column by word column: each column's K plane words are
+    /// Run `emit` on every word column, with the index of the column's
+    /// first dimension and its count bytes: `bytes[g][i]` holds bits
+    /// `8g..8g+8` of the count of the column's dimension `i`, one slice
+    /// entry per group of eight planes. Each column's K plane words are
     /// read once and transposed eight planes × eight dimensions at a
-    /// time through [`SPREAD`], into one count byte per dimension and
-    /// group of eight planes.
-    fn map_counts<T>(&self, emit: impl Fn(u64) -> T) -> Vec<T> {
+    /// time through [`SPREAD`]. Entries past `dim` in the last column
+    /// are stray and must be ignored.
+    fn for_each_column(&self, mut emit: impl FnMut(usize, &[[u8; 64]])) {
         let words = self.words;
         let groups = self.planes().div_ceil(8);
-        let mut out = Vec::with_capacity(self.dim as usize);
-        // bytes[g][i]: bits 8g..8g+8 of dimension i's count.
         let mut bytes = [[0u8; 64]; 8];
         for w in 0..words {
             for (g, group) in bytes[..groups].iter_mut().enumerate() {
@@ -363,22 +378,24 @@ impl BitSliceAccumulator {
                     chunk.copy_from_slice(&bits.to_le_bytes());
                 }
             }
-            let live = (self.dim as usize - w * 64).min(64);
-            out.extend((0..live).map(|i| {
-                let count = bytes[..groups]
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |c, (g, group)| c | u64::from(group[i]) << (8 * g));
-                emit(count)
-            }));
+            emit(64 * w, &bytes[..groups]);
         }
-        out
     }
 
     /// Extract the per-dimension counts.
     #[must_use]
     pub fn counts(&self) -> Vec<u64> {
-        self.map_counts(|c| c)
+        let dim = self.dim as usize;
+        let mut counts = vec![0u64; dim];
+        self.for_each_column(|first, bytes| {
+            let column = &mut counts[first..(first + 64).min(dim)];
+            for (g, group) in bytes.iter().enumerate() {
+                for (count, &byte) in column.iter_mut().zip(group) {
+                    *count |= u64::from(byte) << (8 * g);
+                }
+            }
+        });
+        counts
     }
 
     /// Binarize against an explicit total: +1 where `2·count ≥ total`.
@@ -427,8 +444,39 @@ impl BitSliceAccumulator {
     /// Per-dimension bipolar sums `2·count − total`.
     #[must_use]
     pub fn bipolar_sums(&self) -> Vec<i64> {
-        let total = self.total as i64;
-        self.map_counts(|c| 2 * c as i64 - total)
+        let mut sums = vec![0i64; self.dim as usize];
+        self.fold_bipolar_sums_into(&mut sums, false);
+        sums
+    }
+
+    /// Add the bipolar sums `2·count − total` into `sums` (`negate`:
+    /// subtract them) without allocating them first. Each column's
+    /// count bytes are added group by group in one pass over its 64
+    /// sums, so the per-dimension loops are plain shifted vector adds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums.len() != dim`.
+    pub(crate) fn fold_bipolar_sums_into(&self, sums: &mut [i64], negate: bool) {
+        let dim = self.dim as usize;
+        assert_eq!(sums.len(), dim, "sum row length mismatch");
+        let total = if negate { -1 } else { 1 } * self.total as i64;
+        self.for_each_column(|first, bytes| {
+            let column = &mut sums[first..(first + 64).min(dim)];
+            for sum in column.iter_mut() {
+                *sum -= total;
+            }
+            for (g, group) in bytes.iter().enumerate() {
+                // Twice the count bits 8g..8g+8.
+                let shift = 8 * g + 1;
+                let pairs = column.iter_mut().zip(group);
+                if negate {
+                    pairs.for_each(|(sum, &byte)| *sum -= i64::from(byte) << shift);
+                } else {
+                    pairs.for_each(|(sum, &byte)| *sum += i64::from(byte) << shift);
+                }
+            }
+        });
     }
 
     /// Reset to the zero state, keeping the allocated planes.
@@ -506,15 +554,33 @@ fn ripple<const N: usize>(
     debug_assert!(carry.iter().all(|&c| c == 0), "bit-plane counter overflow");
 }
 
-/// Add `row` at weight `2^weight` into every word column of the planes.
-fn add_at_weight(planes: &mut [u64], words: usize, weight: usize, row: &[u64]) {
+/// Ripple-carry add word lanes `w..w+N` of the `addend` planes into
+/// the same lanes of `planes`, plane by plane from plane 0 up. The
+/// planes were grown to hold the sum, so the carry out of the top plane
+/// is zero.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+fn add_planes<const N: usize>(planes: &mut [u64], addend: &[u64], words: usize, w: usize) {
+    let mut carry = [0u64; N];
+    let mut addend = addend.chunks_exact(words);
+    for plane in planes.chunks_exact_mut(words) {
+        let b = addend.next().map_or([0u64; N], |row| lanes(row, w));
+        let (next, sum) = csa(lanes(plane, w), b, carry);
+        plane[w..w + N].copy_from_slice(&sum);
+        carry = next;
+    }
+    debug_assert!(carry.iter().all(|&c| c == 0), "bit-plane counter overflow");
+}
+
+/// Add one `row` into every word column of the planes.
+fn add_row(planes: &mut [u64], words: usize, row: &[u64]) {
     let mut w = 0;
     while w + LANES <= words {
-        ripple::<LANES>(planes, words, w, weight, lanes(row, w));
+        ripple::<LANES>(planes, words, w, 0, lanes(row, w));
         w += LANES;
     }
     for (w, &word) in row.iter().enumerate().skip(w) {
-        ripple::<1>(planes, words, w, weight, [word]);
+        ripple::<1>(planes, words, w, 0, [word]);
     }
 }
 
@@ -856,6 +922,72 @@ mod tests {
             for total in [0, 1, 2 * odd + 1, blocked.total(), (1 << planes) + 1, 2 << planes, u64::MAX] {
                 let expect = pack_threshold(&dc, dim, |&c| 2 * c >= total);
                 prop_assert_eq!(blocked.binarize_with_total(total), expect, "total {}", total);
+            }
+        }
+
+        /// `merge` into every receiver state — empty (fresh, or cleared
+        /// but wide), one plane, narrower and wider than the addend —
+        /// from an addend that is either tight or a cleared wide
+        /// accumulator refilled (the serving lanes' reused scratch).
+        /// Counts, sums, binarization and the sum fold all match the
+        /// dense reference of both mask sets.
+        #[test]
+        fn prop_merge_matches_dense_across_receiver_states(
+            dim in 1u32..300,
+            seed in any::<u64>(),
+            receiver in 0usize..5,
+            edge in 0usize..BLOCK_EDGES.len(),
+            wide_addend in any::<bool>(),
+        ) {
+            let mut rng = uhd_lowdisc::rng::Xoshiro256StarStar::seeded(seed);
+            let widened = |n: usize, rng: &mut uhd_lowdisc::rng::Xoshiro256StarStar| {
+                let mut acc = BitSliceAccumulator::new(dim);
+                let masks = random_masks(n, dim, rng);
+                acc.add_masks(&masks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                acc.clear();
+                acc
+            };
+            // (receiver, its masks): 0 fresh, 1 cleared with 12 planes,
+            // 2 one plane, 3 two planes, 4 twelve planes.
+            let (mut dst, dst_n) = match receiver {
+                0 => (BitSliceAccumulator::new(dim), 0),
+                1 => (widened(3000, &mut rng), 0),
+                2 => (BitSliceAccumulator::new(dim), 1),
+                3 => (BitSliceAccumulator::new(dim), 3),
+                _ => (BitSliceAccumulator::new(dim), 2100),
+            };
+            let dst_masks = random_masks(dst_n, dim, &mut rng);
+            dst.add_masks(&dst_masks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let src_masks = random_masks(BLOCK_EDGES[edge], dim, &mut rng);
+            let mut src = if wide_addend {
+                widened(5000, &mut rng)
+            } else {
+                BitSliceAccumulator::new(dim)
+            };
+            src.add_masks(&src_masks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+
+            let mut dense = DenseAccumulator::new(dim);
+            for m in dst_masks.iter().chain(&src_masks) {
+                dense.add_mask(m);
+            }
+            dst.merge(&src).unwrap();
+            let dc: Vec<u64> = dense.counts().iter().map(|&c| c as u64).collect();
+            prop_assert_eq!(dst.total(), dense.total());
+            prop_assert_eq!(&dst.counts(), &dc);
+            prop_assert_eq!(dst.bipolar_sums(), dense.bipolar_sums());
+            prop_assert_eq!(dst.binarize(), dense.binarize());
+            // The fold adds or subtracts the same sums onto a running row.
+            let base: Vec<i64> = (0..dim).map(|_| rng.next_u64() as i64 >> 20).collect();
+            for negate in [false, true] {
+                let mut folded = base.clone();
+                dst.fold_bipolar_sums_into(&mut folded, negate);
+                let sign = if negate { -1 } else { 1 };
+                let expect: Vec<i64> = base
+                    .iter()
+                    .zip(dense.bipolar_sums())
+                    .map(|(b, s)| b + sign * s)
+                    .collect();
+                prop_assert_eq!(folded, expect, "negate {}", negate);
             }
         }
     }

@@ -10,7 +10,7 @@
 //! generic over [`Encoder`], so the same model code trains and serves
 //! image, text and tabular workloads.
 
-use crate::accumulator::BitSliceAccumulator;
+use crate::accumulator::{pack_threshold, BitSliceAccumulator};
 use crate::assoc::AssociativeMemory;
 use crate::encoder::Encoder;
 use crate::error::HdcError;
@@ -255,13 +255,7 @@ impl HdcModel {
                     reason: format!("class sum length {} != dim {dim}", sums.len()),
                 });
             }
-            let mut hv = Hypervector::neg_ones(dim);
-            for (i, &s) in sums.iter().enumerate() {
-                if s >= 0 {
-                    hv.set_bit(i as u32, true);
-                }
-            }
-            class_hvs.push(hv);
+            class_hvs.push(pack_threshold(sums, dim, |&s| s >= 0));
         }
         Self::from_parts(class_hvs, class_sums, dim)
     }

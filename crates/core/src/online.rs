@@ -7,30 +7,42 @@
 //! accumulators alive after training and keep folding labelled samples
 //! into them, rebinarizing on demand. [`OnlineLearner`] is that loop:
 //!
-//! * [`OnlineLearner::observe_sums`] bundles one sample's *integer*
-//!   encoding (the per-image bipolar accumulator sums) into its class
-//!   accumulator. Bundling is linear, so this is **bit-identical to
-//!   single-pass batch training** continued forever: a learner that
-//!   streams the training set lands on exactly the class sums
-//!   [`HdcModel::train`] produces. [`OnlineLearner::observe`] is the
-//!   binarized (±1 per dimension) variant for hardware-faithful
-//!   pipelines that only keep the sign;
-//! * [`OnlineLearner::feedback_sums`] / [`OnlineLearner::feedback`]
+//! * [`OnlineLearner::observe_accumulator`] bundles one sample's
+//!   bit-sliced encoding (the per-image [`BitSliceAccumulator`] counts)
+//!   into its class. The counts are merged into a per-class pending
+//!   counter in the bit-sliced domain, and every pending counter is
+//!   folded into the `i64` class sums once, on the next read
+//!   ([`OnlineLearner::class_sums`], [`OnlineLearner::snapshot`]).
+//!   The fold is exact by linearity, `Σ(2c − H) = 2·Σc − n·H`, so the
+//!   count-to-sum transpose runs once per touched counter and read,
+//!   not once per sample;
+//! * [`OnlineLearner::observe_sums`] bundles the same sample given as
+//!   its *integer* encoding (the bipolar sums `2c − H`). Bundling is
+//!   linear, so both entries are **bit-identical to single-pass batch
+//!   training** continued forever: a learner that streams the training
+//!   set lands on exactly the class sums [`HdcModel::train`] produces.
+//!   [`OnlineLearner::observe`] is the binarized (±1 per dimension)
+//!   variant for hardware-faithful pipelines that only keep the sign;
+//! * [`OnlineLearner::feedback_accumulator`] /
+//!   [`OnlineLearner::feedback_sums`] / [`OnlineLearner::feedback`]
 //!   apply the AdaptHD perceptron rule — on a misprediction, add the
 //!   encoding to the true class and subtract it from the predicted
-//!   one;
+//!   one (in the bit-sliced domain, the predicted class keeps a second
+//!   pending counter of subtracted samples);
 //! * labels the learner has never seen **admit new classes at
 //!   runtime** (up to a configurable cap), so a deployed model can
 //!   grow its label space without retraining from scratch;
-//! * [`OnlineLearner::snapshot`] rebinarizes the accumulators into a
-//!   fresh [`HdcModel`] — cheap enough (one sign pass plus the
-//!   bit-sliced associative-memory transpose) to run continuously,
-//!   which is what `uhd-serve` does behind its hot model swap.
+//! * [`OnlineLearner::snapshot`] folds the pending counters and
+//!   rebinarizes the accumulators into a fresh [`HdcModel`] — cheap
+//!   enough (one sign pass plus the bit-sliced associative-memory
+//!   transpose) to run continuously, which is what `uhd-serve` does
+//!   behind its hot model swap.
 //!
 //! The correction kernel here is the *single* implementation shared
 //! with the batched [`crate::retrain`] extension, so the online and
 //! epoch-based paths can never drift apart.
 
+use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::model::HdcModel;
@@ -100,11 +112,43 @@ pub(crate) fn apply_correction(
     apply_correction_with(sums, bipolar_deltas(encoding), label, predicted);
 }
 
+/// One class's samples not yet folded into its `i64` sums: the
+/// bit-sliced counts of the samples added to it and of those
+/// subtracted from it (feedback naming it as the wrong prediction).
+#[derive(Debug, Clone)]
+struct Pending {
+    added: BitSliceAccumulator,
+    subtracted: BitSliceAccumulator,
+}
+
+impl Pending {
+    fn new(dim: u32) -> Self {
+        Pending {
+            added: BitSliceAccumulator::new(dim),
+            subtracted: BitSliceAccumulator::new(dim),
+        }
+    }
+
+    /// Fold both counters into `sums` as bipolar sums and clear them.
+    /// An untouched counter (total 0) holds all-zero counts and is
+    /// skipped.
+    fn fold_into(&mut self, sums: &mut [i64]) {
+        for (counter, negate) in [(&mut self.added, false), (&mut self.subtracted, true)] {
+            if counter.total() > 0 {
+                counter.fold_bipolar_sums_into(sums, negate);
+                counter.clear();
+            }
+        }
+    }
+}
+
 /// A streaming learner over running integer class accumulators.
 ///
 /// Wraps per-class bipolar sums (the same state [`HdcModel`] carries
 /// for retraining), updates them one sample at a time, and emits
-/// rebinarized [`HdcModel`] snapshots on demand.
+/// rebinarized [`HdcModel`] snapshots on demand. Samples given as
+/// bit-sliced counts wait in per-class pending counters until a read
+/// folds them in, which is why the readers take `&mut self`.
 ///
 /// # Example
 ///
@@ -127,6 +171,8 @@ pub(crate) fn apply_correction(
 #[derive(Debug, Clone)]
 pub struct OnlineLearner {
     class_sums: Vec<Vec<i64>>,
+    /// One entry per class, parallel to `class_sums`.
+    pending: Vec<Pending>,
     dim: u32,
     observed: u64,
     corrections: u64,
@@ -148,6 +194,7 @@ impl OnlineLearner {
         }
         Ok(OnlineLearner {
             class_sums: Vec::new(),
+            pending: Vec::new(),
             dim,
             observed: 0,
             corrections: 0,
@@ -161,6 +208,9 @@ impl OnlineLearner {
     pub fn from_model(model: &HdcModel) -> Self {
         OnlineLearner {
             class_sums: model.class_sums().to_vec(),
+            pending: (0..model.classes())
+                .map(|_| Pending::new(model.dim()))
+                .collect(),
             dim: model.dim(),
             observed: 0,
             corrections: 0,
@@ -204,10 +254,29 @@ impl OnlineLearner {
         self.corrections
     }
 
-    /// The running integer class accumulators.
-    #[must_use]
-    pub fn class_sums(&self) -> &[Vec<i64>] {
+    /// The running integer class accumulators, with every pending
+    /// sample folded in.
+    pub fn class_sums(&mut self) -> &[Vec<i64>] {
+        self.fold_pending();
         &self.class_sums
+    }
+
+    /// Fold every class's pending counters into its `i64` sums.
+    fn fold_pending(&mut self) {
+        for (sums, pending) in self.class_sums.iter_mut().zip(&mut self.pending) {
+            pending.fold_into(sums);
+        }
+    }
+
+    /// Reject an encoding whose dimension is not the learner's.
+    fn check_dim(&self, dim: usize) -> Result<(), HdcError> {
+        if dim != self.dim as usize {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim,
+                right: dim as u32,
+            });
+        }
+        Ok(())
     }
 
     /// Reject a `predicted` index naming a class the learner has never
@@ -238,6 +307,7 @@ impl OnlineLearner {
         }
         while self.class_sums.len() <= label {
             self.class_sums.push(vec![0i64; self.dim as usize]);
+            self.pending.push(Pending::new(self.dim));
         }
         Ok(())
     }
@@ -251,12 +321,7 @@ impl OnlineLearner {
     /// * [`HdcError::InvalidTrainingData`] for a label at or beyond the
     ///   admission cap.
     pub fn observe(&mut self, encoding: &Hypervector, label: usize) -> Result<(), HdcError> {
-        if encoding.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: encoding.dim(),
-            });
-        }
+        self.check_dim(encoding.dim() as usize)?;
         self.admit(label)?;
         add_encoding(&mut self.class_sums[label], encoding);
         self.observed += 1;
@@ -270,9 +335,11 @@ impl OnlineLearner {
     ///
     /// Bundling is linear in these sums, so streaming a training set
     /// through this method reproduces [`HdcModel::train`]'s class sums
-    /// exactly; it is the convergent path a serving engine should
-    /// feed, while [`OnlineLearner::observe`] models hardware that
-    /// only keeps the binarized sign.
+    /// exactly. [`OnlineLearner::observe_accumulator`] is the same
+    /// update taken straight from the encoder's bit-sliced counts,
+    /// without the count-to-sum transpose per sample; it is the path a
+    /// serving engine should feed, while [`OnlineLearner::observe`]
+    /// models hardware that only keeps the binarized sign.
     ///
     /// # Errors
     ///
@@ -280,16 +347,38 @@ impl OnlineLearner {
     /// * [`HdcError::InvalidTrainingData`] for a label at or beyond the
     ///   admission cap.
     pub fn observe_sums(&mut self, encoding_sums: &[i64], label: usize) -> Result<(), HdcError> {
-        if encoding_sums.len() != self.dim as usize {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: encoding_sums.len() as u32,
-            });
-        }
+        self.check_dim(encoding_sums.len())?;
         self.admit(label)?;
         for (s, &d) in self.class_sums[label].iter_mut().zip(encoding_sums) {
             *s += d;
         }
+        self.observed += 1;
+        Ok(())
+    }
+
+    /// Bundle one sample's bit-sliced encoding — the
+    /// [`BitSliceAccumulator`] an [`crate::encoder::Encoder::accumulate`]
+    /// call filled — into its class, admitting the class if it is new.
+    ///
+    /// The sample's planes are merged into the class's pending counter;
+    /// the next [`OnlineLearner::class_sums`] or
+    /// [`OnlineLearner::snapshot`] folds them into the sums. The
+    /// result is bit-identical to
+    /// `observe_sums(&sample.bipolar_sums(), label)`.
+    ///
+    /// # Errors
+    ///
+    /// * [`HdcError::DimensionMismatch`] for a wrong-dimension sample.
+    /// * [`HdcError::InvalidTrainingData`] for a label at or beyond the
+    ///   admission cap.
+    pub fn observe_accumulator(
+        &mut self,
+        sample: &BitSliceAccumulator,
+        label: usize,
+    ) -> Result<(), HdcError> {
+        self.check_dim(sample.dim() as usize)?;
+        self.admit(label)?;
+        self.pending[label].added.merge(sample)?;
         self.observed += 1;
         Ok(())
     }
@@ -315,12 +404,7 @@ impl OnlineLearner {
         predicted: usize,
         label: usize,
     ) -> Result<bool, HdcError> {
-        if encoding.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: encoding.dim(),
-            });
-        }
+        self.check_dim(encoding.dim() as usize)?;
         // Validate `predicted` *before* admitting `label`: a rejected
         // sample must leave the learner untouched, or later snapshots
         // would serve phantom (all-ones) classes it admitted on the
@@ -350,12 +434,7 @@ impl OnlineLearner {
         predicted: usize,
         label: usize,
     ) -> Result<bool, HdcError> {
-        if encoding_sums.len() != self.dim as usize {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: encoding_sums.len() as u32,
-            });
-        }
+        self.check_dim(encoding_sums.len())?;
         // Same ordering as `feedback`: reject before mutating.
         self.check_predicted(predicted)?;
         if predicted == label {
@@ -373,9 +452,40 @@ impl OnlineLearner {
         Ok(true)
     }
 
-    /// Rebinarize the running accumulators into a fresh [`HdcModel`]
-    /// (sign at zero, ties positive — the same TOB rule as single-pass
-    /// training), ready to hot-swap into a serving engine.
+    /// [`OnlineLearner::feedback`] on a bit-sliced encoding: on a
+    /// misprediction, merge the sample's planes into the true class's
+    /// pending counter and into the predicted class's counter of
+    /// subtracted samples. Bit-identical to
+    /// `feedback_sums(&sample.bipolar_sums(), predicted, label)`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`OnlineLearner::feedback`], with
+    /// [`HdcError::DimensionMismatch`] for a wrong-dimension sample.
+    pub fn feedback_accumulator(
+        &mut self,
+        sample: &BitSliceAccumulator,
+        predicted: usize,
+        label: usize,
+    ) -> Result<bool, HdcError> {
+        self.check_dim(sample.dim() as usize)?;
+        // Same ordering as `feedback`: reject before mutating.
+        self.check_predicted(predicted)?;
+        if predicted == label {
+            return Ok(false);
+        }
+        self.admit(label)?;
+        self.pending[label].added.merge(sample)?;
+        self.pending[predicted].subtracted.merge(sample)?;
+        self.observed += 1;
+        self.corrections += 1;
+        Ok(true)
+    }
+
+    /// Fold the pending counters and rebinarize the running
+    /// accumulators into a fresh [`HdcModel`] (sign at zero, ties
+    /// positive — the same TOB rule as single-pass training), ready to
+    /// hot-swap into a serving engine.
     ///
     /// Classes that were admitted but never observed binarize to the
     /// all-ones hypervector (every sum is zero, and zero rounds to +1).
@@ -383,11 +493,11 @@ impl OnlineLearner {
     /// # Errors
     ///
     /// [`HdcError::ModelUntrained`] when no class has been admitted yet.
-    pub fn snapshot(&self) -> Result<HdcModel, HdcError> {
+    pub fn snapshot(&mut self) -> Result<HdcModel, HdcError> {
         if self.class_sums.is_empty() {
             return Err(HdcError::ModelUntrained);
         }
-        HdcModel::from_class_sums(self.class_sums.clone(), self.dim)
+        HdcModel::from_class_sums(self.class_sums().to_vec(), self.dim)
     }
 }
 
@@ -398,6 +508,7 @@ mod tests {
     use crate::encoder::Encoder;
     use crate::model::LabelledSamples;
     use crate::retrain::retrain;
+    use proptest::prelude::*;
     use uhd_lowdisc::rng::Xoshiro256StarStar;
 
     fn random_encodings(n: usize, dim: u32, seed: u64) -> Vec<Hypervector> {
@@ -478,7 +589,6 @@ mod tests {
         // learner streaming the training set one sample at a time must
         // land on *exactly* the class sums (and hypervectors) of
         // single-pass batch training.
-        use crate::accumulator::BitSliceAccumulator;
         let pixels = 16usize;
         let dim = 512u32;
         let enc = UhdEncoder::new(UhdConfig::new(dim, pixels)).unwrap();
@@ -498,19 +608,25 @@ mod tests {
         let data = LabelledSamples::new(&images, &labels).unwrap();
         let batch = HdcModel::train(&enc, data, 3).unwrap();
 
-        let mut learner = OnlineLearner::new(dim).unwrap();
+        // Both integer-domain entries: the bipolar sums, and the
+        // bit-sliced counts they are read from.
+        let mut by_sums = OnlineLearner::new(dim).unwrap();
+        let mut by_counts = OnlineLearner::new(dim).unwrap();
         let mut scratch = BitSliceAccumulator::new(dim);
         for (image, &label) in images.iter().zip(&labels) {
             scratch.clear();
             enc.accumulate(image, &mut scratch).unwrap();
-            learner
+            by_sums
                 .observe_sums(&scratch.bipolar_sums(), label)
                 .unwrap();
+            by_counts.observe_accumulator(&scratch, label).unwrap();
         }
-        let streamed = learner.snapshot().unwrap();
-        assert_eq!(streamed.class_sums(), batch.class_sums());
-        assert_eq!(streamed.class_hypervectors(), batch.class_hypervectors());
-        assert_eq!(streamed.to_bytes(), batch.to_bytes());
+        for learner in [&mut by_sums, &mut by_counts] {
+            let streamed = learner.snapshot().unwrap();
+            assert_eq!(streamed.class_sums(), batch.class_sums());
+            assert_eq!(streamed.class_hypervectors(), batch.class_hypervectors());
+            assert_eq!(streamed.to_bytes(), batch.to_bytes());
+        }
     }
 
     #[test]
@@ -589,7 +705,7 @@ mod tests {
             Err(HdcError::InvalidTrainingData { .. })
         ));
         // No classes yet: snapshot is untrained.
-        let empty = OnlineLearner::new(dim).unwrap();
+        let mut empty = OnlineLearner::new(dim).unwrap();
         assert!(matches!(empty.snapshot(), Err(HdcError::ModelUntrained)));
     }
 
@@ -626,6 +742,86 @@ mod tests {
         assert_eq!(learner.classes(), 6);
     }
 
+    /// Masks per sample: around the 16-mask block edges and the
+    /// paper's H = 784.
+    const SAMPLE_TOTALS: [usize; 8] = [0, 1, 15, 16, 17, 783, 784, 785];
+
+    fn random_sample(dim: u32, rng: &mut Xoshiro256StarStar) -> BitSliceAccumulator {
+        let n = SAMPLE_TOTALS[rng.next_below(SAMPLE_TOTALS.len() as u64) as usize];
+        let masks = uhd_testutil::random_masks(n, dim, rng);
+        let mut acc = BitSliceAccumulator::new(dim);
+        acc.add_masks(&masks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        acc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Random interleavings of the bit-sliced and the integer
+        /// entries — label gaps and labels past the cap, predictions
+        /// past the admitted classes, cold or warm start, and reads in
+        /// the middle of the stream — against a learner fed only
+        /// through `observe_sums`/`feedback_sums`: every outcome, class
+        /// sum and snapshot byte agrees.
+        #[test]
+        fn prop_accumulator_entries_match_a_sums_only_learner(
+            dim in 1u32..300,
+            seed in any::<u64>(),
+            warm in any::<bool>(),
+            steps in 1usize..40,
+        ) {
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let (subject, reference) = if warm {
+                let mut boot = OnlineLearner::new(dim).unwrap();
+                for label in 0..3 {
+                    boot.observe_sums(&random_sample(dim, &mut rng).bipolar_sums(), label)
+                        .unwrap();
+                }
+                let model = boot.snapshot().unwrap();
+                (OnlineLearner::from_model(&model), OnlineLearner::from_model(&model))
+            } else {
+                (OnlineLearner::new(dim).unwrap(), OnlineLearner::new(dim).unwrap())
+            };
+            let (mut subject, mut reference) = (subject.with_max_classes(7), reference.with_max_classes(7));
+            for _ in 0..steps {
+                let label = rng.next_below(9) as usize;
+                let predicted = rng.next_below(9) as usize;
+                let sample = random_sample(dim, &mut rng);
+                let sums = sample.bipolar_sums();
+                match rng.next_below(6) {
+                    0 => prop_assert_eq!(
+                        subject.observe_accumulator(&sample, label).ok(),
+                        reference.observe_sums(&sums, label).ok()
+                    ),
+                    1 => prop_assert_eq!(
+                        subject.observe_sums(&sums, label).ok(),
+                        reference.observe_sums(&sums, label).ok()
+                    ),
+                    2 => prop_assert_eq!(
+                        subject.feedback_accumulator(&sample, predicted, label).ok(),
+                        reference.feedback_sums(&sums, predicted, label).ok()
+                    ),
+                    3 => prop_assert_eq!(
+                        subject.feedback_sums(&sums, predicted, label).ok(),
+                        reference.feedback_sums(&sums, predicted, label).ok()
+                    ),
+                    4 => prop_assert_eq!(subject.class_sums(), reference.class_sums()),
+                    _ => prop_assert_eq!(
+                        subject.snapshot().ok().map(|m| m.to_bytes()),
+                        reference.snapshot().ok().map(|m| m.to_bytes())
+                    ),
+                }
+                prop_assert_eq!(subject.classes(), reference.classes());
+                prop_assert_eq!(subject.observed(), reference.observed());
+                prop_assert_eq!(subject.corrections(), reference.corrections());
+            }
+            prop_assert_eq!(subject.class_sums(), reference.class_sums());
+            prop_assert_eq!(
+                subject.snapshot().ok().map(|m| m.to_bytes()),
+                reference.snapshot().ok().map(|m| m.to_bytes())
+            );
+        }
+    }
+
     #[test]
     fn warm_start_continues_from_model_sums() {
         let dim = 256u32;
@@ -635,7 +831,7 @@ mod tests {
             cold.observe(e, i % 2).unwrap();
         }
         let model = cold.snapshot().unwrap();
-        let warm = OnlineLearner::from_model(&model);
+        let mut warm = OnlineLearner::from_model(&model);
         assert_eq!(warm.class_sums(), model.class_sums());
         assert_eq!(warm.dim(), dim);
         // A warm learner's snapshot round-trips the model exactly.

@@ -41,8 +41,9 @@
 //!   and boot from such files; [`HttpServer`] puts a registry behind a
 //!   dependency-free HTTP/1.1 front end.
 //! * **Observability** — every request is staged-timed (queue-wait vs
-//!   batch-compute vs total, per permit) into lock-free
-//!   [`uhd_obs::Histogram`]s; [`StatsSnapshot`] reports p50/p99 plus
+//!   batch-compute vs total, per permit; learn apply under the learner
+//!   lock) into lock-free [`uhd_obs::Histogram`]s;
+//!   [`StatsSnapshot`] reports p50/p99 plus
 //!   the high-water mark of the line for permits, and [`ModelRegistry::render_metrics`]
 //!   exposes the whole metric set (counters, gauges, latency
 //!   summaries, per-tenant series, kernel op counters) in the

@@ -16,6 +16,11 @@
 //! * **total** (`uhd_request_total_ns`) — arrival → answer,
 //!   registry-wide (this is the histogram behind
 //!   [`crate::StatsSnapshot::p50_us`]/[`crate::StatsSnapshot::p99_us`]).
+//!
+//! A learn or feedback sample that reaches its tenant's learner adds
+//! one more stage, **learn apply** (`uhd_learn_apply_ns`): learner lock
+//! requested → released, registry-wide. It covers the wait for the
+//! lock, the update and any snapshot publish the update triggers.
 
 use crate::stats::{EngineStats, LatencyFigures};
 use crate::StatsSnapshot;
@@ -35,6 +40,8 @@ pub(crate) struct ServeObs {
     compute: Vec<Arc<Histogram>>,
     /// Registry-wide arrival→answer latency.
     total: Arc<Histogram>,
+    /// Registry-wide learner lock requested→released, per sample.
+    learn_apply: Arc<Histogram>,
     pub(crate) queue_depth: Gauge,
     pub(crate) queue_depth_hw: Gauge,
 }
@@ -82,6 +89,7 @@ impl ServeObs {
             queue_wait,
             compute,
             total: recorder.histogram("uhd_request_total_ns"),
+            learn_apply: recorder.histogram("uhd_learn_apply_ns"),
             queue_depth: recorder.gauge("uhd_queue_depth"),
             queue_depth_hw: recorder.gauge("uhd_queue_depth_hw"),
             recorder,
@@ -98,6 +106,10 @@ impl ServeObs {
 
     pub(crate) fn record_total(&self, elapsed: Duration) {
         self.total.record_duration(elapsed);
+    }
+
+    pub(crate) fn record_learn_apply(&self, elapsed: Duration) {
+        self.learn_apply.record_duration(elapsed);
     }
 
     /// Forward a trace event to the recorder's ring.

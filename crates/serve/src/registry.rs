@@ -15,8 +15,8 @@
 //! * an [`OnlineLearner`] fed *synchronously* by
 //!   [`ModelRegistry::learn`] and [`ModelRegistry::feedback`] (no
 //!   background trainer: tenant counts are unbounded, threads are
-//!   not), publishing a rebinarized snapshot every `snapshot_every`
-//!   applied updates,
+//!   not) with each sample's bit-sliced counts, publishing a
+//!   rebinarized snapshot every `snapshot_every` applied updates,
 //! * per-tenant labelled series on the registry's [`Recorder`]
 //!   (`uhd_tenant_*{tenant="…"}`), so one `/metrics` scrape
 //!   attributes traffic per model,
@@ -240,12 +240,17 @@ impl TenantState {
     /// Snapshot the tenant's current generation-tagged model.
     ///
     /// Lock poisoning is *recovered*, here and at every other
-    /// model/learner lock in the registry: the guarded value is only
-    /// ever replaced wholesale, never mutated in place, so a writer
-    /// that panicked between acquire and release left either the old
-    /// value or the new one — both coherent. Propagating the poison
-    /// instead would brick every subsequent classify on an otherwise
-    /// healthy pool.
+    /// model/learner lock in the registry. The model slot is only ever
+    /// replaced wholesale, so a writer that panicked between acquire
+    /// and release left either the old value or the new one — both
+    /// coherent. The learner is mutated in place, but every sample is
+    /// validated before the first write, so only a broken internal
+    /// invariant (an overflow assert in a counter merge or fold) can
+    /// panic mid-update; that leaves at most one sample partly applied
+    /// to one class, and the snapshots after it serve that state. The
+    /// release profile aborts on panic, so a release build never
+    /// serves a torn learner. Propagating the poison instead would
+    /// brick every subsequent classify on an otherwise healthy pool.
     fn model(&self) -> (u64, Arc<HdcModel>) {
         let slot = self.model.read().unwrap_or_else(PoisonError::into_inner);
         (slot.generation, Arc::clone(&slot.model))
@@ -677,15 +682,18 @@ impl ModelRegistry {
             }
         }
         let stats = &self.obs.stats;
-        // Encode under a permit (its scratch accumulator, no allocation)
-        // but outside the learner lock, which is taken only after the
-        // permit is back (lock order: permit → learner → model). The
-        // encoding stays in the *integer* domain (per-sample bipolar
-        // accumulator sums): bundling is linear there, so streaming
-        // observations reproduce single-pass batch training exactly —
-        // the convergent path — where bundling binarized ±1 encodings
-        // would collapse on the dark, sparse datasets of DESIGN.md §4.
-        let sums = {
+        // Encode under a permit (its scratch accumulator), copy the
+        // request's count planes out of the lane and return the permit
+        // before the learner lock is taken (lock order: permit →
+        // learner → model), so a learner waiting behind a snapshot
+        // holds no permit another tenant's classify needs. The learner
+        // merges the counts into a pending class counter and folds it
+        // into the integer sums once per snapshot. Bundling is linear
+        // in the counts, so streaming observations reproduce
+        // single-pass batch training exactly, where bundling binarized
+        // ±1 encodings would collapse on the dark, sparse datasets of
+        // DESIGN.md §4.
+        let sample = {
             let mut lane = self.admit(&tenant, 1, || stats.record_learn_submit())?;
             let scratch = lane.scratch.get(tenant.encoder.dim());
             scratch.clear();
@@ -693,27 +701,53 @@ impl ModelRegistry {
                 .encoder
                 .accumulate(input, scratch)
                 .map_err(ServeError::Core)?;
-            scratch.bipolar_sums()
+            scratch.clone()
         };
+        let requested = Instant::now();
         let mut guard = tenant
             .learner
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        let applied = self.apply_locked(&tenant, &mut guard, &sample, label, predicted);
+        drop(guard);
+        self.obs.record_learn_apply(requested.elapsed());
+        match applied? {
+            Some(generation) => Ok(generation),
+            None => Ok(tenant.model().0),
+        }
+    }
+
+    /// Apply `sample` to the locked learner, counting the outcome, and
+    /// publish a snapshot when the update crosses `snapshot_every`.
+    /// Returns the published generation, if any.
+    fn apply_locked(
+        &self,
+        tenant: &TenantState,
+        state: &mut TenantLearner,
+        sample: &BitSliceAccumulator,
+        label: usize,
+        predicted: Option<usize>,
+    ) -> Result<Option<u64>, ServeError> {
+        let stats = &self.obs.stats;
         let changed = match predicted {
-            None => guard.learner.observe_sums(&sums, label).map(|()| true),
-            Some(p) => guard.learner.feedback_sums(&sums, p, label),
+            None => state
+                .learner
+                .observe_accumulator(sample, label)
+                .map(|()| true),
+            Some(p) => state.learner.feedback_accumulator(sample, p, label),
         };
         match changed {
             Ok(true) => {
                 stats.record_learn_update();
                 tenant.learn_updates.inc();
-                guard.unpublished += 1;
-                if guard.unpublished >= self.config.snapshot_every {
-                    let model = guard.learner.snapshot().map_err(ServeError::Core)?;
-                    return Ok(self.publish_snapshot(&tenant, &mut guard, model));
+                state.unpublished += 1;
+                if state.unpublished >= self.config.snapshot_every {
+                    let model = state.learner.snapshot().map_err(ServeError::Core)?;
+                    return Ok(Some(self.publish_snapshot(tenant, state, model)));
                 }
+                Ok(None)
             }
-            Ok(false) => {}
+            Ok(false) => Ok(None),
             Err(e) => {
                 stats.record_learn_rejected();
                 self.obs.event(
@@ -721,11 +755,9 @@ impl ModelRegistry {
                     label as u64,
                     predicted.map_or(u64::MAX, |p| p as u64),
                 );
-                return Err(ServeError::Core(e));
+                Err(ServeError::Core(e))
             }
         }
-        drop(guard);
-        Ok(tenant.model().0)
     }
 
     /// Publish a learner snapshot as `tenant`'s next generation. The

@@ -9,8 +9,9 @@
 //! The full dynamic-HDC loop the paper motivates: a model bootstrapped
 //! from a handful of stream samples goes live as the only tenant of a
 //! `ModelRegistry`, clients submit labelled feedback through
-//! `learn`/`feedback`, the registry folds it synchronously into running
-//! class accumulators (`uhd_core::OnlineLearner`) and hot-publishes
+//! `learn`/`feedback`, the registry merges each sample's bit-sliced
+//! counts synchronously into running class accumulators
+//! (`uhd_core::OnlineLearner`) and hot-publishes
 //! rebinarized snapshots through the generation-tagged model swap — so
 //! accuracy climbs with zero downtime, and a class the initial model
 //! never saw is admitted mid-stream.
@@ -28,14 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let encoder = UhdEncoder::new(UhdConfig::new(dim, train.pixels()))?;
 
     // Cold start: the learner has seen only the first 20 samples of
-    // the label stream (integer-domain bundling — bit-identical to
-    // single-pass training on those 20).
+    // the label stream (bundled from their bit-sliced counts, as the
+    // registry does — bit-identical to single-pass training on those
+    // 20).
     let mut boot = OnlineLearner::new(dim)?;
     let mut scratch = BitSliceAccumulator::new(dim);
     for (image, &label) in train.images()[..20].iter().zip(&train.labels()[..20]) {
         scratch.clear();
         encoder.accumulate(image, &mut scratch)?;
-        boot.observe_sums(&scratch.bipolar_sums(), label)?;
+        boot.observe_accumulator(&scratch, label)?;
     }
     let cold = boot.snapshot()?;
     println!(

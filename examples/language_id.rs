@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (sentence, &label) in train.samples()[..6].iter().zip(&train.labels()[..6]) {
         scratch.clear();
         encoder.accumulate(sentence, &mut scratch)?;
-        boot.observe_sums(&scratch.bipolar_sums(), label)?;
+        boot.observe_accumulator(&scratch, label)?;
     }
     let config = ServeConfig::new(2, 16)
         .with_mode(InferenceMode::IntegerBoth)

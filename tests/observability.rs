@@ -145,6 +145,59 @@ fn learner_rejections_trace_the_offending_label() {
     );
 }
 
+/// Every learn or feedback sample that reaches its tenant's learner is
+/// timed once in `uhd_learn_apply_ns` (learner lock requested →
+/// released, publishes included), on `/metrics` and in
+/// `metrics_json()`. Its count reconciles with the applied and
+/// rejected learn counters plus correct feedback, which changes
+/// nothing; a label refused before encoding never reaches the lock.
+#[test]
+fn learn_apply_histogram_reconciles_with_the_learn_counters() {
+    let (encoder, model, test) = fixture(150, 20, 512, 17);
+    let config = ServeConfig::new(2, 8)
+        .with_snapshot_every(4)
+        .with_max_classes(32)
+        .with_trace_level(TraceLevel::Off);
+    let registry = one_tenant(config, encoder, model);
+    for (i, image) in test.images().iter().enumerate() {
+        registry.learn("t", image, i % 10).unwrap();
+    }
+    let image = &test.images()[0];
+    registry.feedback("t", image, 1, 2).unwrap(); // applied
+    registry.feedback("t", image, 3, 3).unwrap(); // correct: no-op
+    let correct = 1;
+    // Past the learner's 10 classes: rejected under the lock.
+    assert!(matches!(
+        registry.feedback("t", image, 20, 0),
+        Err(ServeError::Core(_))
+    ));
+    // Past `max_classes`: refused before the permit and the lock.
+    assert!(matches!(
+        registry.learn("t", image, 40),
+        Err(ServeError::InvalidLabel { .. })
+    ));
+    let stats = registry.stats();
+    assert_eq!((stats.learn_updates, stats.learn_rejected), (21, 1));
+    let timed = stats.learn_updates + stats.learn_rejected + correct;
+
+    let text = registry.render_metrics();
+    assert!(
+        text.contains(&format!("uhd_learn_apply_ns_count {timed}\n")),
+        "learn-apply count must be {timed}:\n{text}"
+    );
+    assert!(text.contains("uhd_learn_apply_ns{quantile=\"0.99\"}"));
+    let doc = parse(&registry.metrics_json()).expect("metrics JSON export must parse");
+    let apply = doc
+        .get("histograms")
+        .and_then(|h| h.get("uhd_learn_apply_ns"))
+        .expect("learn-apply histogram present");
+    assert_eq!(
+        apply.get("count").and_then(Json::as_f64),
+        Some(timed as f64)
+    );
+    assert!(apply.get("p50").and_then(Json::as_f64).unwrap() > 0.0);
+}
+
 /// Under `TraceLevel::Trace` the ring captures the registry's lifecycle:
 /// kernel dispatch at startup, batch formation, the hot model swap
 /// (with its generation), and the learner's snapshot publish.

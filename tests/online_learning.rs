@@ -295,3 +295,107 @@ fn learner_state_round_trips_through_bytes() {
     assert_eq!(a.class_hypervectors(), b.class_hypervectors());
     assert_eq!(a.to_bytes(), b.to_bytes());
 }
+
+/// Learn and feedback through the registry are bit-identical to a
+/// serial learner: two threads on two permits mix observations,
+/// mispredicted and correct feedback, and new-class labels (with a gap)
+/// across many `snapshot_every` publishes. After a final publish the
+/// served snapshot file holds exactly the bytes of an
+/// `OnlineLearner::from_model` replay through `observe_sums` /
+/// `feedback_sums`. Every prediction names a class of the registered
+/// model, so the order in which the two threads' samples apply does
+/// not change the final sums.
+#[test]
+fn concurrent_learn_and_feedback_match_a_serial_replay() {
+    let dim = 512u32;
+    let (train, _) = generate(SynthSpec::new(SyntheticKind::Mnist, 260, 10, 3)).expect("generate");
+    let encoder = UhdEncoder::new(UhdConfig::new(dim, train.pixels())).unwrap();
+    let classes = train.classes();
+    let data =
+        uhd::core::model::LabelledSamples::new(&train.images()[..100], &train.labels()[..100])
+            .unwrap();
+    let model = HdcModel::train(&encoder, data, classes).unwrap();
+
+    /// One request: `predicted: None` is a learn, `Some(p)` feedback.
+    #[derive(Clone, Copy)]
+    struct Sample {
+        input: usize,
+        predicted: Option<usize>,
+        label: usize,
+    }
+    let stream: Vec<Sample> = (100..train.len())
+        .map(|input| {
+            let label = train.labels()[input];
+            let (predicted, label) = match input % 5 {
+                0 => (None, label),
+                1 => (Some((label + 1) % classes), label), // mispredicted
+                2 => (Some(label), label),                 // correct: no-op
+                // New classes past the trained ones, 12 before 10 and 11
+                // on some interleavings.
+                3 => (None, classes + input % 3),
+                _ => (Some(label), classes + 2 - input % 3),
+            };
+            Sample {
+                input,
+                predicted,
+                label,
+            }
+        })
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("uhd-online-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.uhdm");
+    let registry = ModelRegistry::start(ServeConfig::new(2, 4).with_snapshot_every(5)).unwrap();
+    registry
+        .register("t", Arc::new(encoder.clone()), model.clone())
+        .unwrap();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for half in stream.chunks(stream.len().div_ceil(2)) {
+            let (registry, train, start) = (&registry, &train, &start);
+            scope.spawn(move || {
+                start.wait();
+                for s in half {
+                    let image = &train.images()[s.input];
+                    match s.predicted {
+                        None => registry.learn("t", image, s.label),
+                        Some(p) => registry.feedback("t", image, p, s.label),
+                    }
+                    .unwrap();
+                }
+            });
+        }
+    });
+    registry.publish("t").unwrap();
+    registry.save_snapshot("t", &path).unwrap();
+    let served = std::fs::read(&path).unwrap();
+
+    let mut replay = OnlineLearner::from_model(&model);
+    let mut scratch = uhd::core::BitSliceAccumulator::new(dim);
+    let mut applied = 0u64;
+    for s in &stream {
+        scratch.clear();
+        encoder
+            .accumulate(&train.images()[s.input], &mut scratch)
+            .unwrap();
+        let sums = scratch.bipolar_sums();
+        let changed = match s.predicted {
+            None => replay.observe_sums(&sums, s.label).map(|()| true),
+            Some(p) => replay.feedback_sums(&sums, p, s.label),
+        };
+        applied += u64::from(changed.unwrap());
+    }
+    let expected = replay.snapshot().unwrap();
+    assert_eq!(expected.classes(), classes + 3, "three classes admitted");
+    assert_eq!(
+        served,
+        expected.to_bytes(),
+        "served snapshot differs from the serial replay"
+    );
+    let stats = registry.stats();
+    assert_eq!(stats.learn_updates, applied);
+    assert_eq!(stats.learn_rejected, 0);
+    assert!(stats.snapshots_published >= applied / 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
