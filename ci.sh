@@ -3,6 +3,7 @@
 #
 #   ./ci.sh            fmt check, clippy -D warnings, release build
 #                      (workspace + wirebench), full test suite,
+#                      uhd-core tests on its own features,
 #                      rustdoc -D warnings, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
 #                      binary and example (UHD_BENCH_QUICK + tiny sizes);
@@ -37,6 +38,12 @@ cargo build --release --offline --manifest-path wirebench/Cargo.toml
 
 step "cargo test -q"
 cargo test -q
+
+# Every step above builds the whole workspace, where uhd-serve turns on
+# uhd-core's `telemetry` feature; built alone, uhd-core compiles the
+# feature-off arms its standalone users get.
+step "cargo test -q -p uhd-core (default features only)"
+cargo test -q -p uhd-core
 
 # Stale intra-doc links (e.g. to a deleted public type) fail here.
 step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"

@@ -1,6 +1,6 @@
 //! Feature-stream-to-hypervector encoders: the baseline HDC pipeline,
 //! the proposed uHD pipeline, and the non-image workload families
-//! (n-gram text, tabular/sensor bins) that prove the engine is
+//! (n-gram text, tabular/sensor bins) that prove the model code is
 //! workload-agnostic.
 //!
 //! Every encoder turns a byte-valued *feature stream* into D-dimensional
@@ -88,7 +88,7 @@ pub struct EncoderProfile {
 /// streams (the n-gram text encoder does). Everything downstream —
 /// [`HdcModel`](crate::model::HdcModel) training,
 /// [`OnlineLearner`](crate::online::OnlineLearner) feedback, the
-/// `uhd-serve` engine — is generic over this trait, so a new workload
+/// `uhd-serve` model registry — is generic over this trait, so a new workload
 /// plugs in by implementing these methods only.
 ///
 /// [`features`]: Encoder::features
@@ -107,8 +107,8 @@ pub trait Encoder: Send + Sync {
     /// The default requires `input.len() == features()` exactly, which
     /// is right for fixed-shape workloads (images, tabular rows).
     /// Variable-length encoders override this with their accepted range.
-    /// The serving layer calls this eagerly at `submit` time so
-    /// malformed requests fail before entering the batch queue.
+    /// The serving registry calls this before taking a permit, so
+    /// malformed requests fail without waiting in the admission line.
     ///
     /// # Errors
     ///

@@ -61,4 +61,4 @@ pub use item_memory::{derive_seed, ItemMemory, MemoryBackend, RowRecipe};
 pub use kernels::Kernel;
 pub use model::{HdcModel, InferenceMode, LabelledSamples};
 pub use online::OnlineLearner;
-pub use snapshot::{AlignedBytes, SnapshotError};
+pub use snapshot::SnapshotError;

@@ -117,27 +117,12 @@ impl HdcModel {
         data: LabelledSamples<'_>,
         classes: usize,
     ) -> Result<Self, HdcError> {
-        if classes == 0 {
-            return Err(HdcError::InvalidConfig {
-                reason: "need at least one class".into(),
-            });
-        }
-        let mut accs: Vec<BitSliceAccumulator> = (0..classes)
-            .map(|_| BitSliceAccumulator::new(encoder.dim()))
-            .collect();
-        for (sample, &label) in data.samples.iter().zip(data.labels.iter()) {
-            if label >= classes {
-                return Err(HdcError::InvalidTrainingData {
-                    reason: format!("label {label} out of range for {classes} classes"),
-                });
-            }
-            encoder.accumulate(sample, &mut accs[label])?;
-        }
-        Self::from_accumulators(&accs, encoder.dim())
+        Self::train_parallel(encoder, data, classes, 1)
     }
 
     /// Multi-threaded single-pass training (bit-identical to
-    /// [`HdcModel::train`] because bundling is commutative).
+    /// [`HdcModel::train`] because bundling is commutative): each chunk
+    /// bundles into its own per-class accumulators, merged afterwards.
     ///
     /// # Errors
     ///
@@ -153,51 +138,24 @@ impl HdcModel {
                 reason: "need at least one class".into(),
             });
         }
-        let threads = threads.max(1).min(data.len());
-        if threads == 1 {
-            return Self::train(encoder, data, classes);
-        }
-        for &label in data.labels {
-            if label >= classes {
-                return Err(HdcError::InvalidTrainingData {
-                    reason: format!("label {label} out of range for {classes} classes"),
-                });
+        let chunks = map_chunks(data, threads, |samples, labels| {
+            let mut accs: Vec<BitSliceAccumulator> = (0..classes)
+                .map(|_| BitSliceAccumulator::new(encoder.dim()))
+                .collect();
+            for (sample, &label) in samples.iter().zip(labels) {
+                let acc = accs
+                    .get_mut(label)
+                    .ok_or_else(|| HdcError::InvalidTrainingData {
+                        reason: format!("label {label} out of range for {classes} classes"),
+                    })?;
+                encoder.accumulate(sample, acc)?;
             }
-        }
-        let chunk = data.len().div_ceil(threads);
-        let results: Vec<Result<Vec<BitSliceAccumulator>, HdcError>> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(data.len());
-                    if lo >= hi {
-                        continue;
-                    }
-                    let samples = &data.samples[lo..hi];
-                    let labels = &data.labels[lo..hi];
-                    handles.push(scope.spawn(move || {
-                        let mut accs: Vec<BitSliceAccumulator> = (0..classes)
-                            .map(|_| BitSliceAccumulator::new(encoder.dim()))
-                            .collect();
-                        for (sample, &label) in samples.iter().zip(labels.iter()) {
-                            encoder.accumulate(sample, &mut accs[label])?;
-                        }
-                        Ok(accs)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("training thread panicked"))
-                    .collect()
-            });
-
-        let mut merged: Vec<BitSliceAccumulator> = (0..classes)
-            .map(|_| BitSliceAccumulator::new(encoder.dim()))
-            .collect();
-        for r in results {
-            let accs = r?;
-            for (m, a) in merged.iter_mut().zip(accs.iter()) {
+            Ok(accs)
+        })?;
+        let mut chunks = chunks.into_iter();
+        let mut merged = chunks.next().expect("map_chunks yields at least one chunk");
+        for accs in chunks {
+            for (m, a) in merged.iter_mut().zip(&accs) {
                 m.merge(a)?;
             }
         }
@@ -305,7 +263,8 @@ impl HdcModel {
         self.classify_with(encoder, sample, InferenceMode::default())
     }
 
-    /// Classify one sample under an explicit [`InferenceMode`].
+    /// Classify one sample under an explicit [`InferenceMode`]: one
+    /// [`HdcModel::classify_into`] call on fresh buffers.
     ///
     /// # Errors
     ///
@@ -316,33 +275,63 @@ impl HdcModel {
         sample: &[u8],
         mode: InferenceMode,
     ) -> Result<(usize, f64), HdcError> {
-        match mode {
+        let mut scratch = BitSliceAccumulator::new(encoder.dim());
+        self.classify_into(encoder, sample, mode, &mut scratch, &mut Vec::new())
+    }
+
+    /// Classify one sample under `mode` on caller-reused buffers, so
+    /// batch and serving loops stay allocation-free in the binarized
+    /// mode: `scratch` (of the encoder's dimension) is the bundling
+    /// accumulator, `dists` the per-class Hamming distances. Every
+    /// classify path — [`HdcModel::classify_with`], evaluation, the
+    /// serving registry — goes through here; reused buffers answer
+    /// bit-identically to fresh ones.
+    ///
+    /// * Binarized query: [`Encoder::encode_into`], then one pass
+    ///   over the bit-sliced [`AssociativeMemory`].
+    /// * Integer modes: bundle into `scratch`, then the cosine
+    ///   argmax of the query's bipolar sums against each class
+    ///   (bipolar class hypervector or integer class sums).
+    ///
+    /// # Errors
+    ///
+    /// Encoder errors for malformed samples;
+    /// [`HdcError::DimensionMismatch`] for a `scratch` of another
+    /// dimension.
+    pub fn classify_into<E: Encoder + ?Sized>(
+        &self,
+        encoder: &E,
+        sample: &[u8],
+        mode: InferenceMode,
+        scratch: &mut BitSliceAccumulator,
+        dists: &mut Vec<u32>,
+    ) -> Result<(usize, f64), HdcError> {
+        let integer_classes = match mode {
             InferenceMode::BinarizedQuery => {
-                let query = encoder.encode(sample)?;
-                self.assoc.nearest(&query)
+                let query = encoder.encode_into(sample, scratch)?;
+                return self.assoc.nearest_with(&query, dists);
             }
-            InferenceMode::IntegerQuery | InferenceMode::IntegerBoth => {
-                let mut acc = BitSliceAccumulator::new(encoder.dim());
-                encoder.accumulate(sample, &mut acc)?;
-                let query = acc.bipolar_sums();
-                let mut best = (0usize, f64::NEG_INFINITY);
-                for c in 0..self.classes() {
-                    let score = match mode {
-                        InferenceMode::IntegerQuery => {
-                            let class_bipolar: Vec<i64> = (0..self.dim)
-                                .map(|i| if self.class_hvs[c].bit(i) { 1 } else { -1 })
-                                .collect();
-                            cosine_int(&query, &class_bipolar)?
-                        }
-                        _ => cosine_int(&query, &self.class_sums[c])?,
-                    };
-                    if score > best.1 {
-                        best = (c, score);
-                    }
-                }
-                Ok(best)
+            InferenceMode::IntegerQuery => false,
+            InferenceMode::IntegerBoth => true,
+        };
+        scratch.clear();
+        encoder.accumulate(sample, scratch)?;
+        let query = scratch.bipolar_sums();
+        let mut best = (0usize, f64::NEG_INFINITY);
+        for (c, (hv, sums)) in self.class_hvs.iter().zip(&self.class_sums).enumerate() {
+            let score = if integer_classes {
+                cosine_int(&query, sums)?
+            } else {
+                let class_bipolar: Vec<i64> = (0..self.dim)
+                    .map(|i| if hv.bit(i) { 1 } else { -1 })
+                    .collect();
+                cosine_int(&query, &class_bipolar)?
+            };
+            if score > best.1 {
+                best = (c, score);
             }
         }
+        Ok(best)
     }
 
     /// Classify an already encoded hypervector through the bit-sliced
@@ -355,57 +344,6 @@ impl HdcModel {
     /// [`HdcError::DimensionMismatch`] for wrong query dimension.
     pub fn classify_encoded(&self, query: &Hypervector) -> Result<(usize, f64), HdcError> {
         self.assoc.nearest(query)
-    }
-
-    /// Classify a batch of samples with the default
-    /// [`InferenceMode::IntegerBoth`]; bit-identical to calling
-    /// [`HdcModel::classify`] in a loop.
-    ///
-    /// # Errors
-    ///
-    /// Encoder errors for malformed samples.
-    pub fn classify_batch<E: Encoder + ?Sized>(
-        &self,
-        encoder: &E,
-        samples: &[Vec<u8>],
-    ) -> Result<Vec<(usize, f64)>, HdcError> {
-        self.classify_batch_with(encoder, samples, InferenceMode::default())
-    }
-
-    /// Classify a batch of samples under an explicit [`InferenceMode`];
-    /// bit-identical to calling [`HdcModel::classify_with`] in a loop.
-    /// In [`InferenceMode::BinarizedQuery`] mode every query is answered
-    /// by the bit-sliced associative memory.
-    ///
-    /// # Errors
-    ///
-    /// Encoder errors for malformed samples.
-    pub fn classify_batch_with<E: Encoder + ?Sized>(
-        &self,
-        encoder: &E,
-        samples: &[Vec<u8>],
-        mode: InferenceMode,
-    ) -> Result<Vec<(usize, f64)>, HdcError> {
-        match mode {
-            InferenceMode::BinarizedQuery => {
-                // Batch fast path: reuse one bundling scratch and one
-                // distance buffer across the whole batch, so the loop
-                // allocates only the per-query Hypervector.
-                let mut scratch = BitSliceAccumulator::new(encoder.dim());
-                let mut dists = Vec::with_capacity(self.classes());
-                samples
-                    .iter()
-                    .map(|sample| {
-                        let query = encoder.encode_into(sample, &mut scratch)?;
-                        self.assoc.nearest_with(&query, &mut dists)
-                    })
-                    .collect()
-            }
-            InferenceMode::IntegerQuery | InferenceMode::IntegerBoth => samples
-                .iter()
-                .map(|sample| self.classify_with(encoder, sample, mode))
-                .collect(),
-        }
     }
 
     /// Accuracy over a labelled test set (single thread, default mode).
@@ -432,13 +370,7 @@ impl HdcModel {
         data: LabelledSamples<'_>,
         mode: InferenceMode,
     ) -> Result<f64, HdcError> {
-        let predictions = self.classify_batch_with(encoder, data.samples, mode)?;
-        let correct = predictions
-            .iter()
-            .zip(data.labels.iter())
-            .filter(|((pred, _), &label)| *pred == label)
-            .count();
-        Ok(correct as f64 / data.len() as f64)
+        self.evaluate_parallel_with(encoder, data, 1, mode)
     }
 
     /// Accuracy over a labelled test set using `threads` workers
@@ -457,7 +389,7 @@ impl HdcModel {
     }
 
     /// Accuracy over a labelled test set using `threads` workers under an
-    /// explicit mode.
+    /// explicit mode; each chunk classifies on one reused scratch.
     ///
     /// # Errors
     ///
@@ -469,42 +401,18 @@ impl HdcModel {
         threads: usize,
         mode: InferenceMode,
     ) -> Result<f64, HdcError> {
-        let threads = threads.max(1).min(data.len());
-        if threads == 1 {
-            return self.evaluate_with(encoder, data, mode);
-        }
-        let chunk = data.len().div_ceil(threads);
-        let counts: Vec<Result<usize, HdcError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(data.len());
-                if lo >= hi {
-                    continue;
-                }
-                let samples = &data.samples[lo..hi];
-                let labels = &data.labels[lo..hi];
-                let model = &*self;
-                handles.push(scope.spawn(move || {
-                    let mut correct = 0usize;
-                    for (sample, &label) in samples.iter().zip(labels.iter()) {
-                        if model.classify_with(encoder, sample, mode)?.0 == label {
-                            correct += 1;
-                        }
-                    }
-                    Ok(correct)
-                }));
+        let counts = map_chunks(data, threads, |samples, labels| {
+            let mut scratch = BitSliceAccumulator::new(encoder.dim());
+            let mut dists = Vec::with_capacity(self.classes());
+            let mut correct = 0usize;
+            for (sample, &label) in samples.iter().zip(labels) {
+                let (class, _) =
+                    self.classify_into(encoder, sample, mode, &mut scratch, &mut dists)?;
+                correct += usize::from(class == label);
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("eval thread panicked"))
-                .collect()
-        });
-        let mut correct = 0usize;
-        for c in counts {
-            correct += c?;
-        }
-        Ok(correct as f64 / data.len() as f64)
+            Ok(correct)
+        })?;
+        Ok(counts.iter().sum::<usize>() as f64 / data.len() as f64)
     }
 
     /// Serialize the model to a deterministic, platform-independent byte
@@ -572,9 +480,8 @@ impl HdcModel {
         // Bulk word decode: the payload is a homogeneous stream of
         // 8-byte little-endian values, so each class decodes as one
         // `chunks_exact` pass (vectorized to a copy on little-endian
-        // targets). The 16-byte header keeps every payload word
-        // naturally aligned in an aligned buffer — see
-        // `crate::snapshot` for the alignment-checked load path.
+        // targets). `from_le_bytes` reads each chunk by value, so the
+        // buffer's address alignment never matters.
         let mut offset = 16;
         let mut class_hvs = Vec::with_capacity(classes);
         for _ in 0..classes {
@@ -603,6 +510,35 @@ impl HdcModel {
         }
         Self::from_parts(class_hvs, class_sums, dim)
     }
+}
+
+/// Run `work` over `data` split into at most `threads` contiguous
+/// chunks, one scoped thread per chunk, and return the per-chunk
+/// results in chunk order (the first error, in sample order, wins).
+/// A single chunk runs on the caller's thread, so `threads == 1` is
+/// the serial path, not a copy of it.
+fn map_chunks<T: Send>(
+    data: LabelledSamples<'_>,
+    threads: usize,
+    work: impl Fn(&[Vec<u8>], &[usize]) -> Result<T, HdcError> + Sync,
+) -> Result<Vec<T>, HdcError> {
+    let chunk = data.len().div_ceil(threads.clamp(1, data.len().max(1)));
+    if chunk >= data.len() {
+        return Ok(vec![work(data.samples, data.labels)?]);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = data
+            .samples
+            .chunks(chunk)
+            .zip(data.labels.chunks(chunk))
+            .map(|(samples, labels)| scope.spawn(move || work(samples, labels)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("chunk thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -680,6 +616,10 @@ mod tests {
         let bad = LabelledSamples::new(&images, &bad_labels).unwrap();
         assert!(matches!(
             HdcModel::train(&enc, bad, 2),
+            Err(HdcError::InvalidTrainingData { .. })
+        ));
+        assert!(matches!(
+            HdcModel::train_parallel(&enc, bad, 2, 3),
             Err(HdcError::InvalidTrainingData { .. })
         ));
         // A class with no samples.

@@ -3,13 +3,9 @@
 //! The on-disk format is exactly [`HdcModel::to_bytes`]: a 16-byte
 //! header (`b"UHDM"`, format version, dimension, class count, all
 //! little-endian `u32`s) followed by the packed class hypervector words
-//! and the integer class sums as little-endian `u64`/`i64`. Because the
-//! header is 16 bytes and every payload element is 8 bytes wide, a
-//! snapshot loaded into an 8-byte-aligned buffer has *every* word of
-//! its payload naturally aligned — the format is mmap/zero-copy
-//! friendly by construction, and [`load`] goes through such a buffer
-//! ([`AlignedBytes`]) so the bulk word decode in
-//! [`HdcModel::from_bytes`] never straddles alignment boundaries.
+//! and the integer class sums as little-endian `u64`/`i64`. [`load`]
+//! reads the file and decodes it with [`HdcModel::from_bytes`], which
+//! accepts exactly one encoding per model.
 //!
 //! Writes are **atomic at the filesystem level**: [`save_atomic`]
 //! writes to a temporary sibling file, syncs it, and renames it over
@@ -21,13 +17,9 @@ use crate::error::HdcError;
 use crate::model::HdcModel;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Alignment (bytes) guaranteed by [`AlignedBytes`] and required by
-/// [`from_aligned_bytes`]: the payload is a stream of 8-byte words.
-pub const SNAPSHOT_ALIGN: usize = 8;
 
 /// Errors from the disk snapshot layer: either the filesystem failed
 /// or the bytes on disk do not decode as a model.
@@ -36,7 +28,7 @@ pub enum SnapshotError {
     /// An I/O error from the filesystem.
     Io(io::Error),
     /// The file's contents failed [`HdcModel::from_bytes`] validation
-    /// (truncated payload, corrupt header, misaligned buffer, …).
+    /// (truncated payload, corrupt header, set padding bits, …).
     Malformed(HdcError),
 }
 
@@ -68,115 +60,6 @@ impl From<HdcError> for SnapshotError {
     fn from(e: HdcError) -> Self {
         SnapshotError::Malformed(e)
     }
-}
-
-/// An owned byte buffer whose contents start at an 8-byte-aligned
-/// address (the backing allocation is padded and the view begins at
-/// the first aligned offset — no `unsafe`, and the padding is never
-/// exposed). Reading a snapshot into one of these makes the whole
-/// payload naturally aligned for the bulk word decode (and for future
-/// true zero-copy views).
-#[derive(Debug)]
-pub struct AlignedBytes {
-    /// Backing storage, over-allocated by up to `SNAPSHOT_ALIGN - 1`
-    /// bytes. Never reallocated after construction, so `start` stays
-    /// valid.
-    buf: Vec<u8>,
-    /// Offset of the first 8-byte-aligned byte in `buf`.
-    start: usize,
-    len: usize,
-}
-
-impl Clone for AlignedBytes {
-    fn clone(&self) -> Self {
-        // A byte-wise clone of `buf` would land at a different address
-        // with a stale `start`; re-align against the new allocation.
-        AlignedBytes::from_slice(self.as_bytes())
-    }
-}
-
-impl AlignedBytes {
-    /// Copy `bytes` into a fresh aligned buffer.
-    #[must_use]
-    pub fn from_slice(bytes: &[u8]) -> Self {
-        let mut buf = AlignedBytes::zeroed(bytes.len());
-        buf.as_bytes_mut()[..bytes.len()].copy_from_slice(bytes);
-        buf
-    }
-
-    /// An aligned buffer of `len` zero bytes.
-    fn zeroed(len: usize) -> Self {
-        let buf = vec![0u8; len + SNAPSHOT_ALIGN - 1];
-        let start = (SNAPSHOT_ALIGN - buf.as_ptr().addr() % SNAPSHOT_ALIGN) % SNAPSHOT_ALIGN;
-        AlignedBytes { buf, start, len }
-    }
-
-    /// Read the entire file at `path` into an aligned buffer.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from opening or reading the file.
-    pub fn read_from(path: &Path) -> io::Result<Self> {
-        let mut file = fs::File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "snapshot exceeds usize"))?;
-        let mut buf = AlignedBytes::zeroed(len);
-        let mut filled = 0usize;
-        // `read_to_end` would reallocate (losing alignment); fill the
-        // pre-sized buffer directly, tolerating a file that grew or
-        // shrank between stat and read by erroring out.
-        while filled < len {
-            let n = file.read(&mut buf.as_bytes_mut()[filled..])?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "snapshot shrank while being read",
-                ));
-            }
-            filled += n;
-        }
-        if file.read(&mut [0u8; 1])? != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot grew while being read",
-            ));
-        }
-        Ok(buf)
-    }
-
-    /// The buffer's contents. The returned slice's address is always
-    /// 8-byte aligned.
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf[self.start..self.start + self.len]
-    }
-
-    fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[self.start..self.start + self.len]
-    }
-}
-
-/// Decode a model from a buffer whose address is 8-byte aligned,
-/// rejecting misaligned input instead of silently taking the slow
-/// path. This is the load path for buffers that may later become true
-/// zero-copy views (mmap pages, [`AlignedBytes`]): the alignment check
-/// is the contract that every payload word sits on its natural
-/// boundary.
-///
-/// # Errors
-///
-/// * [`HdcError::InvalidConfig`] when `bytes` is not 8-byte aligned.
-/// * Everything [`HdcModel::from_bytes`] rejects.
-pub fn from_aligned_bytes(bytes: &[u8]) -> Result<HdcModel, HdcError> {
-    if !bytes.as_ptr().addr().is_multiple_of(SNAPSHOT_ALIGN) {
-        return Err(HdcError::InvalidConfig {
-            reason: format!(
-                "snapshot buffer must be {SNAPSHOT_ALIGN}-byte aligned for the zero-copy \
-                 load path (use AlignedBytes or HdcModel::from_bytes)"
-            ),
-        });
-    }
-    HdcModel::from_bytes(bytes)
 }
 
 /// Serialize `model` to `path` atomically: write `path` with a
@@ -235,16 +118,15 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Load a model from `path` through an aligned buffer — the inverse of
-/// [`save_atomic`], bit-identical under `to_bytes` round-trips.
+/// Load a model from `path` — the inverse of [`save_atomic`],
+/// bit-identical under `to_bytes` round-trips.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Io`] for filesystem failures,
 /// [`SnapshotError::Malformed`] for bytes that do not decode.
 pub fn load(path: &Path) -> Result<HdcModel, SnapshotError> {
-    let buf = AlignedBytes::read_from(path)?;
-    Ok(from_aligned_bytes(buf.as_bytes())?)
+    Ok(HdcModel::from_bytes(&fs::read(path)?)?)
 }
 
 #[cfg(test)]
@@ -336,35 +218,6 @@ mod tests {
             .collect();
         assert!(stray.is_empty(), "temp files must not survive: {stray:?}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn aligned_bytes_are_aligned() {
-        for len in [0usize, 1, 7, 8, 9, 16, 4097] {
-            let src: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let buf = AlignedBytes::from_slice(&src);
-            assert_eq!(buf.as_bytes(), &src[..]);
-            assert_eq!(buf.as_bytes().as_ptr().addr() % SNAPSHOT_ALIGN, 0);
-        }
-    }
-
-    #[test]
-    fn misaligned_buffers_are_rejected_by_the_aligned_path() {
-        let bytes = trained().to_bytes();
-        // Offset the payload by one byte inside a larger buffer: the
-        // contents are valid, the address is not.
-        let mut shifted = vec![0u8; bytes.len() + SNAPSHOT_ALIGN];
-        let start = (SNAPSHOT_ALIGN - shifted.as_ptr().addr() % SNAPSHOT_ALIGN) % SNAPSHOT_ALIGN;
-        let start = start + 1; // guaranteed misaligned
-        shifted[start..start + bytes.len()].copy_from_slice(&bytes);
-        let misaligned = &shifted[start..start + bytes.len()];
-        assert!(matches!(
-            from_aligned_bytes(misaligned),
-            Err(HdcError::InvalidConfig { .. })
-        ));
-        // The same bytes through an aligned buffer decode fine.
-        let aligned = AlignedBytes::from_slice(misaligned);
-        assert!(from_aligned_bytes(aligned.as_bytes()).is_ok());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn enabled() -> bool {
 }
 
 /// How many independent counter banks threads are spread over. Eight
-/// covers the shard counts the engine runs (power of two so the
+/// covers the permit counts the serving registry runs (power of two so the
 /// round-robin assignment is a mask).
 #[cfg(feature = "telemetry")]
 const STRIPES: usize = 8;

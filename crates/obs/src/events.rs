@@ -77,13 +77,14 @@ impl TraceLevel {
 /// | `SampleRejected`    | offending label          | predicted label (`u64::MAX` = none) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// The engine resolved its popcount kernel at startup.
+    /// The registry resolved its popcount kernel at startup.
     KernelDispatched,
-    /// A worker shard dequeued a batch (Trace level only).
+    /// A caller took a permit and began answering a micro-batch
+    /// (Trace level only).
     BatchFormed,
     /// A new model generation was hot-swapped in.
     ModelSwapped,
-    /// The background trainer published a learner snapshot.
+    /// The online learner published a rebinarized model snapshot.
     SnapshotPublished,
     /// The learner rejected a sample; `a` carries the offending label
     /// so rejections are attributable, not anonymous.

@@ -72,12 +72,12 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Core(e) => write!(f, "classification failed: {e}"),
-            ServeError::Closed => write!(f, "serving engine is shut down"),
+            ServeError::Closed => write!(f, "model registry is shut down"),
             ServeError::WorkerPanicked => {
                 write!(f, "answering this request panicked")
             }
             ServeError::InvalidConfig { reason } => {
-                write!(f, "invalid engine configuration: {reason}")
+                write!(f, "invalid registry configuration: {reason}")
             }
             ServeError::ModelShapeMismatch {
                 expected_dim,
@@ -88,7 +88,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::InvalidLabel { label, limit } => write!(
                 f,
-                "label {label} at or beyond the engine's class admission cap {limit}"
+                "label {label} at or beyond the registry's class admission cap {limit}"
             ),
             ServeError::Overloaded { depth, shed_above } => write!(
                 f,

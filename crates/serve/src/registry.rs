@@ -585,15 +585,18 @@ impl ModelRegistry {
         for (input, slot) in inputs.iter().zip(out) {
             self.obs.record_queue_wait(lane.shard, waited);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                answer(
+                let (class, score) = model.classify_into(
                     tenant.encoder.as_ref(),
-                    &model,
-                    generation,
                     input.as_ref(),
                     self.config.mode,
                     lane.scratch.get(tenant.encoder.dim()),
                     &mut lane.dists,
-                )
+                )?;
+                Ok(Response {
+                    class,
+                    score,
+                    generation,
+                })
             }))
             .unwrap_or_else(|_| {
                 // The panic may have left the scratch planes mid-write.
@@ -977,37 +980,6 @@ impl ScratchPool {
     }
 }
 
-/// Answer one request against `model`, tagging the response with the
-/// model's `generation`.
-fn answer(
-    encoder: &dyn Encoder,
-    model: &HdcModel,
-    generation: u64,
-    input: &[u8],
-    mode: InferenceMode,
-    scratch: &mut BitSliceAccumulator,
-    dists: &mut Vec<u32>,
-) -> Result<Response, ServeError> {
-    let (class, score) = match mode {
-        // Fast path: allocation-free encode, then one plane-by-plane
-        // pass over the model's bit-sliced associative memory
-        // (bit-identical to `classify_encoded`, which delegates to the
-        // same search).
-        InferenceMode::BinarizedQuery => {
-            let query = encoder.encode_into(input, scratch)?;
-            model.associative_memory().nearest_with(&query, dists)?
-        }
-        InferenceMode::IntegerQuery | InferenceMode::IntegerBoth => {
-            model.classify_with(encoder, input, mode)?
-        }
-    };
-    Ok(Response {
-        class,
-        score,
-        generation,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,19 +1049,22 @@ mod tests {
 
     #[test]
     fn integer_mode_matches_serial_default_classify() {
-        let (encoder, model, images, _) = uhd_fixture(256);
-        let serial: Vec<(usize, f64)> = images
-            .iter()
-            .map(|img| model.classify(&encoder, img).unwrap())
-            .collect();
-        let registry = one_tenant(
-            ServeConfig::new(2, 4).with_mode(InferenceMode::IntegerBoth),
-            Arc::new(encoder),
-            model,
-        );
-        let responses = registry.classify_many("t", &images).unwrap();
-        for (response, serial) in responses.iter().zip(&serial) {
-            assert_eq!((response.class, response.score), *serial);
+        for mode in [InferenceMode::IntegerQuery, InferenceMode::IntegerBoth] {
+            let (encoder, model, images, _) = uhd_fixture(256);
+            let serial: Vec<(usize, f64)> = images
+                .iter()
+                .map(|img| model.classify_with(&encoder, img, mode).unwrap())
+                .collect();
+            let registry = one_tenant(
+                ServeConfig::new(2, 4).with_mode(mode),
+                Arc::new(encoder),
+                model,
+            );
+            let responses = registry.classify_many("t", &images).unwrap();
+            for (response, serial) in responses.iter().zip(&serial) {
+                assert_eq!(response.class, serial.0, "{mode:?}");
+                assert_eq!(response.score.to_bits(), serial.1.to_bits(), "{mode:?}");
+            }
         }
     }
 

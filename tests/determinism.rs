@@ -60,38 +60,36 @@ fn different_seeds_change_the_baseline_model() {
 }
 
 #[test]
-fn classify_batch_is_bit_identical_to_a_loop_of_classify() {
+fn classify_into_on_reused_scratch_matches_classify_with() {
     use uhd::core::model::InferenceMode;
+    use uhd::core::{BitSliceAccumulator, Encoder};
 
     let (train, test) =
         generate(SynthSpec::new(SyntheticKind::Mnist, 200, 60, 5)).expect("generate");
     let enc = UhdEncoder::new(UhdConfig::new(512, train.pixels())).unwrap();
     let model = HdcModel::train(&enc, labelled(&train), train.classes()).unwrap();
 
-    // Default mode: classify_batch vs a loop of classify.
-    let batched = model.classify_batch(&enc, test.images()).unwrap();
-    let looped: Vec<(usize, f64)> = test
-        .images()
-        .iter()
-        .map(|img| model.classify(&enc, img).unwrap())
-        .collect();
-    assert_eq!(batched, looped);
-
-    // Every explicit mode: classify_batch_with vs a loop of classify_with.
+    // One scratch and one distance buffer carried across every image
+    // and every mode: nothing a previous query left behind may leak
+    // into the next answer.
+    let mut scratch = BitSliceAccumulator::new(enc.dim());
+    let mut dists = Vec::new();
     for mode in [
         InferenceMode::BinarizedQuery,
         InferenceMode::IntegerQuery,
         InferenceMode::IntegerBoth,
     ] {
-        let batched = model
-            .classify_batch_with(&enc, test.images(), mode)
-            .unwrap();
-        let looped: Vec<(usize, f64)> = test
-            .images()
-            .iter()
-            .map(|img| model.classify_with(&enc, img, mode).unwrap())
-            .collect();
-        assert_eq!(batched, looped, "mode {mode:?} diverged");
+        for img in test.images() {
+            let reused = model
+                .classify_into(&enc, img, mode, &mut scratch, &mut dists)
+                .unwrap();
+            let fresh = model.classify_with(&enc, img, mode).unwrap();
+            assert_eq!(
+                (reused.0, reused.1.to_bits()),
+                (fresh.0, fresh.1.to_bits()),
+                "mode {mode:?} diverged"
+            );
+        }
     }
 }
 

@@ -1,15 +1,14 @@
 //! Robustness of the model snapshot format at its trust boundary:
-//! seeded property fuzzing of `HdcModel::from_bytes` and
-//! `snapshot::from_aligned_bytes` over random, truncated and
-//! mutated-valid inputs, and recovery from a snapshot writer that was
-//! killed mid-write.
+//! seeded property fuzzing of `HdcModel::from_bytes` over random,
+//! truncated and mutated-valid inputs, and recovery from a snapshot
+//! writer that was killed mid-write.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, LabelledSamples};
-use uhd::core::snapshot::{self, AlignedBytes};
+use uhd::core::snapshot;
 use uhd::core::{Encoder, HdcError};
 use uhd::lowdisc::rng::Xoshiro256StarStar;
 use uhd::serve::registry::ModelRegistry;
@@ -51,29 +50,21 @@ fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
 
 /// The decoder contract on arbitrary input: a typed
 /// [`HdcError::InvalidConfig`], or a model whose encoding is exactly
-/// the input. The direct and the aligned entry points must agree.
-/// Returns whether the input decoded.
+/// the input. Returns whether the input decoded.
 fn check_decode(bytes: &[u8]) -> bool {
-    let aligned = AlignedBytes::from_slice(bytes);
-    let outcomes = [
-        HdcModel::from_bytes(bytes),
-        snapshot::from_aligned_bytes(aligned.as_bytes()),
-    ];
-    for outcome in &outcomes {
-        match outcome {
-            Ok(model) => assert_eq!(model.to_bytes(), bytes, "decode is not byte-exact"),
-            Err(e) => assert!(
+    match HdcModel::from_bytes(bytes) {
+        Ok(model) => {
+            assert_eq!(model.to_bytes(), bytes, "decode is not byte-exact");
+            true
+        }
+        Err(e) => {
+            assert!(
                 matches!(e, HdcError::InvalidConfig { .. }),
                 "untyped rejection: {e:?}"
-            ),
+            );
+            false
         }
     }
-    assert_eq!(
-        outcomes[0].is_ok(),
-        outcomes[1].is_ok(),
-        "entry points disagree"
-    );
-    outcomes[0].is_ok()
 }
 
 /// `payload` behind the 16-byte header `UHDM | version | dim | classes`.
