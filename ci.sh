@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the uHD workspace.
 #
-#   ./ci.sh            fmt check, clippy -D warnings, release build
-#                      (workspace + wirebench), full test suite,
+#   ./ci.sh            fmt check, clippy -D warnings (workspace +
+#                      wirebench), release build (workspace +
+#                      wirebench), full test suite,
 #                      uhd-core tests on its own features,
 #                      rustdoc -D warnings, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
@@ -28,10 +29,17 @@ cargo fmt --all --check
 step "cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# wirebench/ is its own workspace, so the two steps above skip it.
+step "cargo fmt --check (wirebench)"
+cargo fmt --check --manifest-path wirebench/Cargo.toml
+
+step "cargo clippy -- -D warnings (wirebench)"
+cargo clippy --offline --manifest-path wirebench/Cargo.toml -- -D warnings
+
 step "cargo build --release"
 cargo build --release
 
-# wirebench/ is its own workspace, so the build above skips it; a
+# The workspace build above skips wirebench/ as well; a
 # public-API change that breaks the benchmark driver fails here.
 step "cargo build --release (wirebench)"
 cargo build --release --offline --manifest-path wirebench/Cargo.toml

@@ -120,8 +120,8 @@ impl BaselineEncoder {
         let quantizer = Quantizer::new(config.levels)?;
         Ok(BaselineEncoder {
             config,
-            positions: ItemMemory::from_rows("position", positions)?,
-            levels: ItemMemory::from_rows("level", levels)?,
+            positions: ItemMemory::from_rows("position", &positions)?,
+            levels: ItemMemory::from_rows("level", &levels)?,
             quantizer,
         })
     }
@@ -170,30 +170,6 @@ impl BaselineEncoder {
             levels,
             quantizer,
         })
-    }
-
-    /// The position hypervectors (one per pixel), when resident.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::TableNotResident`] on the rematerialized backend —
-    /// use [`BaselineEncoder::position_memory`] to derive rows instead.
-    pub fn position_hypervectors(&self) -> Result<&[Hypervector], HdcError> {
-        self.positions
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "position" })
-    }
-
-    /// The level hypervectors (one per intensity level), when resident.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::TableNotResident`] on the rematerialized backend —
-    /// use [`BaselineEncoder::level_memory`] to derive rows instead.
-    pub fn level_hypervectors(&self) -> Result<&[Hypervector], HdcError> {
-        self.levels
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "level" })
     }
 
     /// The position item memory (any backend).
@@ -307,8 +283,8 @@ mod tests {
     #[test]
     fn tables_have_expected_shapes() {
         let enc = small_encoder(1);
-        assert_eq!(enc.position_hypervectors().unwrap().len(), 16);
-        assert_eq!(enc.level_hypervectors().unwrap().len(), 4);
+        assert_eq!(enc.position_memory().rows(), 16);
+        assert_eq!(enc.level_memory().rows(), 4);
         assert_eq!(enc.dim(), 256);
     }
 
@@ -321,9 +297,9 @@ mod tests {
 
         let mut reference = DenseAccumulator::new(256);
         for (pixel, &v) in image.iter().enumerate() {
-            let bound = enc.position_hypervectors().unwrap()[pixel]
-                .bind(&enc.level_hypervectors().unwrap()[enc.level_of(v) as usize])
-                .unwrap();
+            let p = enc.position_memory().row_hypervector(pixel as u32);
+            let l = enc.level_memory().row_hypervector(enc.level_of(v));
+            let bound = p.unwrap().bind(&l.unwrap()).unwrap();
             reference.add_hypervector(&bound).unwrap();
         }
         let rc: Vec<u64> = reference.counts().iter().map(|&c| c as u64).collect();
@@ -402,16 +378,20 @@ mod tests {
             MemoryBackend::Rematerialized { cached_rows: 0 },
         )
         .unwrap();
-        assert!(matches!(
-            enc.position_hypervectors(),
-            Err(HdcError::TableNotResident { what: "position" })
-        ));
-        assert!(matches!(
-            enc.level_hypervectors(),
-            Err(HdcError::TableNotResident { what: "level" })
-        ));
-        // The item-memory view still serves every row.
+        // Every row derives; an index past the table is an error.
         assert_eq!(enc.position_memory().rows(), 4);
         assert!(enc.position_memory().row_hypervector(3).is_ok());
+        assert!(matches!(
+            enc.position_memory().row_hypervector(4),
+            Err(HdcError::IndexOutOfRange {
+                what: "position",
+                index: 4,
+                len: 4
+            })
+        ));
+        assert!(matches!(
+            enc.level_memory().row_hypervector(4),
+            Err(HdcError::IndexOutOfRange { what: "level", .. })
+        ));
     }
 }

@@ -147,8 +147,9 @@ pub trait Encoder: Send + Sync {
     }
 
     /// [`Encoder::encode`] with a caller-provided scratch accumulator,
-    /// for allocation-free encoding in batch/serving hot loops (the
-    /// accumulator is cleared first and its plane storage is reused).
+    /// for batch/serving hot loops: the accumulator is cleared first and
+    /// its plane storage is reused, so only the returned hypervector
+    /// (and any staging the encoder's `accumulate` needs) is allocated.
     /// Binarizes at the accumulator's own running total, so
     /// variable-length samples get the correct threshold.
     /// Implementations overriding either method must keep the two

@@ -26,7 +26,7 @@ use super::level::LevelScheme;
 use super::{check_acc, check_feature_len, Encoder, EncoderProfile, MaskBlock};
 use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
-use crate::hypervector::{words_for_dim, Hypervector};
+use crate::hypervector::words_for_dim;
 use crate::item_memory::{derive_seed, ItemMemory, MemoryBackend, RowRecipe};
 use uhd_lowdisc::quantize::Quantizer;
 
@@ -154,30 +154,6 @@ impl TabularEncoder {
         self.quantizer.quantize_u8(value)
     }
 
-    /// The per-column key hypervectors, when resident.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::TableNotResident`] on the rematerialized backend —
-    /// use [`TabularEncoder::key_memory`] to derive rows instead.
-    pub fn key_hypervectors(&self) -> Result<&[Hypervector], HdcError> {
-        self.keys
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "key" })
-    }
-
-    /// The correlated bin-level hypervectors, when resident.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::TableNotResident`] on the rematerialized backend —
-    /// use [`TabularEncoder::level_memory`] to derive rows instead.
-    pub fn level_hypervectors(&self) -> Result<&[Hypervector], HdcError> {
-        self.levels
-            .resident_rows()
-            .ok_or(HdcError::TableNotResident { what: "level" })
-    }
-
     /// The key item memory (any backend).
     #[must_use]
     pub fn key_memory(&self) -> &ItemMemory {
@@ -266,10 +242,6 @@ mod tests {
         let rem = TabularEncoder::new(res.config().clone().rematerialized()).unwrap();
         let row = [10u8, 40, 90, 160, 250, 0, 128, 200];
         assert_eq!(res.encode(&row).unwrap(), rem.encode(&row).unwrap());
-        assert!(matches!(
-            rem.key_hypervectors(),
-            Err(HdcError::TableNotResident { what: "key" })
-        ));
         assert_eq!(rem.key_memory().rows(), 8);
     }
 
@@ -295,8 +267,8 @@ mod tests {
     #[test]
     fn tables_have_expected_shapes() {
         let enc = tiny();
-        assert_eq!(enc.key_hypervectors().unwrap().len(), 8);
-        assert_eq!(enc.level_hypervectors().unwrap().len(), 8);
+        assert_eq!(enc.key_memory().rows(), 8);
+        assert_eq!(enc.level_memory().rows(), 8);
         assert_eq!(enc.features(), 8);
     }
 
@@ -352,8 +324,8 @@ mod tests {
 
         let mut reference = BitSliceAccumulator::new(1024);
         for (c, &v) in row.iter().enumerate() {
-            let k = &enc.key_hypervectors().unwrap()[c];
-            let l = &enc.level_hypervectors().unwrap()[enc.bin_of(v) as usize];
+            let k = enc.key_memory().row_hypervector(c as u32).unwrap();
+            let l = enc.level_memory().row_hypervector(enc.bin_of(v)).unwrap();
             let mask: Vec<u64> = k
                 .words()
                 .iter()

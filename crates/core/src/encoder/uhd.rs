@@ -202,9 +202,9 @@ pub struct UhdEncoder {
     /// Threshold bit-planes as an item memory of disjoint rows,
     /// `p·ξ + q`: row `(p, 0)` is the dark mask `[Q(S_p[j]) = 0]`, row
     /// `(p, L ≥ 1)` the delta `[1 ≤ Q(S_p[j]) ≤ L]`, and the level-`L`
-    /// comparator mask is their OR. Resident tables materialize via
-    /// scatter + prefix-OR; rematerialized tables derive rows from the
-    /// LD family on demand.
+    /// comparator mask is their OR. Stored rows materialize via
+    /// scatter + prefix-OR; rematerialized tables derive the others from
+    /// the LD family on demand.
     planes: ItemMemory,
     /// The all-dark bundle `B = Σ_p row(p, 0)` with total H. An image's
     /// counts are `B + Σ_{p lit} row(p, L_p)`: the dark rows of the lit
@@ -399,9 +399,10 @@ impl Encoder for UhdEncoder {
         // Every pixel's dark row, counted toward `total`; the lit
         // pixels' delta rows then refine counts `total` already holds.
         acc.merge(&self.dark)?;
-        if let Some(rows) = self.planes.resident_rows() {
-            // Borrowed table rows, a block at a time from the stack:
-            // the resident request path allocates nothing.
+        if let Some(table) = self.planes.table() {
+            // Every row is stored: borrowed table rows, a block at a
+            // time from the stack, so this path allocates nothing.
+            let wc = self.words;
             let mut block: [&[u64]; BUNDLE_BLOCK] = [&[]; BUNDLE_BLOCK];
             let mut len = 0;
             for (pixel, &v) in image.iter().enumerate() {
@@ -412,7 +413,8 @@ impl Encoder for UhdEncoder {
                 // In range by the checks above plus the quantizer's
                 // contract.
                 debug_assert!(pixel < self.config.pixels && level < levels);
-                block[len] = rows[pixel * levels as usize + level as usize].words();
+                let start = (pixel * levels as usize + level as usize) * wc;
+                block[len] = &table[start..start + wc];
                 len += 1;
                 if len == BUNDLE_BLOCK {
                     acc.add_uncounted_masks(&block);
@@ -674,11 +676,12 @@ mod tests {
     #[test]
     fn delta_rows_are_disjoint_from_the_dark_row() {
         let enc = UhdEncoder::new(tiny_config()).unwrap();
-        let rows = enc.plane_memory().resident_rows().unwrap();
+        let planes = enc.plane_memory();
         for pixel in 0..9 {
-            let dark = rows[pixel * 16].words();
+            let dark = planes.row_hypervector(pixel * 16).unwrap();
             for level in 1..16 {
-                for (d, z) in rows[pixel * 16 + level].words().iter().zip(dark) {
+                let delta = planes.row_hypervector(pixel * 16 + level).unwrap();
+                for (d, z) in delta.words().iter().zip(dark.words()) {
                     assert_eq!(d & z, 0, "pixel {pixel} level {level}");
                 }
             }

@@ -12,21 +12,19 @@
 //! [`ItemMemory`] makes that choice explicit. A table is a `(dim, rows,
 //! recipe)` triple plus a [`MemoryBackend`]:
 //!
-//! * [`MemoryBackend::Resident`] — materialize all rows up front
-//!   (today's behaviour, fastest lookups);
-//! * [`MemoryBackend::Rematerialized`] — keep only the recipe; derive
-//!   rows into caller scratch on demand, with an optional small cache of
-//!   lazily-materialized hot rows.
+//! * [`MemoryBackend::Resident`] — materialize all rows up front into
+//!   one contiguous table (fastest lookups);
+//! * [`MemoryBackend::Rematerialized`] — keep the recipe and store only
+//!   a small prefix of rows; derive every other row into caller scratch
+//!   on demand.
 //!
 //! The backends are interchangeable because each [`RowRecipe`] obeys one
 //! contract, enforced by tests here and property tests in the workspace:
-//! `derive(row)` equals `materialize_all()[row]` for every row. For
+//! deriving row `r` alone equals row `r` of the materialized table. For
 //! seed-driven recipes this leans on the seekable SplitMix64 stream
 //! ([`uhd_lowdisc::rng::SeekableSource`]): row `r` owns draws
 //! `[r·D, (r+1)·D)`, which the resident path reaches by drawing
 //! sequentially and the rematerialized path by an O(1) seek.
-
-use std::sync::OnceLock;
 
 use crate::encoder::level::{
     cumulative_flip_plan, cumulative_flip_row, generate_level_hypervectors, threshold_draw_row,
@@ -56,31 +54,25 @@ pub enum MemoryBackend {
     #[default]
     Resident,
     /// Rows regenerated on demand from the recipe — O(seed) persistent
-    /// heap plus a bounded cache, O(D) work per uncached lookup.
+    /// heap plus a bounded stored prefix, O(D) work per other lookup.
     Rematerialized {
-        /// Rows `0..cached_rows` are materialized lazily on first touch
-        /// and then served resident; all other rows derive into caller
-        /// scratch on every lookup. `0` disables caching entirely.
+        /// Rows `0..cached_rows` are materialized at construction and
+        /// served stored; all other rows derive into caller scratch on
+        /// every lookup. `0` stores no row.
         cached_rows: u32,
     },
 }
 
 impl MemoryBackend {
-    /// Default number of hot rows the rematerialized backend caches.
+    /// Default number of rows the rematerialized backend stores.
     pub const DEFAULT_CACHED_ROWS: u32 = 64;
 
-    /// The rematerialized backend with the default hot-row cache.
+    /// The rematerialized backend with the default stored prefix.
     #[must_use]
     pub fn rematerialized() -> Self {
         MemoryBackend::Rematerialized {
             cached_rows: Self::DEFAULT_CACHED_ROWS,
         }
-    }
-
-    /// Whether this backend keeps the full table resident.
-    #[must_use]
-    pub fn is_resident(&self) -> bool {
-        matches!(self, MemoryBackend::Resident)
     }
 }
 
@@ -137,11 +129,18 @@ pub enum RowRecipe {
 /// dimension in order), so seeking to `row·dim` reproduces the
 /// sequential stream bit-for-bit.
 fn fill_random_words<S: UniformSource + ?Sized>(dim: u32, source: &mut S, out: &mut [u64]) {
-    out.fill(0);
+    let mut word = 0u64;
     for i in 0..dim {
         if source.next_unit() <= 0.5 {
-            out[(i / 64) as usize] |= 1u64 << (i % 64);
+            word |= 1u64 << (i % 64);
         }
+        if i % 64 == 63 {
+            out[(i / 64) as usize] = word;
+            word = 0;
+        }
+    }
+    if !dim.is_multiple_of(64) {
+        out[(dim / 64) as usize] = word;
     }
 }
 
@@ -267,15 +266,19 @@ impl RowRecipe {
         }
     }
 
-    /// Materialize the whole table, fastest path per recipe (sequential
-    /// streams, scatter + prefix-OR for the planes).
-    fn materialize_all(&self, dim: u32, rows: u32) -> Result<Vec<Hypervector>, HdcError> {
+    /// Materialize rows `0..n` into one row-major table of
+    /// `words_for_dim(dim)` words per row, fastest path per recipe
+    /// (sequential streams, one plan per chain, scatter + prefix-OR for
+    /// the planes). Every recipe writes only bits below `dim`.
+    fn materialize(&self, dim: u32, rows: u32, n: u32) -> Result<Vec<u64>, HdcError> {
+        let wc = words_for_dim(dim);
+        let mut table = vec![0u64; n as usize * wc];
         match *self {
             RowRecipe::Iid { seed } => {
                 let mut src = SplitMix64::new(seed);
-                Ok((0..rows)
-                    .map(|_| Hypervector::random(dim, &mut src))
-                    .collect())
+                for row in table.chunks_exact_mut(wc) {
+                    fill_random_words(dim, &mut src, row);
+                }
             }
             RowRecipe::RotatedIid { seed, symbols } => {
                 let order = rows / symbols;
@@ -283,62 +286,52 @@ impl RowRecipe {
                 let bases: Vec<Hypervector> = (0..symbols)
                     .map(|_| Hypervector::random(dim, &mut src))
                     .collect();
-                let mut out = Vec::with_capacity(rows as usize);
-                for k in 0..order {
-                    let shift = (order - 1 - k) % dim;
-                    for base in &bases {
-                        out.push(base.rotate(shift));
-                    }
+                for (row, out) in (0..n).zip(table.chunks_exact_mut(wc)) {
+                    let shift = (order - 1 - row / symbols) % dim;
+                    out.copy_from_slice(bases[(row % symbols) as usize].rotate(shift).words());
                 }
-                Ok(out)
             }
             RowRecipe::LevelChain { seed, scheme } => {
                 let mut src = SplitMix64::new(seed);
-                Ok(generate_level_hypervectors(dim, rows, scheme, &mut src))
+                let chain = generate_level_hypervectors(dim, rows, scheme, &mut src);
+                for (hv, out) in chain.iter().zip(table.chunks_exact_mut(wc)) {
+                    out.copy_from_slice(hv.words());
+                }
             }
             RowRecipe::ThresholdPlanes { family, levels } => {
-                let wc = words_for_dim(dim);
-                let lv = levels as usize;
+                let block = levels as usize * wc;
                 let quantizer = Quantizer::new(levels)?;
-                let pixels = (rows / levels) as usize;
-                let mut out = Vec::with_capacity(rows as usize);
-                let mut planes = vec![0u64; lv * wc];
+                // Whole pixels, trimmed back to `n` rows at the end.
+                table.resize((n as usize).div_ceil(levels as usize) * block, 0);
                 let mut column = Vec::new();
-                for pixel in 0..pixels {
+                for (pixel, planes) in table.chunks_exact_mut(block).enumerate() {
                     family.quantized_column(pixel, dim as usize, quantizer, &mut column)?;
-                    planes.fill(0);
-                    // Scatter: mark each dimension in the plane of its
-                    // own level, then prefix-OR from plane 1 so plane
-                    // q ≥ 1 covers levels 1..=q and plane 0 stays the
-                    // dark mask.
+                    // Scatter: mark each dimension in the row of its own
+                    // level, then prefix-OR from row 1 so row q ≥ 1
+                    // covers levels 1..=q and row 0 stays the dark mask.
                     for (j, &q) in column.iter().enumerate() {
                         planes[usize::from(q) * wc + j / 64] |= 1u64 << (j % 64);
                     }
-                    for q in 2..lv {
-                        for w in 0..wc {
-                            let prev = planes[(q - 1) * wc + w];
-                            planes[q * wc + w] |= prev;
-                        }
-                    }
-                    for q in 0..lv {
-                        out.push(Hypervector::from_words(
-                            planes[q * wc..(q + 1) * wc].to_vec(),
-                            dim,
-                        )?);
+                    for w in 2 * wc..block {
+                        planes[w] |= planes[w - wc];
                     }
                 }
-                Ok(out)
+                table.truncate(n as usize * wc);
+                table.shrink_to_fit();
             }
         }
+        Ok(table)
     }
 }
 
 /// A table of `rows` hypervectors of dimension `dim`, resident or
 /// rematerialized.
 ///
-/// Lookups go through [`ItemMemory::row`], which borrows from the table
-/// (resident rows, cached rows) or from caller-provided scratch
-/// (rematerialized rows) — the hot path never copies resident data.
+/// Stored rows live in one row-major table of `words` packed words per
+/// row: every row on the resident backend, the first `cached_rows` on
+/// the rematerialized one. Lookups go through [`ItemMemory::row`], which
+/// borrows a stored row from the table or derives any other row into
+/// caller-provided scratch — the hot path never copies stored data.
 #[derive(Debug, Clone)]
 pub struct ItemMemory {
     /// What this table holds, for error messages ("position", "level", …).
@@ -347,13 +340,11 @@ pub struct ItemMemory {
     rows: u32,
     words: usize,
     backend: MemoryBackend,
+    /// `None` only for tables built from external rows, which store
+    /// every row.
     recipe: Option<RowRecipe>,
-    /// All rows, when the backend is resident (or the table was built
-    /// from externally supplied rows). Empty otherwise.
-    resident: Vec<Hypervector>,
-    /// Lazily-materialized hot rows `0..cached_rows` of the
-    /// rematerialized backend. Empty for resident tables.
-    cache: Vec<OnceLock<Hypervector>>,
+    /// Rows `0..table.len() / words`, row-major.
+    table: Vec<u64>,
 }
 
 impl ItemMemory {
@@ -362,7 +353,7 @@ impl ItemMemory {
     /// Both backends validate eagerly: the rematerialized path probes
     /// the last row once so substrate errors (e.g. an LD family out of
     /// dimensions) surface at construction, exactly like the resident
-    /// path.
+    /// path. Stored rows are materialized here, never on lookup.
     ///
     /// # Errors
     ///
@@ -379,69 +370,59 @@ impl ItemMemory {
     ) -> Result<Self, HdcError> {
         recipe.validate(dim, rows)?;
         let words = words_for_dim(dim);
-        match backend {
-            MemoryBackend::Resident => Ok(ItemMemory {
-                what,
-                dim,
-                rows,
-                words,
-                backend,
-                recipe: Some(recipe),
-                resident: recipe.materialize_all(dim, rows)?,
-                cache: Vec::new(),
-            }),
+        let stored = match backend {
+            MemoryBackend::Resident => rows,
             MemoryBackend::Rematerialized { cached_rows } => {
                 let mut probe = vec![0u64; words];
                 recipe.derive_into(dim, rows, rows - 1, &mut probe)?;
-                let cache = (0..cached_rows.min(rows))
-                    .map(|_| OnceLock::new())
-                    .collect();
-                Ok(ItemMemory {
-                    what,
-                    dim,
-                    rows,
-                    words,
-                    backend,
-                    recipe: Some(recipe),
-                    resident: Vec::new(),
-                    cache,
-                })
+                cached_rows.min(rows)
             }
-        }
+        };
+        Ok(ItemMemory {
+            what,
+            dim,
+            rows,
+            words,
+            backend,
+            recipe: Some(recipe),
+            table: recipe.materialize(dim, rows, stored)?,
+        })
     }
 
-    /// Wrap externally materialized rows (e.g. drawn from a caller's
-    /// RNG stream) as a resident table. Such a table has no recipe and
+    /// Pack externally materialized rows (e.g. drawn from a caller's
+    /// RNG stream) into a resident table. Such a table has no recipe and
     /// cannot be rematerialized.
     ///
     /// # Errors
     ///
     /// [`HdcError::InvalidConfig`] for an empty table,
     /// [`HdcError::DimensionMismatch`] if rows disagree on dimension.
-    pub fn from_rows(what: &'static str, rows: Vec<Hypervector>) -> Result<Self, HdcError> {
+    pub fn from_rows(what: &'static str, rows: &[Hypervector]) -> Result<Self, HdcError> {
         let Some(first) = rows.first() else {
             return Err(HdcError::InvalidConfig {
                 reason: "item memory needs at least one row".into(),
             });
         };
         let dim = first.dim();
-        for r in &rows {
+        let words = words_for_dim(dim);
+        let mut table = Vec::with_capacity(rows.len() * words);
+        for r in rows {
             if r.dim() != dim {
                 return Err(HdcError::DimensionMismatch {
                     left: dim,
                     right: r.dim(),
                 });
             }
+            table.extend_from_slice(r.words());
         }
         Ok(ItemMemory {
             what,
             dim,
             rows: rows.len() as u32,
-            words: words_for_dim(dim),
+            words,
             backend: MemoryBackend::Resident,
             recipe: None,
-            resident: rows,
-            cache: Vec::new(),
+            table,
         })
     }
 
@@ -469,45 +450,26 @@ impl ItemMemory {
         self.backend
     }
 
-    /// Whether every row is resident.
+    /// Every row's packed words, row-major (row `r` is
+    /// `[r·words(), (r+1)·words())`), when every row is stored: always
+    /// on the resident backend, and on the rematerialized one only when
+    /// `cached_rows ≥ rows()`.
     #[must_use]
-    pub fn is_resident(&self) -> bool {
-        !self.resident.is_empty()
+    pub fn table(&self) -> Option<&[u64]> {
+        (self.table.len() == self.rows as usize * self.words).then_some(&self.table)
     }
 
-    /// The full materialized table, when resident.
-    #[must_use]
-    pub fn resident_rows(&self) -> Option<&[Hypervector]> {
-        if self.resident.is_empty() {
-            None
-        } else {
-            Some(&self.resident)
-        }
-    }
-
-    /// Heap bytes this table pins for its lifetime: the materialized
-    /// rows plus the hot-row cache *capacity* (counted whether or not a
-    /// slot is filled yet, so the figure is deterministic).
+    /// Heap bytes this table pins for its lifetime: its stored rows.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        let row_bytes = self.words as u64 * 8;
-        (self.resident.len() as u64 + self.cache.len() as u64) * row_bytes
-    }
-
-    fn derive_row(&self, row: u32) -> Result<Hypervector, HdcError> {
-        let recipe = self
-            .recipe
-            .expect("rematerialized tables always carry a recipe");
-        let mut words = vec![0u64; self.words];
-        recipe.derive_into(self.dim, self.rows, row, &mut words)?;
-        Hypervector::from_words(words, self.dim)
+        self.table.len() as u64 * 8
     }
 
     /// The packed words of row `row`.
     ///
-    /// Resident and cached rows borrow from the table; rematerialized
-    /// rows are derived into `scratch` (resized as needed) and borrowed
-    /// from there. Callers that loop should reuse one scratch buffer.
+    /// A stored row borrows from the table; any other row is derived
+    /// into `scratch` (resized as needed) and borrowed from there.
+    /// Callers that loop should reuse one scratch buffer.
     ///
     /// # Errors
     ///
@@ -520,26 +482,31 @@ impl ItemMemory {
                 len: self.rows as usize,
             });
         }
-        if !self.resident.is_empty() {
-            return Ok(self.resident[row as usize].words());
+        let start = row as usize * self.words;
+        match self.table.get(start..start + self.words) {
+            Some(stored) => Ok(stored),
+            None => self.derive_into_scratch(row, scratch),
         }
-        if let Some(slot) = self.cache.get(row as usize) {
-            let hv = slot.get_or_init(|| {
-                self.derive_row(row)
-                    .expect("recipe was validated at construction")
-            });
-            return Ok(hv.words());
-        }
+    }
+
+    /// Derive row `row` (past the stored prefix) into `scratch`. Kept
+    /// out of line so a stored-row lookup stays a few instructions.
+    #[inline(never)]
+    fn derive_into_scratch<'a>(
+        &self,
+        row: u32,
+        scratch: &'a mut Vec<u64>,
+    ) -> Result<&'a [u64], HdcError> {
         scratch.resize(self.words, 0);
         let recipe = self
             .recipe
-            .expect("rematerialized tables always carry a recipe");
+            .expect("tables without a recipe store every row");
         recipe.derive_into(self.dim, self.rows, row, &mut scratch[..])?;
         Ok(&scratch[..])
     }
 
-    /// Row `row` as an owned [`Hypervector`] (always allocates for
-    /// non-resident rows; convenience for tests and tools).
+    /// Row `row` as an owned [`Hypervector`] (always allocates;
+    /// convenience for tests and tools).
     ///
     /// # Errors
     ///
@@ -607,20 +574,36 @@ mod tests {
         for (recipe, rows) in recipes() {
             for dim in [1u32, 65, 130] {
                 let res = ItemMemory::new("t", dim, rows, recipe, MemoryBackend::Resident).unwrap();
-                let rem = ItemMemory::new(
-                    "t",
-                    dim,
-                    rows,
-                    recipe,
-                    MemoryBackend::Rematerialized { cached_rows: 2 },
-                )
-                .unwrap();
-                for r in 0..rows {
+                let words = res.words();
+                assert_eq!(res.resident_bytes(), u64::from(rows) * words as u64 * 8);
+                assert_eq!(res.table().map(<[u64]>::len), Some(rows as usize * words));
+                for cached_rows in [0, 2, rows] {
+                    let rem = ItemMemory::new(
+                        "t",
+                        dim,
+                        rows,
+                        recipe,
+                        MemoryBackend::Rematerialized { cached_rows },
+                    )
+                    .unwrap();
+                    let stored = cached_rows.min(rows);
+                    let ctx = format!("{recipe:?} dim {dim} cached_rows {cached_rows}");
                     assert_eq!(
-                        res.row_hypervector(r).unwrap(),
-                        rem.row_hypervector(r).unwrap(),
-                        "{recipe:?} dim {dim} row {r}"
+                        rem.resident_bytes(),
+                        u64::from(stored) * words as u64 * 8,
+                        "{ctx}"
                     );
+                    assert_eq!(rem.table().is_some(), stored == rows, "{ctx}");
+                    let mut res_scratch = Vec::new();
+                    for r in 0..rows {
+                        let mut scratch = Vec::new();
+                        let got = rem.row(r, &mut scratch).unwrap().to_vec();
+                        // Stored rows borrow from the table; the rest
+                        // derive into scratch.
+                        assert_eq!(scratch.is_empty(), r < stored, "{ctx} row {r}");
+                        assert_eq!(got, res.row(r, &mut res_scratch).unwrap(), "{ctx} row {r}");
+                    }
+                    assert!(res_scratch.is_empty(), "resident rows never derive");
                 }
             }
         }
@@ -739,8 +722,8 @@ mod tests {
     fn from_rows_wraps_external_tables() {
         let mut rng = Xoshiro256StarStar::seeded(5);
         let rows: Vec<Hypervector> = (0..3).map(|_| Hypervector::random(100, &mut rng)).collect();
-        let im = ItemMemory::from_rows("pos", rows.clone()).unwrap();
-        assert!(im.is_resident());
+        let im = ItemMemory::from_rows("pos", &rows).unwrap();
+        assert_eq!(im.table().map(<[u64]>::len), Some(3 * 2));
         assert_eq!(im.rows(), 3);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(&im.row_hypervector(i as u32).unwrap(), r);
@@ -749,10 +732,10 @@ mod tests {
         let mut bad = rows;
         bad.push(Hypervector::random(101, &mut rng));
         assert!(matches!(
-            ItemMemory::from_rows("pos", bad),
+            ItemMemory::from_rows("pos", &bad),
             Err(HdcError::DimensionMismatch { .. })
         ));
-        assert!(ItemMemory::from_rows("pos", Vec::new()).is_err());
+        assert!(ItemMemory::from_rows("pos", &[]).is_err());
     }
 
     #[test]

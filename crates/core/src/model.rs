@@ -15,7 +15,7 @@ use crate::assoc::AssociativeMemory;
 use crate::encoder::Encoder;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
-use crate::similarity::cosine_int;
+use crate::similarity::{cosine_int, cosine_int_bipolar};
 
 /// How a query is compared against the trained classes.
 ///
@@ -280,9 +280,11 @@ impl HdcModel {
     }
 
     /// Classify one sample under `mode` on caller-reused buffers, so
-    /// batch and serving loops stay allocation-free in the binarized
-    /// mode: `scratch` (of the encoder's dimension) is the bundling
-    /// accumulator, `dists` the per-class Hamming distances. Every
+    /// batch and serving loops do not reallocate them per sample:
+    /// `scratch` (of the encoder's dimension) is the bundling
+    /// accumulator, `dists` the per-class Hamming distances. Each call
+    /// still allocates its query: the binarized hypervector, or the D
+    /// bipolar sums in the integer modes. Every
     /// classify path — [`HdcModel::classify_with`], evaluation, the
     /// serving registry — goes through here; reused buffers answer
     /// bit-identically to fresh ones.
@@ -322,10 +324,7 @@ impl HdcModel {
             let score = if integer_classes {
                 cosine_int(&query, sums)?
             } else {
-                let class_bipolar: Vec<i64> = (0..self.dim)
-                    .map(|i| if hv.bit(i) { 1 } else { -1 })
-                    .collect();
-                cosine_int(&query, &class_bipolar)?
+                cosine_int_bipolar(&query, hv)?
             };
             if score > best.1 {
                 best = (c, score);

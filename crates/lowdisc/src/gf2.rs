@@ -249,16 +249,17 @@ pub fn first_primitive_polynomials(count: usize) -> Vec<u64> {
     static CACHE: OnceLock<Mutex<Vec<u64>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
     let mut guard = cache.lock().expect("primitive polynomial cache poisoned");
-    if guard.len() < count {
-        let mut it = PrimitivePolynomials::new().skip(guard.len());
-        while guard.len() < count {
-            match it.next() {
-                Some(p) => guard.push(p),
-                None => break,
-            }
-        }
-    }
+    extend_primitives(&mut guard, count);
     guard.iter().take(count).copied().collect()
+}
+
+/// Grow `found`, the first `found.len()` primitive polynomials, to
+/// `count` entries (fewer if the enumeration runs out), resuming the
+/// enumeration after the last one found so no candidate is tested twice.
+fn extend_primitives(found: &mut Vec<u64>, count: usize) {
+    let next_candidate = found.last().map_or(0b11, |&p| p + 2);
+    let missing = count.saturating_sub(found.len());
+    found.extend(PrimitivePolynomials { next_candidate }.take(missing));
 }
 
 #[cfg(test)]
@@ -349,6 +350,18 @@ mod tests {
         let b = first_primitive_polynomials(20);
         assert_eq!(a[..], b[..10]);
         assert_eq!(b.len(), 20);
+    }
+
+    #[test]
+    fn extending_one_count_at_a_time_matches_one_enumeration() {
+        let mut stepped = Vec::new();
+        for n in 1..=200 {
+            extend_primitives(&mut stepped, n);
+            assert_eq!(stepped.len(), n);
+        }
+        let whole: Vec<u64> = PrimitivePolynomials::new().take(200).collect();
+        assert_eq!(stepped, whole);
+        assert_eq!(first_primitive_polynomials(200), whole);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!
 //! * **Caller-thread answering** — [`ModelRegistry::classify`] takes
 //!   one of `shards` permits and answers on the calling thread; each
-//!   permit owns its scratch buffers, so a request allocates nothing
+//!   permit owns the bundling accumulator and distance buffer its
+//!   requests reuse, so a request allocates only its encoded query
+//!   (the bipolar sums in the integer modes) and any encoder staging,
 //!   and crosses no thread boundary. A caller finding every permit out
 //!   waits in line, and the line is capped by exact load shedding.
 //! * **Micro-batching** — [`ModelRegistry::classify_many`] answers

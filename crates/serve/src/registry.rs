@@ -3,9 +3,11 @@
 //! server is a registry with one tenant.
 //!
 //! Requests are answered on the caller's thread. A caller takes one of
-//! `shards` permits (each owning its scratch accumulators and distance
-//! buffer, so a request allocates nothing and takes no second lock),
-//! encodes and searches, and hands the permit back. The permits are
+//! `shards` permits (each owning a bundling accumulator and distance
+//! buffer that its requests reuse, so a request takes no second lock and
+//! allocates only its encoded query, the bipolar sums in the integer
+//! modes, and whatever staging its encoder needs), encodes and
+//! searches, and hands the permit back. The permits are
 //! shared by every tenant. Each tenant owns
 //!
 //! * a named, generation-tagged `Arc<HdcModel>` hot-swap slot
