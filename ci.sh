@@ -7,7 +7,9 @@
 #                      uhd-core tests on its own features,
 #                      rustdoc -D warnings, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
-#                      binary and example (UHD_BENCH_QUICK + tiny sizes);
+#                      binary and example, discovered from
+#                      crates/bench/src/bin/ and examples/
+#                      (UHD_BENCH_QUICK + tiny sizes);
 #                      quick BENCH_*.json go to target/bench-quick/, so
 #                      the committed files in the repo root stay as-is
 set -euo pipefail
@@ -71,8 +73,11 @@ if [ "$smoke" -eq 1 ]; then
     step "smoke: throughput + online (UHD_KERNEL=scalar)"
     UHD_KERNEL=scalar cargo run --release -q -p uhd-bench --bin throughput > /dev/null
     UHD_KERNEL=scalar cargo run --release -q -p uhd-bench --bin online > /dev/null
-    for bin in table1 table2 table3 table4 table5 fig6 checkpoints ablation \
-               throughput online capacity; do
+    # Every bench binary Cargo discovers, so a new one cannot be skipped
+    # silently; the validate_* checkers take their inputs and run below.
+    for src in crates/bench/src/bin/*.rs; do
+        bin="$(basename "$src" .rs)"
+        case "$bin" in validate_*) continue ;; esac
         step "smoke: $bin"
         cargo run --release -q -p uhd-bench --bin "$bin" > /dev/null
     done
@@ -82,9 +87,8 @@ if [ "$smoke" -eq 1 ]; then
     # panicked under the SIMD path or emitted malformed JSON fails here.
     step "smoke: validate BENCH_*.json perf trajectory"
     cargo run --release -q -p uhd-bench --bin validate_bench
-    for ex in quickstart custom_encoder orthogonality_study hardware_report \
-              signal_classification serving dynamic_learning language_id tabular \
-              http_serving; do
+    for src in examples/*.rs; do
+        ex="$(basename "$src" .rs)"
         step "smoke: example $ex"
         cargo run --release -q --example "$ex" > /dev/null
     done

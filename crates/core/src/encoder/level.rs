@@ -14,8 +14,14 @@
 //!   and set `L_k[j] = +1 iff R_j ≤ (k+1)/levels`, the comparison-with-
 //!   moving-threshold formulation spelled out in the paper
 //!   (`t = k·D/2^n` compared against `0 ≤ R ≤ D`).
+//!
+//! Either chain is one *plan* (the base and flip order, or `R`) drawn
+//! from the source, plus a walk over the levels. A single generator
+//! draws the plan once and walks any consecutive range of levels, so the
+//! whole chain here, a resident level table and one rematerialized row
+//! of [`crate::item_memory::ItemMemory`] all come from the same code.
 
-use crate::hypervector::Hypervector;
+use crate::hypervector::{fill_random_words, words_for_dim, Hypervector};
 use uhd_lowdisc::rng::UniformSource;
 
 /// Which level-hypervector construction the baseline encoder uses.
@@ -43,98 +49,64 @@ pub fn generate_level_hypervectors<S: UniformSource + ?Sized>(
 ) -> Vec<Hypervector> {
     assert!(dim > 0, "dimension must be nonzero");
     assert!(levels >= 2, "need at least 2 levels");
-    match scheme {
-        LevelScheme::CumulativeFlip => cumulative_flip(dim, levels, source),
-        LevelScheme::ThresholdDraw => threshold_draw(dim, levels, source),
-    }
-}
-
-/// The shared randomness behind a cumulative-flip chain: the random base
-/// hypervector L₀ and the Fisher-Yates flip order. Every level is a pure
-/// function of this plan, which is what makes individual rows derivable
-/// without materializing their predecessors (the rematerialized
-/// [`crate::item_memory::ItemMemory`] backend).
-pub(crate) fn cumulative_flip_plan<S: UniformSource + ?Sized>(
-    dim: u32,
-    source: &mut S,
-) -> (Hypervector, Vec<u32>) {
-    let base = Hypervector::random(dim, source);
-    let mut order: Vec<u32> = (0..dim).collect();
-    // Fisher-Yates with the provided source.
-    for i in (1..order.len()).rev() {
-        let j = (source.next_unit() * (i as f64 + 1.0)) as usize;
-        order.swap(i, j.min(i));
-    }
-    (base, order)
-}
-
-/// Level `k` of a cumulative-flip chain: the base with the first
-/// `D/2 · k/(levels−1)` planned flips applied.
-pub(crate) fn cumulative_flip_row(
-    base: &Hypervector,
-    order: &[u32],
-    dim: u32,
-    levels: u32,
-    k: u32,
-) -> Hypervector {
-    let total_flips = (dim / 2) as usize;
-    let steps = (levels - 1) as usize;
-    let flips = total_flips * k as usize / steps;
-    let mut hv = base.clone();
-    for &pos in &order[..flips] {
-        hv.set_bit(pos, !hv.bit(pos));
-    }
-    hv
-}
-
-/// Level `k` of a threshold-draw chain over the shared random vector `r`.
-pub(crate) fn threshold_draw_row(r: &[f64], dim: u32, levels: u32, k: u32) -> Hypervector {
-    let t = f64::from(k + 1) / f64::from(levels);
-    let mut hv = Hypervector::neg_ones(dim);
-    for (j, &rj) in r.iter().enumerate() {
-        if rj <= t {
-            hv.set_bit(j as u32, true);
-        }
-    }
-    hv
-}
-
-fn cumulative_flip<S: UniformSource + ?Sized>(
-    dim: u32,
-    levels: u32,
-    source: &mut S,
-) -> Vec<Hypervector> {
-    let (base, order) = cumulative_flip_plan(dim, source);
-    let mut out = Vec::with_capacity(levels as usize);
-    let mut current = base;
-    out.push(current.clone());
-    // Flip D/2 positions in total across levels−1 steps, each position at
-    // most once, so level 0 and the last level are ~orthogonal.
-    let total_flips = (dim / 2) as usize;
-    let steps = (levels - 1) as usize;
-    let mut cursor = 0usize;
-    for step in 0..steps {
-        // Distribute flips as evenly as integers allow.
-        let target = total_flips * (step + 1) / steps;
-        while cursor < target {
-            let pos = order[cursor];
-            current.set_bit(pos, !current.bit(pos));
-            cursor += 1;
-        }
-        out.push(current.clone());
-    }
-    out
-}
-
-fn threshold_draw<S: UniformSource + ?Sized>(
-    dim: u32,
-    levels: u32,
-    source: &mut S,
-) -> Vec<Hypervector> {
-    let r: Vec<f64> = (0..dim).map(|_| source.next_unit()).collect();
-    (0..levels)
-        .map(|k| threshold_draw_row(&r, dim, levels, k))
+    let words = words_for_dim(dim);
+    let mut table = vec![0u64; levels as usize * words];
+    level_rows(dim, levels, scheme, source, 0, &mut table);
+    table
+        .chunks_exact(words)
+        .map(|row| Hypervector::from_words(row.to_vec(), dim).expect("row is `words` long"))
         .collect()
+}
+
+/// Write levels `first..first + n` of a `levels`-level chain into the
+/// zeroed row-major `out` (`n = out.len() / words_for_dim(dim)`, at
+/// least 1). The plan is drawn from `source` in full whatever the range,
+/// so a range equals the same rows of the whole chain.
+pub(crate) fn level_rows<S: UniformSource + ?Sized>(
+    dim: u32,
+    levels: u32,
+    scheme: LevelScheme,
+    source: &mut S,
+    first: u32,
+    out: &mut [u64],
+) {
+    let words = words_for_dim(dim);
+    match scheme {
+        LevelScheme::CumulativeFlip => {
+            fill_random_words(dim, 0, source, &mut out[..words]);
+            // Fisher-Yates flip order with the provided source.
+            let mut order: Vec<u32> = (0..dim).collect();
+            for i in (1..order.len()).rev() {
+                let j = (source.next_unit() * (i as f64 + 1.0)) as usize;
+                order.swap(i, j.min(i));
+            }
+            // Level k carries the first D/2 · k/(levels−1) flips (spread
+            // as evenly as integers allow), each position flipped at most
+            // once, so level 0 and the last level are ~orthogonal.
+            let flips = |k: u32| (dim / 2) as usize * k as usize / (levels - 1) as usize;
+            let mut done = 0;
+            for (k, row) in (first..).zip(0..out.len() / words) {
+                if row > 0 {
+                    out.copy_within((row - 1) * words..row * words, row * words);
+                }
+                for &pos in &order[done..flips(k)] {
+                    out[row * words + pos as usize / 64] ^= 1u64 << (pos % 64);
+                }
+                done = flips(k);
+            }
+        }
+        LevelScheme::ThresholdDraw => {
+            let r: Vec<f64> = (0..dim).map(|_| source.next_unit()).collect();
+            for (k, row) in (first..).zip(out.chunks_exact_mut(words)) {
+                let t = f64::from(k + 1) / f64::from(levels);
+                for (j, &rj) in r.iter().enumerate() {
+                    if rj <= t {
+                        row[j / 64] |= 1u64 << (j % 64);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -202,9 +202,9 @@ pub struct UhdEncoder {
     /// Threshold bit-planes as an item memory of disjoint rows,
     /// `p·ξ + q`: row `(p, 0)` is the dark mask `[Q(S_p[j]) = 0]`, row
     /// `(p, L ≥ 1)` the delta `[1 ≤ Q(S_p[j]) ≤ L]`, and the level-`L`
-    /// comparator mask is their OR. Stored rows materialize via
-    /// scatter + prefix-OR; rematerialized tables derive the others from
-    /// the LD family on demand.
+    /// comparator mask is their OR. Stored and derived rows alike come
+    /// from one scatter + prefix-OR over a pixel's quantized column;
+    /// rematerialized tables derive the unstored rows on demand.
     planes: ItemMemory,
     /// The all-dark bundle `B = Σ_p row(p, 0)` with total H. An image's
     /// counts are `B + Σ_{p lit} row(p, L_p)`: the dark rows of the lit

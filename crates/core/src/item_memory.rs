@@ -18,23 +18,24 @@
 //!   a small prefix of rows; derive every other row into caller scratch
 //!   on demand.
 //!
-//! The backends are interchangeable because each [`RowRecipe`] obeys one
-//! contract, enforced by tests here and property tests in the workspace:
-//! deriving row `r` alone equals row `r` of the materialized table. For
+//! The backends are interchangeable because every row, stored or
+//! derived, comes from one generator per [`RowRecipe`]: it writes any
+//! consecutive range of rows, drawing the recipe's shared state (a
+//! stream position, a level plan, a pixel's quantized column) once per
+//! call. The resident table is the range of all rows, the stored prefix
+//! the first `cached_rows`, and a rematerialized lookup a range of one.
+//! The contract, enforced by tests here and property tests in the
+//! workspace: any range equals those rows of the full table. For
 //! seed-driven recipes this leans on the seekable SplitMix64 stream
 //! ([`uhd_lowdisc::rng::SeekableSource`]): row `r` owns draws
-//! `[r·D, (r+1)·D)`, which the resident path reaches by drawing
-//! sequentially and the rematerialized path by an O(1) seek.
+//! `[r·D, (r+1)·D)`, which a range reaches by an O(1) seek.
 
-use crate::encoder::level::{
-    cumulative_flip_plan, cumulative_flip_row, generate_level_hypervectors, threshold_draw_row,
-    LevelScheme,
-};
+use crate::encoder::level::{level_rows, LevelScheme};
 use crate::encoder::uhd::LdFamily;
 use crate::error::HdcError;
-use crate::hypervector::{words_for_dim, Hypervector};
+use crate::hypervector::{fill_random_words, words_for_dim, Hypervector};
 use uhd_lowdisc::quantize::Quantizer;
-use uhd_lowdisc::rng::{SeekableSource, SplitMix64, UniformSource};
+use uhd_lowdisc::rng::{SeekableSource, SplitMix64};
 
 /// Derive a sub-table seed from a master seed and a role tag, using the
 /// same golden-ratio keyed mixing the per-pixel pseudo streams use.
@@ -78,9 +79,9 @@ impl MemoryBackend {
 
 /// The pure function a table's rows are derived from.
 ///
-/// Every variant satisfies the rematerialization contract: deriving row
-/// `r` in isolation produces exactly the hypervector that materializing
-/// the whole table sequentially would put at index `r`.
+/// Every variant satisfies the rematerialization contract: any range of
+/// consecutive rows, a single row included, equals those rows of the
+/// full table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RowRecipe {
     /// Independent random rows. Row `r` consumes SplitMix64 draws
@@ -122,26 +123,6 @@ pub enum RowRecipe {
         /// Quantization levels ξ (rows per pixel).
         levels: u32,
     },
-}
-
-/// Fill packed words with random bits using the exact draw rule of
-/// [`Hypervector::random`] (`next_unit() ≤ 0.5 ⇔ +1`, one draw per
-/// dimension in order), so seeking to `row·dim` reproduces the
-/// sequential stream bit-for-bit.
-fn fill_random_words<S: UniformSource + ?Sized>(dim: u32, source: &mut S, out: &mut [u64]) {
-    let mut word = 0u64;
-    for i in 0..dim {
-        if source.next_unit() <= 0.5 {
-            word |= 1u64 << (i % 64);
-        }
-        if i % 64 == 63 {
-            out[(i / 64) as usize] = word;
-            word = 0;
-        }
-    }
-    if !dim.is_multiple_of(64) {
-        out[(dim / 64) as usize] = word;
-    }
 }
 
 impl RowRecipe {
@@ -201,126 +182,78 @@ impl RowRecipe {
         }
     }
 
-    /// Derive row `row` of a `(dim, rows)` table into `out`
-    /// (`out.len() == words_for_dim(dim)`), without materializing any
-    /// other row.
-    fn derive_into(&self, dim: u32, rows: u32, row: u32, out: &mut [u64]) -> Result<(), HdcError> {
-        debug_assert_eq!(out.len(), words_for_dim(dim));
-        debug_assert!(row < rows);
-        match *self {
-            RowRecipe::Iid { seed } => {
-                let mut src = SplitMix64::new(seed);
-                src.seek_to(u64::from(row) * u64::from(dim));
-                fill_random_words(dim, &mut src, out);
-                Ok(())
-            }
-            RowRecipe::RotatedIid { seed, symbols } => {
-                let order = rows / symbols;
-                let k = row / symbols;
-                let s = row % symbols;
-                let shift = (order - 1 - k) % dim;
-                let mut src = SplitMix64::new(seed);
-                src.seek_to(u64::from(s) * u64::from(dim));
-                let mut tmp = vec![0u64; out.len()];
-                fill_random_words(dim, &mut src, &mut tmp);
-                let base = Hypervector::from_words(tmp, dim)?;
-                out.copy_from_slice(base.rotate(shift).words());
-                Ok(())
-            }
-            RowRecipe::LevelChain { seed, scheme } => {
-                let mut src = SplitMix64::new(seed);
-                let hv = match scheme {
-                    LevelScheme::CumulativeFlip => {
-                        let (base, order) = cumulative_flip_plan(dim, &mut src);
-                        cumulative_flip_row(&base, &order, dim, rows, row)
-                    }
-                    LevelScheme::ThresholdDraw => {
-                        let r: Vec<f64> = (0..dim).map(|_| src.next_unit()).collect();
-                        threshold_draw_row(&r, dim, rows, row)
-                    }
-                };
-                out.copy_from_slice(hv.words());
-                Ok(())
-            }
-            RowRecipe::ThresholdPlanes { family, levels } => {
-                let pixel = (row / levels) as usize;
-                let level = row % levels;
-                let mut column = Vec::new();
-                family.quantized_column(
-                    pixel,
-                    dim as usize,
-                    Quantizer::new(levels)?,
-                    &mut column,
-                )?;
-                // Level 0 keeps the dark scalars; a higher level keeps
-                // the lit ones it reaches.
-                let kept = if level == 0 { 0..=0 } else { 1..=level };
-                out.fill(0);
-                for (j, &q) in column.iter().enumerate() {
-                    if kept.contains(&u32::from(q)) {
-                        out[j / 64] |= 1u64 << (j % 64);
-                    }
-                }
-                Ok(())
-            }
+    /// Write rows `first..first + n` of a `(dim, rows)` table into `out`,
+    /// row-major with `words_for_dim(dim)` words per row
+    /// (`n = out.len() / words_for_dim(dim)`). Every recipe writes only
+    /// bits below `dim`.
+    fn rows_into(&self, dim: u32, rows: u32, first: u32, out: &mut [u64]) -> Result<(), HdcError> {
+        let words = words_for_dim(dim);
+        let n = (out.len() / words) as u32;
+        debug_assert_eq!(out.len(), n as usize * words);
+        debug_assert!(first + n <= rows);
+        out.fill(0);
+        if n == 0 {
+            return Ok(());
         }
-    }
-
-    /// Materialize rows `0..n` into one row-major table of
-    /// `words_for_dim(dim)` words per row, fastest path per recipe
-    /// (sequential streams, one plan per chain, scatter + prefix-OR for
-    /// the planes). Every recipe writes only bits below `dim`.
-    fn materialize(&self, dim: u32, rows: u32, n: u32) -> Result<Vec<u64>, HdcError> {
-        let wc = words_for_dim(dim);
-        let mut table = vec![0u64; n as usize * wc];
         match *self {
             RowRecipe::Iid { seed } => {
                 let mut src = SplitMix64::new(seed);
-                for row in table.chunks_exact_mut(wc) {
-                    fill_random_words(dim, &mut src, row);
+                src.seek_to(u64::from(first) * u64::from(dim));
+                for row in out.chunks_exact_mut(words) {
+                    fill_random_words(dim, 0, &mut src, row);
                 }
             }
             RowRecipe::RotatedIid { seed, symbols } => {
                 let order = rows / symbols;
                 let mut src = SplitMix64::new(seed);
-                let bases: Vec<Hypervector> = (0..symbols)
-                    .map(|_| Hypervector::random(dim, &mut src))
-                    .collect();
-                for (row, out) in (0..n).zip(table.chunks_exact_mut(wc)) {
-                    let shift = (order - 1 - row / symbols) % dim;
-                    out.copy_from_slice(bases[(row % symbols) as usize].rotate(shift).words());
+                // Each base row's draws land straight at their rotated
+                // positions.
+                for (r, row) in (first..).zip(out.chunks_exact_mut(words)) {
+                    src.seek_to(u64::from(r % symbols) * u64::from(dim));
+                    fill_random_words(dim, (order - 1 - r / symbols) % dim, &mut src, row);
                 }
             }
             RowRecipe::LevelChain { seed, scheme } => {
-                let mut src = SplitMix64::new(seed);
-                let chain = generate_level_hypervectors(dim, rows, scheme, &mut src);
-                for (hv, out) in chain.iter().zip(table.chunks_exact_mut(wc)) {
-                    out.copy_from_slice(hv.words());
-                }
+                level_rows(dim, rows, scheme, &mut SplitMix64::new(seed), first, out);
             }
             RowRecipe::ThresholdPlanes { family, levels } => {
-                let block = levels as usize * wc;
                 let quantizer = Quantizer::new(levels)?;
-                // Whole pixels, trimmed back to `n` rows at the end.
-                table.resize((n as usize).div_ceil(levels as usize) * block, 0);
                 let mut column = Vec::new();
-                for (pixel, planes) in table.chunks_exact_mut(block).enumerate() {
-                    family.quantized_column(pixel, dim as usize, quantizer, &mut column)?;
-                    // Scatter: mark each dimension in the row of its own
-                    // level, then prefix-OR from row 1 so row q ≥ 1
-                    // covers levels 1..=q and row 0 stays the dark mask.
+                let end = first + n;
+                let mut row = first;
+                while row < end {
+                    // Levels a..=b of this pixel fall in the range.
+                    let pixel = row / levels;
+                    let (a, b) = (row % levels, (end - pixel * levels).min(levels) - 1);
+                    let planes =
+                        &mut out[(row - first) as usize * words..][..(b - a + 1) as usize * words];
+                    family.quantized_column(
+                        pixel as usize,
+                        dim as usize,
+                        quantizer,
+                        &mut column,
+                    )?;
+                    // Scatter: a lit dimension goes to the first row of
+                    // the range that holds it (its own level, or the
+                    // range's first delta row), a dark one to the dark
+                    // row when that is in range. Then prefix-OR upward
+                    // from the first delta row, so row L ≥ 1 covers
+                    // levels 1..=L and the dark row stays alone.
+                    let lit_from = a.max(1);
                     for (j, &q) in column.iter().enumerate() {
-                        planes[usize::from(q) * wc + j / 64] |= 1u64 << (j % 64);
+                        let level = if q == 0 { 0 } else { lit_from.max(q.into()) };
+                        if (a..=b).contains(&level) {
+                            planes[(level - a) as usize * words + j / 64] |= 1u64 << (j % 64);
+                        }
                     }
-                    for w in 2 * wc..block {
-                        planes[w] |= planes[w - wc];
+                    for w in (lit_from + 1 - a) as usize * words..planes.len() {
+                        planes[w] |= planes[w - words];
                     }
+                    row = pixel * levels + b + 1;
                 }
-                table.truncate(n as usize * wc);
-                table.shrink_to_fit();
             }
         }
-        Ok(table)
+        Ok(())
     }
 }
 
@@ -373,11 +306,12 @@ impl ItemMemory {
         let stored = match backend {
             MemoryBackend::Resident => rows,
             MemoryBackend::Rematerialized { cached_rows } => {
-                let mut probe = vec![0u64; words];
-                recipe.derive_into(dim, rows, rows - 1, &mut probe)?;
+                recipe.rows_into(dim, rows, rows - 1, &mut vec![0u64; words])?;
                 cached_rows.min(rows)
             }
         };
+        let mut table = vec![0u64; stored as usize * words];
+        recipe.rows_into(dim, rows, 0, &mut table)?;
         Ok(ItemMemory {
             what,
             dim,
@@ -385,7 +319,7 @@ impl ItemMemory {
             words,
             backend,
             recipe: Some(recipe),
-            table: recipe.materialize(dim, rows, stored)?,
+            table,
         })
     }
 
@@ -501,7 +435,7 @@ impl ItemMemory {
         let recipe = self
             .recipe
             .expect("tables without a recipe store every row");
-        recipe.derive_into(self.dim, self.rows, row, &mut scratch[..])?;
+        recipe.rows_into(self.dim, self.rows, row, scratch)?;
         Ok(&scratch[..])
     }
 
@@ -521,6 +455,8 @@ impl ItemMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoder::level::generate_level_hypervectors;
+    use proptest::prelude::*;
     use uhd_lowdisc::rng::Xoshiro256StarStar;
 
     fn recipes() -> Vec<(RowRecipe, u32)> {
@@ -557,6 +493,130 @@ mod tests {
         ]
     }
 
+    /// FNV-1a over packed words: a 64-bit fingerprint of a table.
+    fn digest(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    const GOLDEN_DIMS: [u32; 4] = [1, 65, 130, 2048];
+
+    /// The seeded recipes of `recipes()`, then 16-level planes over
+    /// three pixels for every LD family.
+    fn golden_recipes() -> Vec<(RowRecipe, u32)> {
+        let families = [
+            LdFamily::sobol(),
+            LdFamily::sobol_aligned(),
+            LdFamily::Halton,
+            LdFamily::R2,
+            LdFamily::Pseudo { seed: 5 },
+        ];
+        let planes =
+            families.map(|family| (RowRecipe::ThresholdPlanes { family, levels: 16 }, 3 * 16));
+        recipes().into_iter().take(4).chain(planes).collect()
+    }
+
+    /// Full-table digests at `GOLDEN_DIMS`, in `golden_recipes` order,
+    /// recorded from the per-recipe row builders this generator replaced.
+    const GOLDEN_TABLES: [[u64; 4]; 9] = [
+        [
+            0x6d8f8abb227d1062,
+            0xab8bb0bc55be7cc3,
+            0x9db6bef77f8a9b4d,
+            0xe12d73e3f7e9f6f4,
+        ],
+        [
+            0xb5108e737dcefc3a,
+            0xe72becddbf37b4ac,
+            0xd40bb90f79b3ec73,
+            0x43e92630ad59dc7c,
+        ],
+        [
+            0xa8c7f832281a39c5,
+            0x732f66879424f402,
+            0x1469f4b5624c74ed,
+            0x1c855e1a06d25b38,
+        ],
+        [
+            0xa8c493322817584f,
+            0x3d0dbee9283f90dd,
+            0xed52a221d43a257f,
+            0x16aa75b3c6d2ac50,
+        ],
+        [
+            0xf9520f0bf531d1e4,
+            0xca0cd54c460fc161,
+            0x379ee8e4a2682285,
+            0x5898ba584a7c928e,
+        ],
+        [
+            0x0dfe86dd58928664,
+            0x8bbcd99f6dce2a23,
+            0xc05fd04c4f15a9d9,
+            0x55c8016003e20b8a,
+        ],
+        [
+            0x0dfe86dd58928664,
+            0xc1bff411c53d7584,
+            0x1a3892ef4076f121,
+            0x0c7475897274d44a,
+        ],
+        [
+            0xd279ef3c46c4745a,
+            0x5049e563edbdeb94,
+            0x22b373b041639442,
+            0x35e11f03465c901a,
+        ],
+        [
+            0x86cbb726c5dc53d1,
+            0x0b2b1fc091dd14a5,
+            0xc97bb4262030aac7,
+            0x533348e6bac29f00,
+        ],
+    ];
+
+    /// `generate_level_hypervectors(dim, 8, scheme, Xoshiro256StarStar::seeded(21))`
+    /// digests for `CumulativeFlip` and `ThresholdDraw`, recorded likewise.
+    const GOLDEN_CHAINS: [[u64; 4]; 2] = [
+        [
+            0xe7e395a2ad0bc74d,
+            0xedc60f471ca5cce1,
+            0xf3a16997adf7e90b,
+            0xe9faae1fef306a69,
+        ],
+        [
+            0xe7e395a2ad0bc74d,
+            0xc32dab9c32e2c2b9,
+            0x9f567a65002298a1,
+            0xd78f451c03b6ac99,
+        ],
+    ];
+
+    #[test]
+    fn golden_table_digests() {
+        for ((recipe, rows), golden) in golden_recipes().into_iter().zip(GOLDEN_TABLES) {
+            for (dim, want) in GOLDEN_DIMS.into_iter().zip(golden) {
+                let im = ItemMemory::new("t", dim, rows, recipe, MemoryBackend::Resident).unwrap();
+                let got = digest(im.table().unwrap());
+                assert_eq!(got, want, "{recipe:?} dim {dim}: {got:#018x}");
+            }
+        }
+        let schemes = [LevelScheme::CumulativeFlip, LevelScheme::ThresholdDraw];
+        for (scheme, golden) in schemes.into_iter().zip(GOLDEN_CHAINS) {
+            for (dim, want) in GOLDEN_DIMS.into_iter().zip(golden) {
+                let mut rng = Xoshiro256StarStar::seeded(21);
+                let chain = generate_level_hypervectors(dim, 8, scheme, &mut rng);
+                let words: Vec<u64> = chain
+                    .iter()
+                    .flat_map(|hv| hv.words().iter().copied())
+                    .collect();
+                let got = digest(&words);
+                assert_eq!(got, want, "{scheme:?} chain dim {dim}: {got:#018x}");
+            }
+        }
+    }
+
     #[test]
     fn fill_matches_hypervector_random() {
         for dim in [1u32, 63, 64, 65, 127, 128, 300] {
@@ -564,8 +624,19 @@ mod tests {
             let mut b = Xoshiro256StarStar::seeded(99);
             let hv = Hypervector::random(dim, &mut a);
             let mut words = vec![0u64; words_for_dim(dim)];
-            fill_random_words(dim, &mut b, &mut words);
+            fill_random_words(dim, 0, &mut b, &mut words);
             assert_eq!(hv.words(), &words[..], "dim {dim}");
+            // A shifted fill is the same draws rotated.
+            for shift in [1, 63, 64, dim - 1, dim, dim + 5] {
+                let mut b = Xoshiro256StarStar::seeded(99);
+                words.fill(0);
+                fill_random_words(dim, shift, &mut b, &mut words);
+                assert_eq!(
+                    hv.rotate(shift).words(),
+                    &words[..],
+                    "dim {dim} shift {shift}"
+                );
+            }
         }
     }
 
@@ -778,6 +849,58 @@ mod tests {
             }
             let top = full(pixel, 15);
             assert_eq!(top.count_plus_ones(), 128);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Any range of rows, written into a dirty buffer, equals the
+        /// same rows of the full table. Tables are `blocks` blocks of
+        /// `levels` rows (symbol blocks, chain segments or pixels); the
+        /// range starts at a block's row 0, its row 1, a row ≥ 2 or
+        /// anywhere, so plane ranges start mid-pixel at `a = 0`, `a = 1`
+        /// and `a ≥ 2`, chains start mid-chain, and long ranges cross
+        /// pixel boundaries.
+        #[test]
+        fn prop_any_range_equals_those_rows_of_the_full_table(
+            kind in 0u32..9,
+            seed in any::<u64>(),
+            dim in 1u32..300,
+            levels in 2u32..20,
+            blocks in 1u32..5,
+            start in 0u32..4,
+            pick in any::<u32>(),
+            len in any::<u32>(),
+        ) {
+            let planes = |family| RowRecipe::ThresholdPlanes { family, levels };
+            let recipe = match kind {
+                0 => RowRecipe::Iid { seed },
+                1 => RowRecipe::RotatedIid { seed, symbols: levels },
+                2 => RowRecipe::LevelChain { seed, scheme: LevelScheme::CumulativeFlip },
+                3 => RowRecipe::LevelChain { seed, scheme: LevelScheme::ThresholdDraw },
+                4 => planes(LdFamily::sobol()),
+                5 => planes(LdFamily::sobol_aligned()),
+                6 => planes(LdFamily::Halton),
+                7 => planes(LdFamily::R2),
+                _ => planes(LdFamily::Pseudo { seed }),
+            };
+            let rows = levels * blocks;
+            let block = pick % blocks;
+            let within = match start {
+                0 => 0,
+                1 => 1,
+                2 => 2 + pick % (levels - 1),
+                _ => pick % levels,
+            }
+            .min(levels - 1);
+            let first = block * levels + within;
+            let n = 1 + len % (rows - first);
+            let words = words_for_dim(dim);
+            let mut full = vec![0u64; rows as usize * words];
+            recipe.rows_into(dim, rows, 0, &mut full).unwrap();
+            let mut range = vec![u64::MAX; n as usize * words];
+            recipe.rows_into(dim, rows, first, &mut range).unwrap();
+            prop_assert_eq!(&range[..], &full[first as usize * words..][..n as usize * words]);
         }
     }
 }
