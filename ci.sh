@@ -3,7 +3,8 @@
 #
 #   ./ci.sh            fmt check, clippy -D warnings (workspace +
 #                      wirebench), release build (workspace +
-#                      wirebench), full test suite,
+#                      wirebench), full test suite, the kernel and
+#                      lit-pixel suites under UHD_KERNEL=avx2 / scalar,
 #                      uhd-core tests on its own features,
 #                      rustdoc -D warnings, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
@@ -48,6 +49,15 @@ cargo build --release --offline --manifest-path wirebench/Cargo.toml
 
 step "cargo test -q"
 cargo test -q
+
+# Encoders bundle through Kernel::active(), so the run above only puts
+# the auto-detected kernel inside an encoder. Force each fallback once
+# through the kernel and lit-pixel bundling suites (an override the CPU
+# cannot run falls back to detection).
+for kernel in avx2 scalar; do
+    step "cargo test -q kernel_equivalence + lit_pixel_bundling (UHD_KERNEL=$kernel)"
+    UHD_KERNEL="$kernel" cargo test -q --test kernel_equivalence --test lit_pixel_bundling
+done
 
 # Every step above builds the whole workspace, where uhd-serve turns on
 # uhd-core's `telemetry` feature; built alone, uhd-core compiles the

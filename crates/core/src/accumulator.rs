@@ -8,9 +8,15 @@
 //! * [`DenseAccumulator`] — a plain `i64`-per-dimension reference
 //!   implementation;
 //! * [`BitSliceAccumulator`] — a bit-sliced counter array that bundles
-//!   masks in 16-mask Harley–Seal carry-save blocks and binarizes with
-//!   an MSB-first bit-sliced compare against TOB, 64 dimensions per
-//!   word operation. This is the fast path for encoding and training.
+//!   masks through a Harley–Seal carry-save tree and binarizes with an
+//!   MSB-first bit-sliced compare against TOB, 64 dimensions per word
+//!   operation. This is the fast path for encoding and training.
+//!
+//! Bundling is one [`Kernel::bundle`] call per batch of masks: per
+//! group of eight word columns the kernel loads the count planes into
+//! registers once, runs every mask through the tree 16 at a time, and
+//! stores the planes once. Binarization walks the same eight-word lane
+//! groups with the plane loop inside, so it vectorizes as well.
 //!
 //! Both accumulate *counts of logic-1* per dimension; the bipolar sum is
 //! recovered as `2·count − total`, and binarization (`sign`) outputs +1
@@ -144,14 +150,15 @@ pub(crate) fn pack_threshold<T>(
     Hypervector::from_words(words, dim).expect("counts length matches dim by construction")
 }
 
-/// Masks per Harley–Seal block in [`BitSliceAccumulator::add_masks`]:
-/// a depth-4 carry-save tree takes 16 = 2⁴ masks to one carry at
-/// weight 16.
+/// The width of the Harley–Seal tree inside [`Kernel::bundle`]: a
+/// depth-4 carry-save tree takes 16 = 2⁴ masks to one carry at weight
+/// 16. It is not a call size: the kernel takes any number of masks,
+/// and encoders that stage derived rows stage this many at a time.
 pub const BUNDLE_BLOCK: usize = 16;
 
-/// Word lanes per step of the bundling adders: eight `u64`s, one
-/// 512-bit register (two AVX2, four SSE2). The fixed-size lane arrays
-/// are what lets LLVM vectorize the word-inner loops.
+/// Word lanes per step of the bundling and binarization loops: eight
+/// `u64`s, one 512-bit register (two AVX2, four SSE2). The fixed-size
+/// lane arrays are what lets LLVM vectorize the word-inner loops.
 const LANES: usize = 8;
 
 /// Bit-sliced accumulator: the software popcounter array of Fig. 5.
@@ -162,15 +169,18 @@ const LANES: usize = 8;
 /// largest count a call can reach before its adders run, so no adder
 /// ever overflows and no inner loop allocates.
 ///
-/// * **Bundling** ([`BitSliceAccumulator::add_masks`]) folds masks in
-///   blocks of [`BUNDLE_BLOCK`] through a Harley–Seal carry-save
-///   tree. Planes 0–3 double as the tree's ones/twos/fours/eights, so
-///   per block only the weight-16 carry ripples into planes 4…K: about
-///   `(15·5 + (K − 4)·3) / 16` word operations per mask and word
-///   column, against `~3·log₂(count)` for a per-mask ripple.
+/// * **Bundling** ([`BitSliceAccumulator::add_masks`]) hands all its
+///   masks to one [`Kernel::bundle`] call. Per lane group the kernel
+///   holds the planes in registers; planes 0–3 double as the
+///   Harley–Seal tree's ones/twos/fours/eights, so per block of
+///   [`BUNDLE_BLOCK`] masks only the weight-16 carry ripples into
+///   planes 4…K: about `(15·5 + (K − 4)·3) / 16` word operations per
+///   mask and word column (two per carry-save adder with AVX-512
+///   `vpternlogq`), against `~3·log₂(count)` for a per-mask ripple.
 /// * **Binarization** ([`BitSliceAccumulator::binarize_with_total`])
 ///   compares each word's planes MSB-first against TOB with gt/eq
-///   masks — the masking logic of Fig. 5, 64 comparators per step.
+///   masks — the masking logic of Fig. 5, 64 comparators per word and
+///   eight words per step.
 ///
 /// # Example
 ///
@@ -255,11 +265,9 @@ impl BitSliceAccumulator {
     /// Add packed masks: every dimension is incremented once per mask
     /// whose bit is 1 there.
     ///
-    /// Whole blocks of [`BUNDLE_BLOCK`] masks go through the dispatched
-    /// [`Kernel::bundle_block`] Harley–Seal tree; the remainder ripples
-    /// in one mask at a time through the same per-word adder that
-    /// carries the tree's weight-16 output. The result is independent
-    /// of how the masks are split across calls.
+    /// The planes are grown to hold `total + masks.len()`, then every
+    /// mask goes through one dispatched [`Kernel::bundle`] call. The
+    /// result is independent of how the masks are split across calls.
     ///
     /// # Panics
     ///
@@ -270,16 +278,7 @@ impl BitSliceAccumulator {
         }
         let added = masks.len() as u64;
         self.grow_to(self.total.saturating_add(added));
-        let blocks = masks.chunks_exact(BUNDLE_BLOCK);
-        let rest = blocks.remainder();
-        let kernel = Kernel::active();
-        for block in blocks {
-            let block: &[&[u64]; BUNDLE_BLOCK] = block.try_into().expect("exact chunk");
-            kernel.bundle_block(&mut self.planes, self.words, block);
-        }
-        for mask in rest {
-            add_row(&mut self.planes, self.words, mask);
-        }
+        Kernel::active().bundle(&mut self.planes, self.words, masks);
         self.total += added;
     }
 
@@ -416,23 +415,40 @@ impl BitSliceAccumulator {
         // Every count is below 2^depth, so a threshold with a bit at or
         // above `depth` is never reached: all -1.
         if depth >= 64 || threshold >> depth == 0 {
-            for (w, slot) in out.iter_mut().enumerate() {
-                let mut gt = 0u64;
-                let mut eq = u64::MAX;
-                for k in (0..depth).rev() {
-                    let plane = self.planes[k * words + w];
-                    if (threshold >> k) & 1 == 1 {
-                        eq &= plane;
-                    } else {
-                        gt |= eq & plane;
-                        eq &= !plane;
-                    }
-                }
-                *slot = gt | eq;
+            let mut w = 0;
+            while w + LANES <= words {
+                out[w..w + LANES].copy_from_slice(&self.reaches::<LANES>(threshold, w));
+                w += LANES;
+            }
+            for (w, slot) in out.iter_mut().enumerate().skip(w) {
+                *slot = self.reaches::<1>(threshold, w)[0];
             }
         }
         // Stray count bits past `dim` are masked off here.
         Hypervector::from_words(out, self.dim).expect("word count matches dim by construction")
+    }
+
+    /// Word lanes `w..w+N` of the mask `count ≥ threshold`, for a
+    /// threshold below `2^depth`: the planes compared MSB-first, with a
+    /// "greater" and an "equal so far" mask per word.
+    #[inline(always)]
+    #[allow(clippy::inline_always)]
+    fn reaches<const N: usize>(&self, threshold: u64, w: usize) -> [u64; N] {
+        let mut gt = [0u64; N];
+        let mut eq = [u64::MAX; N];
+        for k in (0..self.planes()).rev() {
+            let plane = lanes::<N>(&self.planes, k * self.words + w);
+            let bit = (threshold >> k) & 1 == 1;
+            for i in 0..N {
+                if bit {
+                    eq[i] &= plane[i];
+                } else {
+                    gt[i] |= eq[i] & plane[i];
+                    eq[i] &= !plane[i];
+                }
+            }
+        }
+        std::array::from_fn(|i| gt[i] | eq[i])
     }
 
     /// Binarize against the number of masks actually added.
@@ -505,9 +521,9 @@ const SPREAD: [u64; 256] = {
 };
 
 // The adders below are `#[inline(always)]` so that each
-// `#[target_feature]` variant of `Kernel::bundle_block` compiles the
-// whole block with its own register width; an out-of-line helper would
-// be built for the baseline target instead.
+// `#[target_feature]` variant of `Kernel::bundle` that compiles the
+// portable body builds it with its own register width; an out-of-line
+// helper would be built for the baseline target instead.
 
 /// Carry-save adder over `N` word lanes: returns `(carry, sum)` of
 /// `a + b + c` per bit.
@@ -572,76 +588,123 @@ fn add_planes<const N: usize>(planes: &mut [u64], addend: &[u64], words: usize, 
     debug_assert!(carry.iter().all(|&c| c == 0), "bit-plane counter overflow");
 }
 
-/// Add one `row` into every word column of the planes.
-fn add_row(planes: &mut [u64], words: usize, row: &[u64]) {
-    let mut w = 0;
-    while w + LANES <= words {
-        ripple::<LANES>(planes, words, w, 0, lanes(row, w));
-        w += LANES;
-    }
-    for (w, &word) in row.iter().enumerate().skip(w) {
-        ripple::<1>(planes, words, w, 0, [word]);
-    }
-}
+/// Planes a lane group of [`Kernel::bundle`] loads once for a whole
+/// call: at AVX-512 width, sixteen 512-bit registers, half the register
+/// file, leaving the rest to the tree. A shallower counter loads,
+/// ripples and stores only its own planes. A deeper counter keeps its
+/// low planes loaded and ripples the carry out of them through its
+/// upper planes in memory.
+pub(crate) const REGISTER_PLANES: usize = 16;
 
-/// Harley–Seal over word lanes `w..w+N` of one 16-mask block. Planes
-/// 0–3 are the tree's ones/twos/fours/eights accumulators, so after
-/// the tree `ones + 2·twos + 4·fours + 8·eights + 16·sixteens` equals
-/// the old low count plus the block's column count, and only
-/// `sixteens` ripples on from plane 4.
+/// Fewer leftover rows than this ripple in one at a time; more go
+/// through one Harley–Seal tree padded with zero rows, which costs
+/// about as much as three ripples through ten planes.
+pub(crate) const RIPPLE_ROWS: usize = 3;
+
+/// Ripple `carry` into the held planes `acc[weight..depth]`, then the
+/// carry out of the last register plane into the memory planes above
+/// them (lanes `w..w+N`, from plane [`REGISTER_PLANES`] up).
 #[inline(always)]
 #[allow(clippy::inline_always)]
-fn bundle_lanes<const N: usize>(
+fn carry_into<const N: usize>(
+    acc: &mut [[u64; N]; REGISTER_PLANES],
+    weight: usize,
+    mut carry: [u64; N],
     planes: &mut [u64],
     words: usize,
-    block: &[&[u64]; BUNDLE_BLOCK],
     w: usize,
 ) {
-    let mask = |i: usize| lanes::<N>(block[i], w);
-    let mut ones = lanes::<N>(planes, w);
-    let mut twos = lanes::<N>(planes, words + w);
-    let mut fours = lanes::<N>(planes, 2 * words + w);
-    let mut eights = lanes::<N>(planes, 3 * words + w);
-    let mut eights_in = [[0u64; N]; 2];
-    for (half, eights_slot) in eights_in.iter_mut().enumerate() {
-        let mut fours_in = [[0u64; N]; 2];
-        for (quarter, fours_slot) in fours_in.iter_mut().enumerate() {
-            let base = 8 * half + 4 * quarter;
-            let (twos_a, o) = csa(ones, mask(base), mask(base + 1));
-            let (twos_b, o) = csa(o, mask(base + 2), mask(base + 3));
-            ones = o;
-            let (f, t) = csa(twos, twos_a, twos_b);
-            twos = t;
-            *fours_slot = f;
+    let depth = planes.len() / words;
+    for plane in acc.iter_mut().take(depth).skip(weight) {
+        for i in 0..N {
+            let t = plane[i] & carry[i];
+            plane[i] ^= carry[i];
+            carry[i] = t;
         }
-        let (e, f) = csa(fours, fours_in[0], fours_in[1]);
-        fours = f;
-        *eights_slot = e;
     }
-    let (sixteens, e) = csa(eights, eights_in[0], eights_in[1]);
-    eights = e;
-    for (k, plane) in [ones, twos, fours, eights].into_iter().enumerate() {
-        planes[k * words + w..k * words + w + N].copy_from_slice(&plane);
-    }
-    ripple(planes, words, w, 4, sixteens);
+    ripple(planes, words, w, REGISTER_PLANES, carry);
 }
 
-/// One 16-mask block into a plane array of at least five planes —
-/// the portable body every [`Kernel::bundle_block`] variant compiles.
+/// One Harley–Seal tree over [`BUNDLE_BLOCK`] masks: `acc[0..4]` are
+/// its ones/twos/fours/eights accumulators, so afterwards
+/// `ones + 2·twos + 4·fours + 8·eights + 16·sixteens` equals the old
+/// low count plus the block's column count. Returns `sixteens`.
 #[inline(always)]
 #[allow(clippy::inline_always)]
-pub(crate) fn bundle_block_portable(
-    planes: &mut [u64],
-    words: usize,
-    block: &[&[u64]; BUNDLE_BLOCK],
-) {
+fn harley_seal<const N: usize>(
+    acc: &mut [[u64; N]; REGISTER_PLANES],
+    m: impl Fn(usize) -> [u64; N],
+) -> [u64; N] {
+    let (twos_a, ones) = csa(acc[0], m(0), m(1));
+    let (twos_b, ones) = csa(ones, m(2), m(3));
+    let (fours_a, twos) = csa(acc[1], twos_a, twos_b);
+    let (twos_a, ones) = csa(ones, m(4), m(5));
+    let (twos_b, ones) = csa(ones, m(6), m(7));
+    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+    let (eights_a, fours) = csa(acc[2], fours_a, fours_b);
+    let (twos_a, ones) = csa(ones, m(8), m(9));
+    let (twos_b, ones) = csa(ones, m(10), m(11));
+    let (fours_a, twos) = csa(twos, twos_a, twos_b);
+    let (twos_a, ones) = csa(ones, m(12), m(13));
+    let (twos_b, ones) = csa(ones, m(14), m(15));
+    let (fours_b, twos) = csa(twos, twos_a, twos_b);
+    let (eights_b, fours) = csa(fours, fours_a, fours_b);
+    let (sixteens, eights) = csa(acc[3], eights_a, eights_b);
+    acc[0] = ones;
+    acc[1] = twos;
+    acc[2] = fours;
+    acc[3] = eights;
+    sixteens
+}
+
+/// Every row into word lanes `w..w+N` of the counter: its low
+/// [`REGISTER_PLANES`] planes are loaded once, every 16-row block runs
+/// the Harley–Seal tree on them and its weight-16 carry ripples on from
+/// plane 4, then they are stored once. The planes above the counter's
+/// depth start zero and stay zero, since no count passes the top plane
+/// ([`Kernel::bundle`] checks the row count; the caller grows the
+/// planes).
+#[inline(always)]
+#[allow(clippy::inline_always)]
+fn bundle_lanes<const N: usize>(planes: &mut [u64], words: usize, rows: &[&[u64]], w: usize) {
+    let depth = planes.len() / words;
+    let mut acc = [[0u64; N]; REGISTER_PLANES];
+    for (k, plane) in acc.iter_mut().enumerate().take(depth) {
+        *plane = lanes(planes, k * words + w);
+    }
+    let mut blocks = rows.chunks_exact(BUNDLE_BLOCK);
+    for block in &mut blocks {
+        let sixteens = harley_seal(&mut acc, |i| lanes(block[i], w));
+        carry_into(&mut acc, 4, sixteens, planes, words, w);
+    }
+    let rest = blocks.remainder();
+    if rest.len() >= RIPPLE_ROWS {
+        let pad = |i: usize| rest.get(i).map_or([0u64; N], |row| lanes(row, w));
+        let sixteens = harley_seal(&mut acc, pad);
+        carry_into(&mut acc, 4, sixteens, planes, words, w);
+    } else {
+        for row in rest {
+            carry_into(&mut acc, 0, lanes(row, w), planes, words, w);
+        }
+    }
+    for (k, plane) in acc.iter().enumerate().take(depth) {
+        planes[k * words + w..k * words + w + N].copy_from_slice(plane);
+    }
+}
+
+/// The portable body of [`Kernel::bundle`] that the scalar, AVX2 and
+/// NEON variants compile: every row into the plane-major counter,
+/// eight words at a time, then the ragged words one at a time.
+#[inline(always)]
+#[allow(clippy::inline_always)]
+pub(crate) fn bundle_portable(planes: &mut [u64], words: usize, rows: &[&[u64]]) {
     let mut w = 0;
     while w + LANES <= words {
-        bundle_lanes::<LANES>(planes, words, block, w);
+        bundle_lanes::<LANES>(planes, words, rows, w);
         w += LANES;
     }
     for w in w..words {
-        bundle_lanes::<1>(planes, words, block, w);
+        bundle_lanes::<1>(planes, words, rows, w);
     }
 }
 

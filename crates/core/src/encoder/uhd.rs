@@ -16,7 +16,9 @@
 //!   threshold bit-planes, the fast path used for training and benches.
 //!   Every pixel at level 0 adds the same mask whatever the image, so
 //!   the encoder bundles those dark masks once at construction and per
-//!   image adds only the lit pixels' delta rows on top;
+//!   image adds only the lit pixels' delta rows on top. The lit pixels
+//!   are found 64 at a time, and their rows go to the bundling kernel
+//!   in one call;
 //! * the **unary gate path** ([`UhdEncoder::encode_via_unary`]) — every
 //!   comparison walks the Fig. 4 comparator on UST-fetched streams;
 //! * the **exact path** ([`UhdExactEncoder`]) — unquantized fixed-point
@@ -26,10 +28,11 @@
 use std::borrow::Cow;
 
 use super::{check_acc, check_feature_len, Encoder, EncoderProfile, MaskBlock};
-use crate::accumulator::{BitSliceAccumulator, BUNDLE_BLOCK};
+use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
 use crate::hypervector::{words_for_dim, Hypervector};
 use crate::item_memory::{ItemMemory, MemoryBackend, RowRecipe};
+use crate::kernels;
 use uhd_bitstream::comparator::unary_geq;
 use uhd_bitstream::ust::UnaryStreamTable;
 use uhd_lowdisc::halton::HaltonDimension;
@@ -210,14 +213,37 @@ pub struct UhdEncoder {
     /// counts are `B + Σ_{p lit} row(p, L_p)`: the dark rows of the lit
     /// pixels are in `B` already, and their deltas add the rest.
     dark: BitSliceAccumulator,
-    /// An all-zero row that pads the last partial block of delta rows
-    /// to a full Harley–Seal block: one block costs less than even a
-    /// single mask rippled in on its own.
-    zero_row: Vec<u64>,
-    /// `quantize_u8` of every intensity, so the per-pixel level lookup
-    /// on the request path is a table read, not a float round.
+    /// `quantize_u8` of every intensity, so the level lookup on the
+    /// request path is a table read, not a float round. Nondecreasing,
+    /// because the quantizer is monotone.
     intensity_levels: [u32; 256],
+    /// The smallest intensity at level ≥ 1. Since `intensity_levels`
+    /// is nondecreasing, a pixel is lit exactly when its intensity is
+    /// at least this, so the lit pixels are one byte compare away.
+    first_lit: u8,
     words: usize,
+}
+
+/// Delta rows per [`BitSliceAccumulator::add_uncounted_masks`] call on
+/// the resident path: 4 KiB of row references on the stack. A served
+/// MNIST digit has about 150 lit pixels, so it takes one call.
+const LIT_CHUNK: usize = 256;
+
+/// The pixels whose intensity is at least `first_lit`, ascending. The
+/// image is compared 64 bytes at a time into a bit mask
+/// ([`kernels::at_least`]), and each mask's set bits are walked, so no
+/// pixel costs a branch.
+fn lit_pixels(image: &[u8], first_lit: u8) -> impl Iterator<Item = usize> + '_ {
+    image.chunks(64).enumerate().flat_map(move |(c, chunk)| {
+        let mut bits = kernels::at_least(chunk, first_lit);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                64 * c + i
+            })
+        })
+    })
 }
 
 impl UhdEncoder {
@@ -251,13 +277,18 @@ impl UhdEncoder {
             config.backend,
         )?;
         let dark = dark_bundle(&planes, config.pixels, config.levels)?;
+        let intensity_levels: [u32; 256] = std::array::from_fn(|v| quantizer.quantize_u8(v as u8));
+        // Level ξ − 1 ≥ 1 at intensity 255, so some intensity is lit.
+        let first_lit = (0..=255u8)
+            .find(|&v| intensity_levels[usize::from(v)] > 0)
+            .expect("intensity 255 is at the top level");
         Ok(UhdEncoder {
             config,
             quantizer,
             planes,
             dark,
-            zero_row: vec![0u64; wc],
-            intensity_levels: std::array::from_fn(|v| quantizer.quantize_u8(v as u8)),
+            intensity_levels,
+            first_lit,
             words: wc,
         })
     }
@@ -395,49 +426,39 @@ impl Encoder for UhdEncoder {
     fn accumulate(&self, image: &[u8], acc: &mut BitSliceAccumulator) -> Result<(), HdcError> {
         check_feature_len(self.config.pixels, image)?;
         check_acc(self.config.dim, acc)?;
-        let levels = self.config.levels;
         // Every pixel's dark row, counted toward `total`; the lit
         // pixels' delta rows then refine counts `total` already holds.
         acc.merge(&self.dark)?;
+        let levels = self.config.levels as usize;
+        let wc = self.words;
+        let lit = lit_pixels(image, self.first_lit).map(|pixel| {
+            // In range by the checks above plus the quantizer's
+            // contract.
+            pixel * levels + self.level_of(image[pixel]) as usize
+        });
         if let Some(table) = self.planes.table() {
-            // Every row is stored: borrowed table rows, a block at a
-            // time from the stack, so this path allocates nothing.
-            let wc = self.words;
-            let mut block: [&[u64]; BUNDLE_BLOCK] = [&[]; BUNDLE_BLOCK];
+            // Every row is stored: borrowed table rows, prefetched as
+            // the scan finds them and bundled up to `LIT_CHUNK` per
+            // kernel call from the stack, so this path allocates
+            // nothing.
+            let mut rows: [&[u64]; LIT_CHUNK] = [&[]; LIT_CHUNK];
             let mut len = 0;
-            for (pixel, &v) in image.iter().enumerate() {
-                let level = self.level_of(v);
-                if level == 0 {
-                    continue;
-                }
-                // In range by the checks above plus the quantizer's
-                // contract.
-                debug_assert!(pixel < self.config.pixels && level < levels);
-                let start = (pixel * levels as usize + level as usize) * wc;
-                block[len] = &table[start..start + wc];
+            for row in lit {
+                let row = &table[row * wc..(row + 1) * wc];
+                kernels::prefetch(row);
+                rows[len] = row;
                 len += 1;
-                if len == BUNDLE_BLOCK {
-                    acc.add_uncounted_masks(&block);
+                if len == LIT_CHUNK {
+                    acc.add_uncounted_masks(&rows);
                     len = 0;
                 }
             }
-            // Zero rows add nothing; they need `total ≥ 16` of room.
-            if len > 0 && acc.total() >= BUNDLE_BLOCK as u64 {
-                block[len..].fill(&self.zero_row);
-                len = BUNDLE_BLOCK;
-            }
-            acc.add_uncounted_masks(&block[..len]);
+            acc.add_uncounted_masks(&rows[..len]);
         } else {
-            let mut staged = MaskBlock::uncounted(self.words);
-            let mut scratch = Vec::with_capacity(self.words);
-            for (pixel, &v) in image.iter().enumerate() {
-                let level = self.level_of(v);
-                if level == 0 {
-                    continue;
-                }
-                let mask = self
-                    .planes
-                    .row(pixel as u32 * levels + level, &mut scratch)?;
+            let mut staged = MaskBlock::uncounted(wc);
+            let mut scratch = Vec::with_capacity(wc);
+            for row in lit {
+                let mask = self.planes.row(row as u32, &mut scratch)?;
                 staged.next_row(acc).copy_from_slice(mask);
             }
             staged.flush(acc);
@@ -462,7 +483,7 @@ impl Encoder for UhdEncoder {
             working_bytes: d * 4,
             backend: self.config.backend,
             resident_bytes: self.planes.resident_bytes()
-                + ((self.dark.planes() + 1) * self.words) as u64 * 8,
+                + (self.dark.planes() * self.words) as u64 * 8,
         }
     }
 }
@@ -605,6 +626,43 @@ mod tests {
             let q = Quantizer::new(levels).unwrap();
             for v in 0..=255u8 {
                 assert_eq!(enc.level_of(v), q.quantize_u8(v), "levels {levels}, v {v}");
+            }
+        }
+    }
+
+    /// The lit-pixel scan compares intensities against `first_lit`, so
+    /// it needs the level table nondecreasing with its first lit entry
+    /// at `first_lit`, for every level count an encoder accepts.
+    #[test]
+    fn intensity_levels_are_nondecreasing_from_first_lit() {
+        for levels in 2u32..=256 {
+            let enc = UhdEncoder::new(UhdConfig {
+                dim: 64,
+                pixels: 1,
+                levels,
+                ..tiny_config()
+            })
+            .unwrap();
+            let table = &enc.intensity_levels;
+            assert!(
+                table.windows(2).all(|pair| pair[0] <= pair[1]),
+                "levels {levels}"
+            );
+            let first = usize::from(enc.first_lit);
+            assert!(table[first] > 0, "levels {levels}");
+            assert!(table[..first].iter().all(|&l| l == 0), "levels {levels}");
+        }
+    }
+
+    #[test]
+    fn lit_pixels_are_the_pixels_at_or_above_first_lit() {
+        let mut rng = Xoshiro256StarStar::seeded(5);
+        for len in [0usize, 1, 63, 64, 65, 100, 784] {
+            for first_lit in [1u8, 9, 128, 255] {
+                let image: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let expect: Vec<usize> = (0..len).filter(|&p| image[p] >= first_lit).collect();
+                let got: Vec<usize> = lit_pixels(&image, first_lit).collect();
+                assert_eq!(got, expect, "len {len}, first lit {first_lit}");
             }
         }
     }
@@ -753,12 +811,11 @@ mod tests {
         }
         // The rematerialized instance pins far less heap while quoting
         // the same nominal hardware table size; the resident one holds
-        // exactly the plane table (pixels · ξ · D bits), the all-dark
-        // bundle (bits(9) = 4 planes of D bits) and one zero pad row,
-        // nothing more.
+        // exactly the plane table (pixels · ξ · D bits) and the
+        // all-dark bundle (bits(9) = 4 planes of D bits), nothing more.
         let (pr, pm) = (res.profile(), rem.profile());
         assert_eq!(pr.table_bytes, pm.table_bytes);
-        assert_eq!(pr.resident_bytes, 9 * 16 * 128 / 8 + (4 + 1) * 128 / 8);
+        assert_eq!(pr.resident_bytes, 9 * 16 * 128 / 8 + 4 * 128 / 8);
         assert!(pm.resident_bytes < pr.resident_bytes);
         assert_eq!(pm.backend, MemoryBackend::rematerialized());
     }

@@ -74,6 +74,27 @@ pub(crate) fn fill_random_words<S: UniformSource + ?Sized>(
     }
 }
 
+/// OR the `dim`-bit vector `x` rotated by `k` (bit `i` to bit
+/// `(i + k) mod dim`) into `out`, word at a time. Bits of `x` past
+/// `dim` must be clear; those of `out` stay clear.
+pub(crate) fn rotate_or_into(out: &mut [u64], x: &[u64], dim: u32, k: u32) {
+    let k = k % dim;
+    if k == 0 {
+        for (o, &w) in out.iter_mut().zip(x) {
+            *o |= w;
+        }
+        return;
+    }
+    // out |= ((x << k) | (x >> (dim − k))) mod 2^dim.
+    Hypervector::shl_or_into(out, x, k);
+    Hypervector::shr_or_into(out, x, dim - k);
+    if !dim.is_multiple_of(64) {
+        if let Some(last) = out.last_mut() {
+            *last &= (1u64 << (dim % 64)) - 1;
+        }
+    }
+}
+
 /// OR the `len` low bits of `bits` (the rest zero) into `out` at bit `at`.
 fn or_bits(out: &mut [u64], at: u32, bits: u64, len: u32) {
     let (w, b) = ((at / 64) as usize, at % 64);
@@ -315,19 +336,12 @@ impl Hypervector {
     /// bounds assert for every dimension).
     #[must_use]
     pub fn rotate(&self, k: u32) -> Self {
-        let d = self.dim;
-        let k = k % d;
-        if k == 0 {
-            return self.clone();
-        }
-        // out = ((x << k) | (x >> (d − k))) mod 2^d, word-level: bit i
-        // of x lands at (i + k) mod d.
         let mut words = vec![0u64; self.words.len()];
-        Self::shl_or_into(&mut words, &self.words, k);
-        Self::shr_or_into(&mut words, &self.words, d - k);
-        let mut out = Hypervector { words, dim: d };
-        out.mask_tail();
-        out
+        rotate_or_into(&mut words, &self.words, self.dim, k);
+        Hypervector {
+            words,
+            dim: self.dim,
+        }
     }
 
     /// OR `x << s` (as one big little-endian integer) into `out`.

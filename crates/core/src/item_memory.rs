@@ -33,7 +33,7 @@
 use crate::encoder::level::{level_rows, LevelScheme};
 use crate::encoder::uhd::LdFamily;
 use crate::error::HdcError;
-use crate::hypervector::{fill_random_words, words_for_dim, Hypervector};
+use crate::hypervector::{fill_random_words, rotate_or_into, words_for_dim, Hypervector};
 use uhd_lowdisc::quantize::Quantizer;
 use uhd_lowdisc::rng::{SeekableSource, SplitMix64};
 
@@ -206,11 +206,19 @@ impl RowRecipe {
             RowRecipe::RotatedIid { seed, symbols } => {
                 let order = rows / symbols;
                 let mut src = SplitMix64::new(seed);
-                // Each base row's draws land straight at their rotated
-                // positions.
-                for (r, row) in (first..).zip(out.chunks_exact_mut(words)) {
+                // The range's first row of each symbol is drawn, its
+                // draws landing straight at their rotated positions.
+                let drawn = symbols.min(n) as usize;
+                for (r, row) in (first..).zip(out.chunks_exact_mut(words)).take(drawn) {
                     src.seek_to(u64::from(r % symbols) * u64::from(dim));
                     fill_random_words(dim, (order - 1 - r / symbols) % dim, &mut src, row);
+                }
+                // Row r + symbols is row r rotated back by one.
+                let symbols = symbols as usize;
+                for i in symbols..n as usize {
+                    let (done, rest) = out.split_at_mut(i * words);
+                    let earlier = &done[(i - symbols) * words..][..words];
+                    rotate_or_into(&mut rest[..words], earlier, dim, dim - 1);
                 }
             }
             RowRecipe::LevelChain { seed, scheme } => {

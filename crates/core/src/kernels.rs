@@ -30,17 +30,30 @@
 //! class-chunk's column walk stays within L1/L2 — the software analogue
 //! of the combinational associative memory of Schmuck et al., where
 //! every class row sees the broadcast query in one pass.
+//!
+//! Bundling ([`Kernel::bundle`]) takes any number of masks in one
+//! call. Per group of eight words it loads the low 16 count planes
+//! once, runs the masks through a 16-wide Harley–Seal carry-save tree
+//! and stores the planes once. The AVX-512 variant keeps the planes in
+//! registers: it builds each carry-save adder from two `vpternlogq` and
+//! fixes its register plane count at compile time per counter depth.
+//! Scalar, AVX2 and NEON compile one portable body. Two crate-private
+//! baseline helpers serve the uHD encoder's lit-pixel scan: `at_least`
+//! compares 64 intensity bytes against a threshold into a bit mask, and
+//! `prefetch` hints a table row into cache as the scan finds it.
 
 // The SIMD intrinsics are the one place in the workspace that needs
 // `unsafe`. Soundness rests on a single invariant, enforced by
 // construction: a `Kernel` with an AVX2/AVX-512/NEON kind can only be
 // obtained through `Kernel::active()` / `Kernel::from_name()`, both of
-// which verify the CPU feature at runtime before handing it out.
+// which verify the CPU feature at runtime before handing it out. The
+// free helpers `at_least` and `prefetch` use only SSE2 and SSE, which
+// every x86-64 CPU has.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
 
-use crate::accumulator::{bundle_block_portable, BUNDLE_BLOCK};
+use crate::accumulator::bundle_portable;
 
 /// Class-block width of the associative sweep: 4096 distance
 /// accumulators (16 KiB of `u32`) stay L1-resident while the class
@@ -248,42 +261,123 @@ impl Kernel {
         }
     }
 
-    /// Add one block of [`BUNDLE_BLOCK`] masks into a bit-sliced counter
-    /// array (`planes`: at least five planes of `words` words each,
-    /// plane-major) through a Harley–Seal carry-save tree.
+    /// Add every row into a bit-sliced counter array: `planes` holds
+    /// K whole planes of `words` words each, plane-major (plane `k` is
+    /// bit `k` of every dimension's count), and each dimension's count
+    /// grows by the number of rows whose bit is 1 there.
     ///
     /// This is the inner step of
     /// [`crate::accumulator::BitSliceAccumulator::add_masks`] — the
     /// software mirror of the paper's per-dimension popcounter — so
     /// every encoder's bundling runs through the dispatched kernel.
-    /// The caller must have grown the planes to hold the block's
-    /// counts. Every variant compiles the same portable body, with the
-    /// wider registers the CPU feature allows.
+    /// Per group of eight words the low 16 planes are loaded once,
+    /// every row runs through a 16-wide Harley–Seal tree on them, and
+    /// they are stored once; a deeper counter ripples the carry out of
+    /// them through its upper planes in memory. The AVX-512 variant
+    /// holds the planes in registers and builds each carry-save adder
+    /// from two `vpternlogq`; the others compile one portable body.
+    ///
+    /// The caller must have grown the planes to hold every count the
+    /// rows can reach; a carry out of the top plane is dropped.
     ///
     /// # Panics
     ///
-    /// Panics if a mask is not `words` long or `planes` is not at least
-    /// five whole planes.
-    pub fn bundle_block(&self, planes: &mut [u64], words: usize, block: &[&[u64]; BUNDLE_BLOCK]) {
+    /// Panics if `planes` is not a whole number (≥ 1) of planes, if a
+    /// row is not `words` long, or if the row count alone does not fit
+    /// in K bits.
+    pub fn bundle(&self, planes: &mut [u64], words: usize, rows: &[&[u64]]) {
         assert!(
-            words > 0 && planes.len().is_multiple_of(words) && planes.len() / words >= 5,
-            "bundle_block needs at least five whole planes"
+            words > 0 && !planes.is_empty() && planes.len().is_multiple_of(words),
+            "bundle needs whole planes"
         );
-        for mask in block {
-            assert_eq!(mask.len(), words, "kernel operand length mismatch");
+        let depth = planes.len() / words;
+        assert!(
+            u64::BITS - (rows.len() as u64).leading_zeros() <= depth as u32,
+            "bundle: {} rows overflow {depth} planes",
+            rows.len()
+        );
+        for row in rows {
+            assert_eq!(row.len(), words, "kernel operand length mismatch");
         }
-        crate::telemetry::record_op(crate::telemetry::KernelOp::BundleBlock);
+        if rows.is_empty() {
+            return;
+        }
+        crate::telemetry::record_op(crate::telemetry::KernelOp::Bundle);
         match self.kind {
-            KernelKind::Scalar => bundle_block_portable(planes, words, block),
+            KernelKind::Scalar => bundle_portable(planes, words, rows),
             // SAFETY: construction verified the CPU feature.
             #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => unsafe { avx2::bundle_block(planes, words, block) },
+            KernelKind::Avx2 => unsafe { avx2::bundle(planes, words, rows) },
             #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512 => unsafe { avx512::bundle_block(planes, words, block) },
+            KernelKind::Avx512 => unsafe { avx512::bundle(planes, words, rows) },
             #[allow(unreachable_patterns)]
-            _ => bundle_block_portable(planes, words, block),
+            _ => bundle_portable(planes, words, rows),
         }
     }
+}
+
+/// Bit `i` set where `bytes[i] ≥ threshold`, for up to 64 bytes. On
+/// x86-64 each 16 bytes are one SSE2 unsigned max, compare and
+/// `pmovmskb` (SSE2 is part of the x86-64 baseline, so no dispatch is
+/// needed); elsewhere, and for a ragged tail, a portable loop.
+///
+/// # Panics
+///
+/// Panics if `bytes` is longer than 64.
+#[must_use]
+pub(crate) fn at_least(bytes: &[u8], threshold: u8) -> u64 {
+    assert!(bytes.len() <= 64, "at_least takes at most 64 bytes");
+    let portable = |tail: &[u8]| {
+        tail.iter()
+            .enumerate()
+            .fold(0u64, |bits, (i, &v)| bits | u64::from(v >= threshold) << i)
+    };
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{
+            _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8, _mm_movemask_epi8, _mm_set1_epi8,
+        };
+        let mut chunks = bytes.chunks_exact(16);
+        let mut bits = 0u64;
+        // SAFETY: SSE2 is part of the x86-64 baseline, and each load
+        // reads one whole 16-byte chunk of the slice.
+        unsafe {
+            let t = _mm_set1_epi8(threshold as i8);
+            for (j, chunk) in (&mut chunks).enumerate() {
+                let v = _mm_loadu_si128(chunk.as_ptr().cast());
+                // max(v, t) = v exactly where v ≥ t, unsigned.
+                let ge = _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_max_epu8(v, t), v));
+                bits |= u64::from(ge as u16) << (16 * j);
+            }
+        }
+        let tail = chunks.remainder();
+        if tail.is_empty() {
+            bits
+        } else {
+            bits | portable(tail) << (bytes.len() - tail.len())
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    portable(bytes)
+}
+
+/// Ask the CPU to pull every cache line of `row` toward L1 ahead of
+/// use. A hint only: it reads nothing into the program, never faults,
+/// and compiles to nothing off x86-64.
+#[inline]
+pub(crate) fn prefetch(row: &[u64]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in row.chunks(8) {
+        // SAFETY: `prefetcht0` on an address inside a live slice; a
+        // prefetch has no architectural effect.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                line.as_ptr().cast(),
+            );
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// Auto-detect the best kernel, honouring a non-empty `UHD_KERNEL`
@@ -380,7 +474,7 @@ fn hamming_to_all_scalar(slices: &[u64], classes: usize, query: &[u64], out: &mu
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{bundle_block_portable, BUNDLE_BLOCK, WORD_BLOCK};
+    use super::{bundle_portable, WORD_BLOCK};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_si128,
         _mm256_loadu_si256, _mm256_permutevar8x32_epi32, _mm256_sad_epu8, _mm256_set1_epi64x,
@@ -484,9 +578,14 @@ mod avx2 {
         }
     }
 
+    /// [`super::Kernel::bundle`], after its checks.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn bundle_block(planes: &mut [u64], words: usize, block: &[&[u64]; BUNDLE_BLOCK]) {
-        bundle_block_portable(planes, words, block);
+    pub unsafe fn bundle(planes: &mut [u64], words: usize, rows: &[&[u64]]) {
+        bundle_portable(planes, words, rows);
     }
 }
 
@@ -496,11 +595,14 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{bundle_block_portable, BUNDLE_BLOCK, WORD_BLOCK};
+    use super::WORD_BLOCK;
+    use crate::accumulator::{BUNDLE_BLOCK, REGISTER_PLANES, RIPPLE_ROWS};
     use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_loadu_si256, _mm256_storeu_si256, _mm512_add_epi64,
-        _mm512_cvtepi64_epi32, _mm512_loadu_si512, _mm512_popcnt_epi64, _mm512_reduce_add_epi64,
-        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_xor_si512,
+        __m512i, __mmask8, _mm256_add_epi32, _mm256_loadu_si256, _mm256_storeu_si256,
+        _mm512_add_epi64, _mm512_and_si512, _mm512_cvtepi64_epi32, _mm512_loadu_si512,
+        _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
+        _mm512_reduce_add_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
+        _mm512_ternarylogic_epi64, _mm512_xor_si512,
     };
 
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
@@ -573,9 +675,179 @@ mod avx512 {
         }
     }
 
+    // The bundling tree of `accumulator::bundle_portable`, written on
+    // `__m512i`: on `[u64; 8]` lanes the compiler keeps the count
+    // planes on the stack and reloads them through split stores, which
+    // doubles the kernel's time. The register plane count is a
+    // compile-time instantiation per counter depth: a fixed 16 holds
+    // the planes above the depth in registers too, and 16 planes plus
+    // the tree's 16 inputs spill out of the 32 registers (CHANGES.md
+    // has the paired runs behind both choices).
+
+    /// `(carry, sum)` of `a + b + c` per bit: majority (`0xE8`) and
+    /// parity (`0x96`), one `vpternlogq` each.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn bundle_block(planes: &mut [u64], words: usize, block: &[&[u64]; BUNDLE_BLOCK]) {
-        bundle_block_portable(planes, words, block);
+    #[inline]
+    fn csa(a: __m512i, b: __m512i, c: __m512i) -> (__m512i, __m512i) {
+        (
+            _mm512_ternarylogic_epi64::<0xE8>(a, b, c),
+            _mm512_ternarylogic_epi64::<0x96>(a, b, c),
+        )
+    }
+
+    /// The Harley–Seal tree over 16 masks on `acc[0..4]` (ones, twos,
+    /// fours, eights); returns the weight-16 carry.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn harley_seal(acc: &mut [__m512i], m: &[__m512i; BUNDLE_BLOCK]) -> __m512i {
+        let (twos_a, ones) = csa(acc[0], m[0], m[1]);
+        let (twos_b, ones) = csa(ones, m[2], m[3]);
+        let (fours_a, twos) = csa(acc[1], twos_a, twos_b);
+        let (twos_a, ones) = csa(ones, m[4], m[5]);
+        let (twos_b, ones) = csa(ones, m[6], m[7]);
+        let (fours_b, twos) = csa(twos, twos_a, twos_b);
+        let (eights_a, fours) = csa(acc[2], fours_a, fours_b);
+        let (twos_a, ones) = csa(ones, m[8], m[9]);
+        let (twos_b, ones) = csa(ones, m[10], m[11]);
+        let (fours_a, twos) = csa(twos, twos_a, twos_b);
+        let (twos_a, ones) = csa(ones, m[12], m[13]);
+        let (twos_b, ones) = csa(ones, m[14], m[15]);
+        let (fours_b, twos) = csa(twos, twos_a, twos_b);
+        let (eights_b, fours) = csa(fours, fours_a, fours_b);
+        let (sixteens, eights) = csa(acc[3], eights_a, eights_b);
+        acc[..4].copy_from_slice(&[ones, twos, fours, eights]);
+        sixteens
+    }
+
+    /// Ripple `carry` into the register planes `acc[weight..]`, then
+    /// the carry out of them through the memory planes `P..depth` (the
+    /// `lanes` of word `w`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, `planes` must be whole planes of
+    /// `words` words, and `lanes` may only select words `w..words`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn carry_into<const P: usize>(
+        acc: &mut [__m512i; P],
+        weight: usize,
+        mut carry: __m512i,
+        planes: &mut [u64],
+        (words, w, lanes): (usize, usize, __mmask8),
+    ) {
+        for plane in &mut acc[weight..] {
+            let t = _mm512_and_si512(*plane, carry);
+            *plane = _mm512_xor_si512(*plane, carry);
+            carry = t;
+        }
+        for k in P..planes.len() / words {
+            let at = planes.as_mut_ptr().add(k * words + w);
+            let plane = _mm512_maskz_loadu_epi64(lanes, at.cast());
+            _mm512_mask_storeu_epi64(at.cast(), lanes, _mm512_xor_si512(plane, carry));
+            carry = _mm512_and_si512(plane, carry);
+        }
+    }
+
+    /// Up to 16 rows' lanes of word `w` into a tree input block, the
+    /// missing rows zero.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, and `lanes` may only select
+    /// words `w..row.len()` of every row.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load_block(rows: &[&[u64]], w: usize, lanes: __mmask8) -> [__m512i; BUNDLE_BLOCK] {
+        let mut m = [_mm512_setzero_si512(); BUNDLE_BLOCK];
+        for (slot, row) in m.iter_mut().zip(rows) {
+            *slot = _mm512_maskz_loadu_epi64(lanes, row.as_ptr().add(w).cast());
+        }
+        m
+    }
+
+    /// [`super::Kernel::bundle`] with `P` register planes: one masked
+    /// 8-word lane group at a time, ragged tail included. A counter of
+    /// at most four planes holds fewer than 16 rows, so its rows all
+    /// ripple.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, `planes` must hold at least `P`
+    /// whole planes of `words` words, and every row must be `words`
+    /// long.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn bundle_depth<const P: usize>(planes: &mut [u64], words: usize, rows: &[&[u64]]) {
+        for w in (0..words).step_by(8) {
+            let lanes: __mmask8 = if words - w >= 8 {
+                0xff
+            } else {
+                (1u8 << (words - w)) - 1
+            };
+            let at = (words, w, lanes);
+            let mut acc = [_mm512_setzero_si512(); P];
+            for (k, plane) in acc.iter_mut().enumerate() {
+                *plane = _mm512_maskz_loadu_epi64(lanes, planes.as_ptr().add(k * words + w).cast());
+            }
+            let mut blocks = rows.chunks_exact(BUNDLE_BLOCK);
+            let mut rest = rows;
+            if P > 4 {
+                for block in &mut blocks {
+                    let sixteens = harley_seal(&mut acc, &load_block(block, w, lanes));
+                    carry_into(&mut acc, 4, sixteens, planes, at);
+                }
+                rest = blocks.remainder();
+            }
+            if P > 4 && rest.len() >= RIPPLE_ROWS {
+                let sixteens = harley_seal(&mut acc, &load_block(rest, w, lanes));
+                carry_into(&mut acc, 4, sixteens, planes, at);
+            } else {
+                for row in rest {
+                    let mask = _mm512_maskz_loadu_epi64(lanes, row.as_ptr().add(w).cast());
+                    carry_into(&mut acc, 0, mask, planes, at);
+                }
+            }
+            for (k, plane) in acc.iter().enumerate() {
+                _mm512_mask_storeu_epi64(
+                    planes.as_mut_ptr().add(k * words + w).cast(),
+                    lanes,
+                    *plane,
+                );
+            }
+        }
+    }
+
+    /// [`super::Kernel::bundle`], after its checks: `P = min(depth,
+    /// REGISTER_PLANES)`, fixed at compile time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, `planes` must be whole planes of
+    /// `words` words, and every row must be `words` long.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn bundle(planes: &mut [u64], words: usize, rows: &[&[u64]]) {
+        const _: () = assert!(REGISTER_PLANES == 16);
+        let f = match planes.len() / words {
+            1 => bundle_depth::<1>,
+            2 => bundle_depth::<2>,
+            3 => bundle_depth::<3>,
+            4 => bundle_depth::<4>,
+            5 => bundle_depth::<5>,
+            6 => bundle_depth::<6>,
+            7 => bundle_depth::<7>,
+            8 => bundle_depth::<8>,
+            9 => bundle_depth::<9>,
+            10 => bundle_depth::<10>,
+            11 => bundle_depth::<11>,
+            12 => bundle_depth::<12>,
+            13 => bundle_depth::<13>,
+            14 => bundle_depth::<14>,
+            15 => bundle_depth::<15>,
+            _ => bundle_depth::<16>,
+        };
+        // SAFETY: the caller's CPU and length guarantees carry over,
+        // and `P ≤ depth` since `Kernel::bundle` rejects zero planes.
+        f(planes, words, rows);
     }
 }
 
@@ -719,29 +991,86 @@ mod tests {
             }
         }
 
-        /// bundle_block is bit-identical across kernels, over word
-        /// counts that straddle the 8-lane step and plane depths from
-        /// the minimum five up.
+        /// `bundle` adds every row's bits to a dense count on every
+        /// kernel: any row count (ragged last tree, several trees),
+        /// word counts around the 8-word lane group, nonzero starting
+        /// counts, some just below a power of two so carries cross
+        /// planes, and counters deeper than the register planes.
         #[test]
-        fn prop_bundle_block_matches_scalar(
-            words in 1usize..40,
-            depth in 5usize..12,
+        fn prop_bundle_matches_a_dense_count(
+            rows in 0usize..=300,
+            words_at in 0usize..8,
+            extra_planes in 0u32..24,
+            seed in any::<u64>(),
+        ) {
+            let words = [1usize, 3, 7, 8, 9, 32, 33, 128][words_at];
+            let rows_bits = u64::BITS - (rows as u64).leading_zeros();
+            let depth = (rows_bits.max(1) + extra_planes).min(24);
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let room = (1u64 << depth) - 1 - rows as u64;
+            let start: Vec<u64> = (0..64 * words)
+                .map(|_| {
+                    if rng.next_u64() & 1 == 0 {
+                        rng.next_u64() % (room + 1)
+                    } else {
+                        let b = 1 + rng.next_u64() % u64::from(depth);
+                        ((1u64 << b) - 1).saturating_sub(rng.next_u64() % 8).min(room)
+                    }
+                })
+                .collect();
+            let masks: Vec<Vec<u64>> = (0..rows).map(|_| random_words(words, &mut rng)).collect();
+            let row_refs: Vec<&[u64]> = masks.iter().map(Vec::as_slice).collect();
+            let mut expect = start.clone();
+            for mask in &masks {
+                for (d, count) in expect.iter_mut().enumerate() {
+                    *count += (mask[d / 64] >> (d % 64)) & 1;
+                }
+            }
+            let mut planes = vec![0u64; depth as usize * words];
+            for (d, &count) in start.iter().enumerate() {
+                for k in 0..depth as usize {
+                    planes[k * words + d / 64] |= ((count >> k) & 1) << (d % 64);
+                }
+            }
+            for k in Kernel::available() {
+                let mut got = planes.clone();
+                k.bundle(&mut got, words, &row_refs);
+                let counts: Vec<u64> = (0..64 * words)
+                    .map(|d| {
+                        (0..depth as usize)
+                            .map(|p| ((got[p * words + d / 64] >> (d % 64)) & 1) << p)
+                            .sum()
+                    })
+                    .collect();
+                prop_assert_eq!(&counts, &expect, "kernel {}, depth {}", k.name(), depth);
+            }
+        }
+
+        /// `at_least` equals a byte-by-byte compare at every length up
+        /// to 64, including thresholds 0 and 255.
+        #[test]
+        fn prop_at_least_matches_bytewise_compare(
+            len in 0usize..=64,
+            threshold in any::<u8>(),
             seed in any::<u64>(),
         ) {
             let mut rng = Xoshiro256StarStar::seeded(seed);
-            // Counts below 2^(depth-1) leave room for the block's 16.
-            let mut planes = random_words(depth * words, &mut rng);
-            planes[(depth - 1) * words..].fill(0);
-            let masks: Vec<Vec<u64>> = (0..BUNDLE_BLOCK).map(|_| random_words(words, &mut rng)).collect();
-            let block: [&[u64]; BUNDLE_BLOCK] = std::array::from_fn(|i| masks[i].as_slice());
-            let mut expect = planes.clone();
-            Kernel::scalar().bundle_block(&mut expect, words, &block);
-            for k in Kernel::available() {
-                let mut got = planes.clone();
-                k.bundle_block(&mut got, words, &block);
-                prop_assert_eq!(&got, &expect, "kernel {}", k.name());
-            }
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let expect = bytes
+                .iter()
+                .enumerate()
+                .fold(0u64, |bits, (i, &v)| bits | u64::from(v >= threshold) << i);
+            prop_assert_eq!(at_least(&bytes, threshold), expect);
+            let all = if len == 0 { 0 } else { u64::MAX >> (64 - len) };
+            prop_assert_eq!(at_least(&bytes, 0), all);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn bundle_rejects_more_rows_than_the_planes_count() {
+        let row = [u64::MAX];
+        Kernel::scalar().bundle(&mut [0u64; 4], 1, &[&row[..]; 16]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! zero. With the feature **on** (enabled by `uhd-serve`) each kernel
 //! entry point does one relaxed `fetch_add` — into a *thread-striped*,
 //! cache-line-padded counter bank, not a single shared cell. The fine
-//! ops ([`crate::Kernel::bundle_block`],
-//! [`crate::Kernel::xor_popcount`]) fire dozens to thousands of times
-//! per encoded image from every worker shard at once; a lone
+//! op [`crate::Kernel::xor_popcount`] fires dozens to thousands of
+//! times per query from every worker shard at once, and
+//! [`crate::Kernel::bundle`] about once per encoded image; a lone
 //! process-global atomic turns that into cross-core cache-line
 //! ping-pong that measurably slows the sharded engine, while
 //! per-thread stripes keep the increment uncontended. [`op_counts`]
@@ -29,8 +29,8 @@ pub enum KernelOp {
     Popcount,
     /// [`crate::Kernel::hamming_to_all`] — one all-classes AM sweep.
     HammingSweep,
-    /// [`crate::Kernel::bundle_block`] — one 16-mask bundling block.
-    BundleBlock,
+    /// [`crate::Kernel::bundle`] — one batch of masks bundled.
+    Bundle,
 }
 
 /// A point-in-time copy of the process-global kernel op counters.
@@ -43,8 +43,8 @@ pub struct KernelOpCounts {
     pub popcount: u64,
     /// Calls to [`crate::Kernel::hamming_to_all`].
     pub hamming_sweeps: u64,
-    /// Calls to [`crate::Kernel::bundle_block`].
-    pub bundle_blocks: u64,
+    /// Calls to [`crate::Kernel::bundle`].
+    pub bundles: u64,
 }
 
 impl KernelOpCounts {
@@ -55,14 +55,14 @@ impl KernelOpCounts {
             ("xor_popcount", self.xor_popcount),
             ("popcount", self.popcount),
             ("hamming_sweep", self.hamming_sweeps),
-            ("bundle_block", self.bundle_blocks),
+            ("bundle", self.bundles),
         ]
     }
 
     /// Total counted kernel invocations.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.xor_popcount + self.popcount + self.hamming_sweeps + self.bundle_blocks
+        self.xor_popcount + self.popcount + self.hamming_sweeps + self.bundles
     }
 }
 
@@ -87,7 +87,7 @@ struct Stripe {
     xor_popcount: AtomicU64,
     popcount: AtomicU64,
     hamming_sweeps: AtomicU64,
-    bundle_blocks: AtomicU64,
+    bundles: AtomicU64,
 }
 
 #[cfg(feature = "telemetry")]
@@ -96,7 +96,7 @@ static COUNTS: [Stripe; STRIPES] = [const {
         xor_popcount: AtomicU64::new(0),
         popcount: AtomicU64::new(0),
         hamming_sweeps: AtomicU64::new(0),
-        bundle_blocks: AtomicU64::new(0),
+        bundles: AtomicU64::new(0),
     }
 }; STRIPES];
 
@@ -120,7 +120,7 @@ pub(crate) fn record_op(op: KernelOp) {
             KernelOp::XorPopcount => &stripe.xor_popcount,
             KernelOp::Popcount => &stripe.popcount,
             KernelOp::HammingSweep => &stripe.hamming_sweeps,
-            KernelOp::BundleBlock => &stripe.bundle_blocks,
+            KernelOp::Bundle => &stripe.bundles,
         };
         cell.fetch_add(1, Ordering::Relaxed);
     });
@@ -145,7 +145,7 @@ pub fn op_counts() -> KernelOpCounts {
                 xor_popcount: acc.xor_popcount + s.xor_popcount.load(Ordering::Relaxed),
                 popcount: acc.popcount + s.popcount.load(Ordering::Relaxed),
                 hamming_sweeps: acc.hamming_sweeps + s.hamming_sweeps.load(Ordering::Relaxed),
-                bundle_blocks: acc.bundle_blocks + s.bundle_blocks.load(Ordering::Relaxed),
+                bundles: acc.bundles + s.bundles.load(Ordering::Relaxed),
             })
     }
     #[cfg(not(feature = "telemetry"))]
@@ -172,18 +172,18 @@ mod tests {
         let mut out = [0u32; 2];
         k.hamming_to_all(&[0u64; 16], 2, &a, &mut out);
         let mut planes = [0u64; 5];
-        k.bundle_block(&mut planes, 1, &[&a[..1]; crate::accumulator::BUNDLE_BLOCK]);
+        k.bundle(&mut planes, 1, &[&a[..1]; crate::accumulator::BUNDLE_BLOCK]);
         let after = op_counts();
         assert!(after.xor_popcount > before.xor_popcount);
         assert!(after.popcount > before.popcount);
         assert!(after.hamming_sweeps > before.hamming_sweeps);
-        assert!(after.bundle_blocks > before.bundle_blocks);
+        assert!(after.bundles > before.bundles);
         assert!(after.total() >= before.total() + 4);
         assert!(enabled());
         let names: Vec<&str> = after.entries().iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
-            ["xor_popcount", "popcount", "hamming_sweep", "bundle_block"]
+            ["xor_popcount", "popcount", "hamming_sweep", "bundle"]
         );
     }
 }

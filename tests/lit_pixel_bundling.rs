@@ -62,6 +62,47 @@ fn image(encoder: &UhdEncoder, dark: f64, rng: &mut Xoshiro256StarStar) -> Vec<u
         .collect()
 }
 
+/// Encoders whose pixel count is not a multiple of the scan's 64-byte
+/// step (and the paper's H = 784 again), on both backends.
+fn shaped_encoders() -> &'static [(String, UhdEncoder)] {
+    static ENCODERS: OnceLock<Vec<(String, UhdEncoder)>> = OnceLock::new();
+    ENCODERS.get_or_init(|| {
+        let mut out = Vec::new();
+        for pixels in [1usize, 100, 784] {
+            for dim in [130u32, 2048] {
+                let config = UhdConfig::new(dim, pixels);
+                let remat = UhdEncoder::new(config.clone().rematerialized()).unwrap();
+                out.push((
+                    format!("resident H={pixels} D={dim}"),
+                    UhdEncoder::new(config).unwrap(),
+                ));
+                out.push((format!("rematerialized H={pixels} D={dim}"), remat));
+            }
+        }
+        out
+    })
+}
+
+/// The image shapes the lit scan must get right: all dark (intensity
+/// 0), all at the top intensity, every pixel just below or at the
+/// first lit intensity, and a random mix of dark and lit intensities.
+const SHAPES: [&str; 4] = ["all dark", "all lit", "first-lit boundary", "mixed"];
+
+fn shaped_image(encoder: &UhdEncoder, shape: usize, rng: &mut Xoshiro256StarStar) -> Vec<u8> {
+    let first_lit = (0..=255u8).find(|&v| encoder.level_of(v) > 0).unwrap();
+    (0..encoder.features())
+        .map(|_| {
+            let draw = rng.next_u64();
+            match shape {
+                0 => 0,
+                1 => 255,
+                2 => first_lit - (draw & 1) as u8,
+                _ => draw as u8,
+            }
+        })
+        .collect()
+}
+
 /// Add every pixel's full comparator mask to `dense`.
 fn reference_add(encoder: &UhdEncoder, image: &[u8], dense: &mut DenseAccumulator) {
     let mut scratch = Vec::new();
@@ -140,5 +181,27 @@ proptest! {
             assert_matches(&acc, &dense, &format!("{name}, image {i}, dark {dark}"));
         }
         prop_assert_eq!(acc.total(), (images * PIXELS) as u64);
+    }
+}
+
+/// Pixel counts that leave a ragged last 64-byte scan step, images at
+/// both ends of the intensity range and right at the first lit
+/// intensity, on both backends: the lit-pixel scan must pick exactly
+/// the pixels at level ≥ 1, so the bundle equals the full-mask one.
+#[test]
+fn lit_scan_shapes_equal_the_full_mask_bundle() {
+    let mut rng = Xoshiro256StarStar::seeded(24);
+    for (name, encoder) in shaped_encoders() {
+        for (shape, shape_name) in SHAPES.iter().enumerate() {
+            let img = shaped_image(encoder, shape, &mut rng);
+            let mut dense = DenseAccumulator::new(encoder.dim());
+            reference_add(encoder, &img, &mut dense);
+            let mut acc = BitSliceAccumulator::new(encoder.dim());
+            encoder.accumulate(&img, &mut acc).unwrap();
+            let what = format!("{name}, {shape_name}");
+            assert_matches(&acc, &dense, &what);
+            assert_eq!(acc.total(), encoder.features() as u64, "{what}");
+            assert_eq!(encoder.encode(&img).unwrap(), dense.binarize(), "{what}");
+        }
     }
 }
