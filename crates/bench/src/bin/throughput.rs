@@ -15,6 +15,9 @@
 //!   query path, i.e. the same decisions the registry produces, but
 //!   without batching, sharding, or the transposed class store.
 //!
+//! A full run times each baseline over alternated repeated passes and
+//! reports the median pass rate with its IQR (`*_iqr`).
+//!
 //! The sweep then serves the identical image stream through a
 //! `ModelRegistry` for every (shards, max_batch) combination, and the
 //! best configuration is re-run request-by-request for p50/p99 latency.
@@ -51,11 +54,17 @@ const TENANT: &str = "bench";
 
 /// Minimum time each telemetry mode is timed for in the full-run
 /// instrumentation-overhead bench.
-const OVERHEAD_SPAN: Duration = Duration::from_millis(250);
+const OVERHEAD_SPAN: Duration = Duration::from_secs(1);
 
 /// Minimum wave pairs in the full-run instrumentation-overhead bench,
 /// so its median has pairs to choose from however fast a wave runs.
-const OVERHEAD_PAIRS: usize = 7;
+const OVERHEAD_PAIRS: usize = 15;
+
+/// Minimum time each serial baseline is timed for in a full run.
+const SERIAL_SPAN: Duration = Duration::from_millis(200);
+
+/// Minimum passes per serial baseline in a full run.
+const SERIAL_PASSES: usize = 7;
 
 /// Start a registry serving `model` through `encoder` as its only
 /// tenant.
@@ -279,6 +288,41 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// The interquartile range of `values`, each quartile interpolated
+/// linearly between the closest ranks.
+fn iqr(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let rank = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+    };
+    quantile(0.75) - quantile(0.25)
+}
+
+/// Run `measure(side)` for sides 0 and 1 in pairs, the order flipped
+/// every pair, until each side has run for `span` over at least
+/// `min_pairs` pairs, and return each side's results in run order.
+fn alternate(
+    span: Duration,
+    min_pairs: usize,
+    mut measure: impl FnMut(usize) -> f64,
+) -> [Vec<f64>; 2] {
+    let mut results: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let mut spent = [Duration::ZERO; 2];
+    while results[0].len() < min_pairs || spent.iter().any(|&s| s < span) {
+        let pair = results[0].len();
+        for step in 0..2 {
+            let side = (pair + step) % 2;
+            let t0 = Instant::now();
+            results[side].push(measure(side));
+            spent[side] += t0.elapsed();
+        }
+    }
+    results
+}
+
 /// The instrumentation-overhead bench: the full image stream through
 /// the best sweep configuration with live telemetry (histograms,
 /// gauges, staged timing) vs a no-op recorder. Waves run in pairs, one
@@ -305,17 +349,7 @@ fn obs_overhead_bench(
         let config = ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
         one_tenant(config, encoder.clone(), model)
     });
-    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let mut spent = [Duration::ZERO; 2];
-    while rates[0].len() < min_pairs || spent.iter().any(|&s| s < span) {
-        let pair = rates[0].len();
-        for step in 0..2 {
-            let mode = (pair + step) % 2;
-            let t0 = Instant::now();
-            rates[mode].push(wave_rate(&registries[mode], images));
-            spent[mode] += t0.elapsed();
-        }
-    }
+    let rates = alternate(span, min_pairs, |mode| wave_rate(&registries[mode], images));
     let [noop, instrumented] = &rates;
     let overheads: Vec<f64> = noop
         .iter()
@@ -432,26 +466,46 @@ fn per_workload_bench(
     rows
 }
 
-/// The two serial per-image baselines the registry is judged against:
-/// (default integer-cosine classify, binarized-query classify), both in
-/// images per second.
-fn serial_baselines(model: &HdcModel, encoder: &UhdEncoder, images: &[Vec<u8>]) -> (f64, f64) {
-    let t0 = Instant::now();
-    for image in images {
-        let _ = model.classify(encoder, image).expect("classify");
-    }
-    let serial_classify_ips = images.len() as f64 / t0.elapsed().as_secs_f64();
+/// A serial baseline's rate over repeated passes, in images per second.
+struct SerialRate {
+    median: f64,
+    iqr: f64,
+}
 
-    // Binarized query: the same decisions the registry produces, but
-    // without batching, sharding, or the transposed class store.
-    let t0 = Instant::now();
-    for image in images {
-        let _ = model
-            .classify_with(encoder, image, InferenceMode::BinarizedQuery)
-            .expect("classify");
-    }
-    let serial_binarized_ips = images.len() as f64 / t0.elapsed().as_secs_f64();
-    (serial_classify_ips, serial_binarized_ips)
+/// The two serial per-image baselines the registry is judged against:
+/// the default integer-cosine classify and the binarized-query classify
+/// (the same decisions the registry produces, but without batching,
+/// sharding, or the transposed class store). One pass over `images`
+/// takes a few milliseconds, so a full run alternates passes, the
+/// order flipped every pass pair, until each baseline has run for
+/// [`SERIAL_SPAN`] over at least [`SERIAL_PASSES`] passes, and reports
+/// each one's median pass rate with its IQR. Quick mode times one pass
+/// each.
+fn serial_baselines(
+    quick: bool,
+    model: &HdcModel,
+    encoder: &UhdEncoder,
+    images: &[Vec<u8>],
+) -> [SerialRate; 2] {
+    let (span, min_passes) = if quick {
+        (Duration::ZERO, 1)
+    } else {
+        (SERIAL_SPAN, SERIAL_PASSES)
+    };
+    let modes = [InferenceMode::default(), InferenceMode::BinarizedQuery];
+    let rates = alternate(span, min_passes, |side| {
+        let t0 = Instant::now();
+        for image in images {
+            let _ = model
+                .classify_with(encoder, image, modes[side])
+                .expect("classify");
+        }
+        images.len() as f64 / t0.elapsed().as_secs_f64()
+    });
+    rates.map(|r| SerialRate {
+        median: median(&r),
+        iqr: iqr(&r),
+    })
 }
 
 /// Serve the image stream through a one-tenant registry at every
@@ -495,8 +549,8 @@ struct Workload {
     queries: usize,
     classes: usize,
     hw_threads: usize,
-    serial_classify_ips: f64,
-    serial_binarized_ips: f64,
+    serial_classify: SerialRate,
+    serial_binarized: SerialRate,
 }
 
 /// The measured sections rendered after the sweep: latency, overhead,
@@ -579,18 +633,17 @@ fn render_report(
         w.d, w.pixels, w.queries, w.classes, w.hw_threads
     )
     .unwrap();
-    writeln!(
-        out,
-        "  \"serial_classify_images_per_sec\": {:.1},",
-        w.serial_classify_ips
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  \"serial_binarized_images_per_sec\": {:.1},",
-        w.serial_binarized_ips
-    )
-    .unwrap();
+    for (name, rate) in [
+        ("serial_classify", &w.serial_classify),
+        ("serial_binarized", &w.serial_binarized),
+    ] {
+        writeln!(
+            out,
+            "  \"{name}_images_per_sec\": {:.1},\n  \"{name}_images_per_sec_iqr\": {:.1},",
+            rate.median, rate.iqr
+        )
+        .unwrap();
+    }
     writeln!(out, "  \"sweep\": [").unwrap();
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 == points.len() { "" } else { "," };
@@ -608,7 +661,7 @@ fn render_report(
         best.shards,
         best.max_batch,
         best.images_per_sec,
-        best.images_per_sec / w.serial_classify_ips
+        best.images_per_sec / w.serial_classify.median
     )
     .unwrap();
     writeln!(out, "  \"request_latency\": {},", latencies.json()).unwrap();
@@ -687,7 +740,8 @@ fn main() {
         .cloned()
         .collect();
 
-    let (serial_classify_ips, serial_binarized_ips) = serial_baselines(&model, &encoder, &images);
+    let [serial_classify, serial_binarized] = serial_baselines(quick, &model, &encoder, &images);
+    let serial_classify_ips = serial_classify.median;
 
     // --- The sweep: batch size × shard count through the registry. ---
     let hw_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -739,8 +793,8 @@ fn main() {
         queries: images.len(),
         classes: bench.train.classes(),
         hw_threads,
-        serial_classify_ips,
-        serial_binarized_ips,
+        serial_classify,
+        serial_binarized,
     };
     let doc = render_report(
         &workload,

@@ -18,7 +18,9 @@ const COMMON_KEYS: &[&str] = &["bench", "quick", "machine", "workload", "request
 
 const THROUGHPUT_KEYS: &[&str] = &[
     "serial_classify_images_per_sec",
+    "serial_classify_images_per_sec_iqr",
     "serial_binarized_images_per_sec",
+    "serial_binarized_images_per_sec_iqr",
     "sweep",
     "best",
     "engine_latency",

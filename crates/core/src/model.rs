@@ -15,7 +15,7 @@ use crate::assoc::AssociativeMemory;
 use crate::encoder::Encoder;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
-use crate::similarity::{cosine_int, cosine_int_bipolar};
+use crate::similarity::cosine_int;
 
 /// How a query is compared against the trained classes.
 ///
@@ -26,16 +26,13 @@ use crate::similarity::{cosine_int, cosine_int_bipolar};
 /// cosine similarity on the accumulated (integer) vectors. Dark, sparse
 /// images make the difference material: majority-binarizing a query at
 /// TOB = H/2 collapses most dimensions to −1, so the accuracy studies use
-/// the integer modes while the hardware benches exercise the binarized
+/// the integer mode while the hardware benches exercise the binarized
 /// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InferenceMode {
     /// Query binarized at TOB = H/2 and compared against binarized class
     /// hypervectors — the paper's Fig. 5 hardware datapath.
     BinarizedQuery,
-    /// Integer (non-binarized) query against binarized class
-    /// hypervectors — QuantHD-style model quantization.
-    IntegerQuery,
     /// Integer query against integer class sums — the classic HDC
     /// similarity used for the accuracy tables.
     #[default]
@@ -284,16 +281,16 @@ impl HdcModel {
     /// `scratch` (of the encoder's dimension) is the bundling
     /// accumulator, `dists` the per-class Hamming distances. Each call
     /// still allocates its query: the binarized hypervector, or the D
-    /// bipolar sums in the integer modes. Every
+    /// bipolar sums in the integer mode. Every
     /// classify path — [`HdcModel::classify_with`], evaluation, the
     /// serving registry — goes through here; reused buffers answer
     /// bit-identically to fresh ones.
     ///
     /// * Binarized query: [`Encoder::encode_into`], then one pass
     ///   over the bit-sliced [`AssociativeMemory`].
-    /// * Integer modes: bundle into `scratch`, then the cosine
-    ///   argmax of the query's bipolar sums against each class
-    ///   (bipolar class hypervector or integer class sums).
+    /// * Integer mode: bundle into `scratch`, then the cosine argmax
+    ///   of the query's bipolar sums against each class's integer
+    ///   sums.
     ///
     /// # Errors
     ///
@@ -308,24 +305,16 @@ impl HdcModel {
         scratch: &mut BitSliceAccumulator,
         dists: &mut Vec<u32>,
     ) -> Result<(usize, f64), HdcError> {
-        let integer_classes = match mode {
-            InferenceMode::BinarizedQuery => {
-                let query = encoder.encode_into(sample, scratch)?;
-                return self.assoc.nearest_with(&query, dists);
-            }
-            InferenceMode::IntegerQuery => false,
-            InferenceMode::IntegerBoth => true,
-        };
+        if mode == InferenceMode::BinarizedQuery {
+            let query = encoder.encode_into(sample, scratch)?;
+            return self.assoc.nearest_with(&query, dists);
+        }
         scratch.clear();
         encoder.accumulate(sample, scratch)?;
         let query = scratch.bipolar_sums();
         let mut best = (0usize, f64::NEG_INFINITY);
-        for (c, (hv, sums)) in self.class_hvs.iter().zip(&self.class_sums).enumerate() {
-            let score = if integer_classes {
-                cosine_int(&query, sums)?
-            } else {
-                cosine_int_bipolar(&query, hv)?
-            };
+        for (c, sums) in self.class_sums.iter().enumerate() {
+            let score = cosine_int(&query, sums)?;
             if score > best.1 {
                 best = (c, score);
             }
@@ -476,38 +465,37 @@ impl HdcModel {
         if bytes.len() != expected {
             return Err(bad("truncated model payload"));
         }
-        // Bulk word decode: the payload is a homogeneous stream of
-        // 8-byte little-endian values, so each class decodes as one
+        // Bulk decode: the payload is a homogeneous stream of 8-byte
+        // little-endian values, so each class's sums decode as one
         // `chunks_exact` pass (vectorized to a copy on little-endian
         // targets). `from_le_bytes` reads each chunk by value, so the
         // buffer's address alignment never matters.
-        let mut offset = 16;
-        let mut class_hvs = Vec::with_capacity(classes);
-        for _ in 0..classes {
-            let end = offset + wc * 8;
-            let words: Vec<u64> = bytes[offset..end]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("chunked")))
-                .collect();
-            offset = end;
-            // `to_bytes` writes clear padding bits; set ones would be
-            // masked away and break the byte-exact round trip.
-            if dim % 64 != 0 && words[wc - 1] >> (dim % 64) != 0 {
-                return Err(bad("nonzero padding bits past the model dimension"));
-            }
-            class_hvs.push(Hypervector::from_words(words, dim)?);
+        let (stored_words, sum_bytes) = bytes[16..].split_at(wc * 8 * classes);
+        let class_sums = sum_bytes
+            .chunks_exact(dim as usize * 8)
+            .map(|class| {
+                class
+                    .chunks_exact(8)
+                    .map(|c| i64::from_le_bytes(c.try_into().expect("chunked")))
+                    .collect()
+            })
+            .collect();
+        // Every class bit is the sign of its sum, so rebuild the bits
+        // from the sums and require the stored words to equal them: a
+        // disagreeing bit, or a set padding bit, would otherwise serve
+        // one model until a learner's snapshot re-derived another.
+        let model = Self::from_class_sums(class_sums, dim)?;
+        let rebuilt = model
+            .class_hvs
+            .iter()
+            .flat_map(|hv| hv.words().iter().copied());
+        let stored = stored_words
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunked")));
+        if !stored.eq(rebuilt) {
+            return Err(bad("class bits disagree with the signs of their sums"));
         }
-        let mut class_sums = Vec::with_capacity(classes);
-        for _ in 0..classes {
-            let end = offset + dim as usize * 8;
-            let sums: Vec<i64> = bytes[offset..end]
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("chunked")))
-                .collect();
-            offset = end;
-            class_sums.push(sums);
-        }
-        Self::from_parts(class_hvs, class_sums, dim)
+        Ok(model)
     }
 }
 

@@ -20,15 +20,13 @@
 //!   its *integer* encoding (the bipolar sums `2c − H`). Bundling is
 //!   linear, so both entries are **bit-identical to single-pass batch
 //!   training** continued forever: a learner that streams the training
-//!   set lands on exactly the class sums [`HdcModel::train`] produces.
-//!   [`OnlineLearner::observe`] is the binarized (±1 per dimension)
-//!   variant for hardware-faithful pipelines that only keep the sign;
+//!   set lands on exactly the class sums [`HdcModel::train`] produces;
 //! * [`OnlineLearner::feedback_accumulator`] /
-//!   [`OnlineLearner::feedback_sums`] / [`OnlineLearner::feedback`]
-//!   apply the AdaptHD perceptron rule — on a misprediction, add the
-//!   encoding to the true class and subtract it from the predicted
-//!   one (in the bit-sliced domain, the predicted class keeps a second
-//!   pending counter of subtracted samples);
+//!   [`OnlineLearner::feedback_sums`] apply the AdaptHD perceptron
+//!   rule — on a misprediction, add the encoding to the true class and
+//!   subtract it from the predicted one (in the bit-sliced domain, the
+//!   predicted class keeps a second pending counter of subtracted
+//!   samples);
 //! * labels the learner has never seen **admit new classes at
 //!   runtime** (up to a configurable cap), so a deployed model can
 //!   grow its label space without retraining from scratch;
@@ -44,34 +42,20 @@
 
 use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
-use crate::hypervector::Hypervector;
 use crate::model::HdcModel;
 
 /// Default cap on runtime class admission (see
 /// [`OnlineLearner::with_max_classes`]).
 pub const DEFAULT_MAX_CLASSES: usize = 4096;
 
-/// Add one ±1 encoding into a class accumulator row (bundling).
-pub(crate) fn add_encoding(row: &mut [i64], encoding: &Hypervector) {
-    for (i, s) in row.iter_mut().enumerate() {
-        *s += if encoding.bit(i as u32) { 1 } else { -1 };
-    }
-}
-
-/// The ±1 contribution stream of a binarized encoding.
-fn bipolar_deltas(encoding: &Hypervector) -> impl Iterator<Item = i64> + '_ {
-    (0..encoding.dim()).map(|i| if encoding.bit(i) { 1 } else { -1 })
-}
-
 /// The **single** perceptron-correction kernel shared by every update
 /// path: add the per-dimension `deltas` to the `label` accumulator and
 /// subtract them from the `predicted` one, in one zipped pass over
 /// split borrows of the two rows.
 ///
-/// The streaming [`OnlineLearner::feedback`] /
-/// [`OnlineLearner::feedback_sums`] paths and the batched
-/// [`crate::retrain::retrain`] loop all delegate here (with binarized
-/// ±1 or integer encoding deltas), so the update rules cannot drift
+/// The streaming [`OnlineLearner::feedback_sums`] path and the batched
+/// [`crate::retrain::retrain`] loop (with the ±1 deltas of a binarized
+/// encoding) both delegate here, so the update rules cannot drift
 /// apart.
 ///
 /// # Panics
@@ -99,17 +83,6 @@ pub(crate) fn apply_correction_with<I: Iterator<Item = i64>>(
         *l += delta;
         *p -= delta;
     }
-}
-
-/// [`apply_correction_with`] for a binarized ±1 encoding — the form
-/// the retraining extension uses.
-pub(crate) fn apply_correction(
-    sums: &mut [Vec<i64>],
-    encoding: &Hypervector,
-    label: usize,
-    predicted: usize,
-) {
-    apply_correction_with(sums, bipolar_deltas(encoding), label, predicted);
 }
 
 /// One class's samples not yet folded into its `i64` sums: the
@@ -153,19 +126,21 @@ impl Pending {
 /// # Example
 ///
 /// ```
-/// use uhd_core::hypervector::Hypervector;
+/// use uhd_core::encoder::uhd::{UhdConfig, UhdEncoder};
 /// use uhd_core::online::OnlineLearner;
-/// use uhd_lowdisc::rng::Xoshiro256StarStar;
+/// use uhd_core::{BitSliceAccumulator, Encoder};
 ///
-/// let mut rng = Xoshiro256StarStar::seeded(5);
+/// let encoder = UhdEncoder::new(UhdConfig::new(256, 4))?;
 /// let mut learner = OnlineLearner::new(256)?;
-/// let a = Hypervector::random(256, &mut rng);
-/// let b = Hypervector::random(256, &mut rng);
-/// learner.observe(&a, 0)?; // admits class 0
-/// learner.observe(&b, 1)?; // admits class 1
+/// let mut scratch = BitSliceAccumulator::new(256);
+/// for (image, label) in [([10u8, 20, 30, 40], 0), ([250, 240, 230, 220], 1)] {
+///     scratch.clear();
+///     encoder.accumulate(&image, &mut scratch)?;
+///     learner.observe_accumulator(&scratch, label)?; // admits the class
+/// }
 /// let model = learner.snapshot()?;
 /// assert_eq!(model.classes(), 2);
-/// assert_eq!(model.classify_encoded(&a)?.0, 0);
+/// assert_eq!(model.classify(&encoder, &[250, 240, 230, 220])?.0, 1);
 /// # Ok::<(), uhd_core::HdcError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -181,7 +156,7 @@ pub struct OnlineLearner {
 
 impl OnlineLearner {
     /// A cold-start learner with no classes yet; the first
-    /// [`OnlineLearner::observe`] admits the first class.
+    /// observation admits the first class.
     ///
     /// # Errors
     ///
@@ -241,8 +216,7 @@ impl OnlineLearner {
     }
 
     /// Samples folded in since this learner was created (both
-    /// [`OnlineLearner::observe`] calls and *applied*
-    /// [`OnlineLearner::feedback`] corrections).
+    /// observations and *applied* feedback corrections).
     #[must_use]
     pub fn observed(&self) -> u64 {
         self.observed
@@ -312,25 +286,9 @@ impl OnlineLearner {
         Ok(())
     }
 
-    /// Bundle one encoded sample into its class accumulator,
-    /// admitting the class if it is new.
-    ///
-    /// # Errors
-    ///
-    /// * [`HdcError::DimensionMismatch`] for a wrong-dimension encoding.
-    /// * [`HdcError::InvalidTrainingData`] for a label at or beyond the
-    ///   admission cap.
-    pub fn observe(&mut self, encoding: &Hypervector, label: usize) -> Result<(), HdcError> {
-        self.check_dim(encoding.dim() as usize)?;
-        self.admit(label)?;
-        add_encoding(&mut self.class_sums[label], encoding);
-        self.observed += 1;
-        Ok(())
-    }
-
     /// Bundle one sample's *integer* encoding — its per-image bipolar
-    /// accumulator sums, the same vector the integer inference modes
-    /// use as a query — into its class accumulator, admitting the
+    /// accumulator sums, the same vector the integer inference mode
+    /// uses as a query — into its class accumulator, admitting the
     /// class if it is new.
     ///
     /// Bundling is linear in these sums, so streaming a training set
@@ -338,8 +296,7 @@ impl OnlineLearner {
     /// exactly. [`OnlineLearner::observe_accumulator`] is the same
     /// update taken straight from the encoder's bit-sliced counts,
     /// without the count-to-sum transpose per sample; it is the path a
-    /// serving engine should feed, while [`OnlineLearner::observe`]
-    /// models hardware that only keeps the binarized sign.
+    /// serving registry feeds.
     ///
     /// # Errors
     ///
@@ -383,51 +340,21 @@ impl OnlineLearner {
         Ok(())
     }
 
-    /// Apply the AdaptHD perceptron rule for one served prediction:
-    /// when `predicted != label`, add the encoding to the true class
-    /// and subtract it from the predicted one. Returns whether an
-    /// update was applied (correct predictions leave the accumulators
-    /// untouched).
+    /// Apply the AdaptHD perceptron rule for one served prediction, in
+    /// the integer encoding domain: when `predicted != label`, add the
+    /// sample's per-image bipolar sums to the true class and subtract
+    /// them from the predicted one. Returns whether an update was
+    /// applied (correct predictions leave the accumulators untouched).
     ///
     /// The true `label` may admit a new class; `predicted` must name a
     /// class the learner already knows (it came from a model snapshot).
     ///
     /// # Errors
     ///
-    /// * [`HdcError::DimensionMismatch`] for a wrong-dimension encoding.
+    /// * [`HdcError::DimensionMismatch`] for a wrong-length vector.
     /// * [`HdcError::InvalidTrainingData`] for a label at or beyond the
     ///   admission cap, or a `predicted` index the learner has never
     ///   admitted.
-    pub fn feedback(
-        &mut self,
-        encoding: &Hypervector,
-        predicted: usize,
-        label: usize,
-    ) -> Result<bool, HdcError> {
-        self.check_dim(encoding.dim() as usize)?;
-        // Validate `predicted` *before* admitting `label`: a rejected
-        // sample must leave the learner untouched, or later snapshots
-        // would serve phantom (all-ones) classes it admitted on the
-        // way to the error.
-        self.check_predicted(predicted)?;
-        if predicted == label {
-            return Ok(false);
-        }
-        self.admit(label)?;
-        apply_correction(&mut self.class_sums, encoding, label, predicted);
-        self.observed += 1;
-        self.corrections += 1;
-        Ok(true)
-    }
-
-    /// [`OnlineLearner::feedback`] in the integer encoding domain:
-    /// on a misprediction, add the sample's per-image bipolar sums to
-    /// the true class and subtract them from the predicted one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OnlineLearner::feedback`], with
-    /// [`HdcError::DimensionMismatch`] for a wrong-length vector.
     pub fn feedback_sums(
         &mut self,
         encoding_sums: &[i64],
@@ -435,7 +362,10 @@ impl OnlineLearner {
         label: usize,
     ) -> Result<bool, HdcError> {
         self.check_dim(encoding_sums.len())?;
-        // Same ordering as `feedback`: reject before mutating.
+        // Validate `predicted` *before* admitting `label`: a rejected
+        // sample must leave the learner untouched, or later snapshots
+        // would serve phantom (all-ones) classes it admitted on the
+        // way to the error.
         self.check_predicted(predicted)?;
         if predicted == label {
             return Ok(false);
@@ -452,7 +382,7 @@ impl OnlineLearner {
         Ok(true)
     }
 
-    /// [`OnlineLearner::feedback`] on a bit-sliced encoding: on a
+    /// [`OnlineLearner::feedback_sums`] on a bit-sliced encoding: on a
     /// misprediction, merge the sample's planes into the true class's
     /// pending counter and into the predicted class's counter of
     /// subtracted samples. Bit-identical to
@@ -460,7 +390,7 @@ impl OnlineLearner {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`OnlineLearner::feedback`], with
+    /// Same conditions as [`OnlineLearner::feedback_sums`], with
     /// [`HdcError::DimensionMismatch`] for a wrong-dimension sample.
     pub fn feedback_accumulator(
         &mut self,
@@ -469,7 +399,7 @@ impl OnlineLearner {
         label: usize,
     ) -> Result<bool, HdcError> {
         self.check_dim(sample.dim() as usize)?;
-        // Same ordering as `feedback`: reject before mutating.
+        // Same ordering as `feedback_sums`: reject before mutating.
         self.check_predicted(predicted)?;
         if predicted == label {
             return Ok(false);
@@ -506,27 +436,44 @@ mod tests {
     use super::*;
     use crate::encoder::uhd::{UhdConfig, UhdEncoder};
     use crate::encoder::Encoder;
+    use crate::hypervector::Hypervector;
     use crate::model::LabelledSamples;
     use crate::retrain::retrain;
     use proptest::prelude::*;
     use uhd_lowdisc::rng::Xoshiro256StarStar;
 
-    fn random_encodings(n: usize, dim: u32, seed: u64) -> Vec<Hypervector> {
+    /// A bit-sliced sample of `n` random masks.
+    fn sample_of(n: usize, dim: u32, rng: &mut Xoshiro256StarStar) -> BitSliceAccumulator {
+        let masks = uhd_testutil::random_masks(n, dim, rng);
+        let mut acc = BitSliceAccumulator::new(dim);
+        acc.add_masks(&masks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        acc
+    }
+
+    /// `n` samples of 17 random masks each (odd, so no sum is zero).
+    fn random_samples(n: usize, dim: u32, seed: u64) -> Vec<BitSliceAccumulator> {
         let mut rng = Xoshiro256StarStar::seeded(seed);
-        (0..n).map(|_| Hypervector::random(dim, &mut rng)).collect()
+        (0..n).map(|_| sample_of(17, dim, &mut rng)).collect()
+    }
+
+    /// The ±1 view of a binarized encoding.
+    fn bipolar(encoding: &Hypervector) -> Vec<i64> {
+        (0..encoding.dim())
+            .map(|i| if encoding.bit(i) { 1 } else { -1 })
+            .collect()
     }
 
     #[test]
     fn cold_start_observe_matches_manual_bundling() {
         let dim = 200u32;
-        let encodings = random_encodings(30, dim, 1);
+        let samples = random_samples(30, dim, 1);
         let mut learner = OnlineLearner::new(dim).unwrap();
         let mut expected = vec![vec![0i64; dim as usize]; 3];
-        for (i, enc) in encodings.iter().enumerate() {
+        for (i, sample) in samples.iter().enumerate() {
             let label = i % 3;
-            learner.observe(enc, label).unwrap();
-            for (j, slot) in expected[label].iter_mut().enumerate() {
-                *slot += if enc.bit(j as u32) { 1 } else { -1 };
+            learner.observe_accumulator(sample, label).unwrap();
+            for (slot, d) in expected[label].iter_mut().zip(sample.bipolar_sums()) {
+                *slot += d;
             }
         }
         assert_eq!(learner.classes(), 3);
@@ -571,11 +518,12 @@ mod tests {
         let (refined, history) = retrain(&model, &encodings, &labels, 1).unwrap();
         assert!(history[0].mistakes > 0, "fixture must leave mistakes");
 
-        // Streaming: the same predictions, fed through feedback().
+        // Streaming: the same predictions, fed through feedback_sums()
+        // as the ±1 view of each encoding.
         let mut learner = OnlineLearner::from_model(&model);
         for (e, &label) in encodings.iter().zip(&labels) {
             let (pred, _) = model.classify_encoded(e).unwrap();
-            learner.feedback(e, pred, label).unwrap();
+            learner.feedback_sums(&bipolar(e), pred, label).unwrap();
         }
         assert_eq!(learner.corrections(), history[0].mistakes as u64);
         let snap = learner.snapshot().unwrap();
@@ -630,36 +578,14 @@ mod tests {
     }
 
     #[test]
-    fn integer_and_binarized_feedback_share_the_kernel() {
-        // feedback_sums with ±1 vectors must coincide with feedback on
-        // the corresponding binarized encoding: one kernel, two
-        // adapters.
-        let dim = 200u32;
-        let encodings = random_encodings(6, dim, 23);
-        let mut a = OnlineLearner::new(dim).unwrap();
-        let mut b = OnlineLearner::new(dim).unwrap();
-        for (i, e) in encodings.iter().take(2).enumerate() {
-            a.observe(e, i).unwrap();
-            b.observe(e, i).unwrap();
-        }
-        for e in &encodings[2..] {
-            let bipolar: Vec<i64> = (0..dim).map(|i| if e.bit(i) { 1 } else { -1 }).collect();
-            assert!(a.feedback(e, 0, 1).unwrap());
-            assert!(b.feedback_sums(&bipolar, 0, 1).unwrap());
-        }
-        assert_eq!(a.class_sums(), b.class_sums());
-        assert_eq!(a.corrections(), b.corrections());
-    }
-
-    #[test]
     fn correct_feedback_is_a_no_op() {
         let dim = 128u32;
-        let encodings = random_encodings(4, dim, 9);
+        let samples = random_samples(4, dim, 9);
         let mut learner = OnlineLearner::new(dim).unwrap();
-        learner.observe(&encodings[0], 0).unwrap();
-        learner.observe(&encodings[1], 1).unwrap();
+        learner.observe_accumulator(&samples[0], 0).unwrap();
+        learner.observe_accumulator(&samples[1], 1).unwrap();
         let before = learner.class_sums().to_vec();
-        assert!(!learner.feedback(&encodings[2], 1, 1).unwrap());
+        assert!(!learner.feedback_accumulator(&samples[2], 1, 1).unwrap());
         assert_eq!(learner.class_sums(), before.as_slice());
         assert_eq!(learner.corrections(), 0);
     }
@@ -667,41 +593,41 @@ mod tests {
     #[test]
     fn admits_new_classes_at_runtime() {
         let dim = 128u32;
-        let encodings = random_encodings(3, dim, 11);
+        let samples = random_samples(3, dim, 11);
         let mut learner = OnlineLearner::new(dim).unwrap();
-        learner.observe(&encodings[0], 0).unwrap();
+        learner.observe_accumulator(&samples[0], 0).unwrap();
         assert_eq!(learner.classes(), 1);
         // A label with a gap admits the intermediate classes empty.
-        learner.observe(&encodings[1], 3).unwrap();
+        learner.observe_accumulator(&samples[1], 3).unwrap();
         assert_eq!(learner.classes(), 4);
         let model = learner.snapshot().unwrap();
         assert_eq!(model.classes(), 4);
         // Never-observed classes binarize to all ones (zero sums).
         assert_eq!(model.class_hypervectors()[1].count_plus_ones(), dim);
         // Its own encoding is recovered.
-        assert_eq!(model.classify_encoded(&encodings[1]).unwrap().0, 3);
+        assert_eq!(model.classify_encoded(&samples[1].binarize()).unwrap().0, 3);
     }
 
     #[test]
     fn admission_cap_and_bad_inputs_are_rejected() {
         let dim = 64u32;
-        let encodings = random_encodings(2, dim, 13);
+        let samples = random_samples(2, dim, 13);
         assert!(OnlineLearner::new(0).is_err());
         let mut learner = OnlineLearner::new(dim).unwrap().with_max_classes(2);
-        learner.observe(&encodings[0], 0).unwrap();
+        learner.observe_accumulator(&samples[0], 0).unwrap();
         assert!(matches!(
-            learner.observe(&encodings[0], 2),
+            learner.observe_accumulator(&samples[0], 2),
             Err(HdcError::InvalidTrainingData { .. })
         ));
         // Wrong-dimension encoding.
-        let wrong = Hypervector::ones(32);
+        let wrong = BitSliceAccumulator::new(32);
         assert!(matches!(
-            learner.observe(&wrong, 0),
+            learner.observe_accumulator(&wrong, 0),
             Err(HdcError::DimensionMismatch { .. })
         ));
         // Predicted class never admitted.
         assert!(matches!(
-            learner.feedback(&encodings[1], 1, 0),
+            learner.feedback_accumulator(&samples[1], 1, 0),
             Err(HdcError::InvalidTrainingData { .. })
         ));
         // No classes yet: snapshot is untrained.
@@ -716,21 +642,18 @@ mod tests {
         // class store and later snapshots served phantom all-ones
         // classes.
         let dim = 128u32;
-        let encodings = random_encodings(3, dim, 19);
+        let samples = random_samples(3, dim, 19);
         let mut learner = OnlineLearner::new(dim).unwrap();
-        learner.observe(&encodings[0], 0).unwrap();
-        learner.observe(&encodings[1], 1).unwrap();
+        learner.observe_accumulator(&samples[0], 0).unwrap();
+        learner.observe_accumulator(&samples[1], 1).unwrap();
         let before = learner.class_sums().to_vec();
         // predicted = 7 was never admitted; label = 5 would be new.
         assert!(matches!(
-            learner.feedback(&encodings[2], 7, 5),
+            learner.feedback_accumulator(&samples[2], 7, 5),
             Err(HdcError::InvalidTrainingData { .. })
         ));
-        let bipolar: Vec<i64> = (0..dim)
-            .map(|i| if encodings[2].bit(i) { 1 } else { -1 })
-            .collect();
         assert!(matches!(
-            learner.feedback_sums(&bipolar, 7, 5),
+            learner.feedback_sums(&samples[2].bipolar_sums(), 7, 5),
             Err(HdcError::InvalidTrainingData { .. })
         ));
         assert_eq!(learner.classes(), 2, "no phantom classes admitted");
@@ -738,7 +661,7 @@ mod tests {
         assert_eq!(learner.observed(), 2);
         // A valid new-label feedback against a known prediction still
         // admits the new class.
-        assert!(learner.feedback(&encodings[2], 0, 5).unwrap());
+        assert!(learner.feedback_accumulator(&samples[2], 0, 5).unwrap());
         assert_eq!(learner.classes(), 6);
     }
 
@@ -748,10 +671,7 @@ mod tests {
 
     fn random_sample(dim: u32, rng: &mut Xoshiro256StarStar) -> BitSliceAccumulator {
         let n = SAMPLE_TOTALS[rng.next_below(SAMPLE_TOTALS.len() as u64) as usize];
-        let masks = uhd_testutil::random_masks(n, dim, rng);
-        let mut acc = BitSliceAccumulator::new(dim);
-        acc.add_masks(&masks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        acc
+        sample_of(n, dim, rng)
     }
 
     proptest! {
@@ -825,10 +745,10 @@ mod tests {
     #[test]
     fn warm_start_continues_from_model_sums() {
         let dim = 256u32;
-        let encodings = random_encodings(8, dim, 17);
+        let samples = random_samples(8, dim, 17);
         let mut cold = OnlineLearner::new(dim).unwrap();
-        for (i, e) in encodings.iter().enumerate() {
-            cold.observe(e, i % 2).unwrap();
+        for (i, sample) in samples.iter().enumerate() {
+            cold.observe_accumulator(sample, i % 2).unwrap();
         }
         let model = cold.snapshot().unwrap();
         let mut warm = OnlineLearner::from_model(&model);

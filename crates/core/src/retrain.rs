@@ -11,6 +11,7 @@
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::model::HdcModel;
+use crate::online::apply_correction_with;
 
 /// Outcome of one retraining epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +20,11 @@ pub struct RetrainEpoch {
     pub mistakes: usize,
     /// Samples seen.
     pub samples: usize,
+}
+
+/// The ±1 contribution stream of a binarized encoding.
+fn bipolar_deltas(encoding: &Hypervector) -> impl Iterator<Item = i64> + '_ {
+    (0..encoding.dim()).map(|i| if encoding.bit(i) { 1 } else { -1 })
 }
 
 /// Run `epochs` retraining passes over pre-encoded training hypervectors.
@@ -77,9 +83,9 @@ pub fn retrain(
             if pred != label {
                 mistakes += 1;
                 // The same perceptron-correction kernel the streaming
-                // `OnlineLearner::feedback` path uses, so the batched
-                // and online update rules cannot drift apart.
-                crate::online::apply_correction(&mut sums, enc, label, pred);
+                // `OnlineLearner::feedback_sums` path uses, so the
+                // batched and online update rules cannot drift apart.
+                apply_correction_with(&mut sums, bipolar_deltas(enc), label, pred);
                 // Re-binarize lazily: rebuild the model once per epoch for
                 // determinism (batch update), matching AdaptHD's batched
                 // variant.

@@ -65,39 +65,6 @@ pub fn cosine_int(a: &[i64], b: &[i64]) -> Result<f64, HdcError> {
     Ok(dot / (na.sqrt() * nb.sqrt()))
 }
 
-/// [`cosine_int`] of `a` against the bipolar view of `b` (+1 where a
-/// bit is set, −1 elsewhere), read straight from `b`'s packed words.
-/// Bit-identical to building that ±1 vector and calling [`cosine_int`]:
-/// each product `x · ±1` is exact, and `b`'s squared norm sums 1.0 once
-/// per dimension, which is exactly `D`.
-///
-/// # Errors
-///
-/// [`HdcError::DimensionMismatch`] if `a.len()` differs from `b`'s
-/// dimension.
-pub(crate) fn cosine_int_bipolar(a: &[i64], b: &Hypervector) -> Result<f64, HdcError> {
-    if a.len() != b.dim() as usize {
-        return Err(HdcError::DimensionMismatch {
-            left: a.len() as u32,
-            right: b.dim(),
-        });
-    }
-    let mut dot = 0f64;
-    let mut na = 0f64;
-    for (chunk, &word) in a.chunks(64).zip(b.words()) {
-        for (j, &x) in chunk.iter().enumerate() {
-            let xf = x as f64;
-            dot += if (word >> j) & 1 == 1 { xf } else { -xf };
-            na += xf * xf;
-        }
-    }
-    let nb = f64::from(b.dim());
-    if na == 0.0 || nb == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(dot / (na.sqrt() * nb.sqrt()))
-}
-
 /// Normalized Hamming similarity: fraction of agreeing dimensions.
 ///
 /// Uses the packed [`Hypervector::hamming_distance`] fast path
@@ -135,7 +102,7 @@ pub fn classify(query: &Hypervector, candidates: &[Hypervector]) -> Result<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uhd_lowdisc::rng::{UniformSource, Xoshiro256StarStar};
+    use uhd_lowdisc::rng::Xoshiro256StarStar;
 
     #[test]
     fn cosine_bounds_and_symmetry() {
@@ -169,37 +136,6 @@ mod tests {
         let c1 = cosine(&a, &b).unwrap();
         let c2 = cosine_int(&ai, &bi).unwrap();
         assert!((c1 - c2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_int_bipolar_is_bit_identical_to_cosine_int() {
-        let mut rng = Xoshiro256StarStar::seeded(6);
-        let big = i64::MAX >> 1;
-        for dim in [1u32, 63, 64, 65, 300, 2048] {
-            let hv = Hypervector::random(dim, &mut rng);
-            let bipolar: Vec<i64> = (0..dim).map(|i| if hv.bit(i) { 1 } else { -1 }).collect();
-            let queries = [
-                (0..dim).map(|i| i64::from(i % 7) - 3).collect::<Vec<i64>>(),
-                (0..dim)
-                    .map(|_| (rng.next_unit() * 2e9) as i64 - 1_000_000_000)
-                    .collect(),
-                (0..dim)
-                    .map(|i| if i % 2 == 0 { big } else { -big + 1 })
-                    .collect(),
-                vec![0; dim as usize],
-            ];
-            for query in queries {
-                assert_eq!(
-                    cosine_int_bipolar(&query, &hv).unwrap().to_bits(),
-                    cosine_int(&query, &bipolar).unwrap().to_bits(),
-                    "dim {dim}"
-                );
-            }
-            assert!(matches!(
-                cosine_int_bipolar(&bipolar[1..], &hv),
-                Err(HdcError::DimensionMismatch { .. })
-            ));
-        }
     }
 
     #[test]

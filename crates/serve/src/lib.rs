@@ -13,15 +13,15 @@
 //!   one of `shards` permits and answers on the calling thread; each
 //!   permit owns the bundling accumulator and distance buffer its
 //!   requests reuse, so a request allocates only its encoded query
-//!   (the bipolar sums in the integer modes) and any encoder staging,
+//!   (the bipolar sums in the integer mode) and any encoder staging,
 //!   and crosses no thread boundary. A caller finding every permit out
 //!   waits in line, and the line is capped by exact load shedding.
 //! * **Micro-batching** — [`ModelRegistry::classify_many`] answers
 //!   chunks of up to `max_batch` samples under one permit and one
 //!   model snapshot each, fanned out over at most `shards` scoped
 //!   threads.
-//! * **Bit-sliced associative memory** — every query is answered
-//!   through [`uhd_core::AssociativeMemory`]: class hypervectors
+//! * **Bit-sliced associative memory** — every binarized query is
+//!   answered through [`uhd_core::AssociativeMemory`]: class hypervectors
 //!   transposed into contiguous per-plane `u64` words so one streaming
 //!   XOR+popcount pass yields the distance to *all* classes, instead
 //!   of per-class scans.

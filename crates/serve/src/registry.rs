@@ -6,7 +6,7 @@
 //! `shards` permits (each owning a bundling accumulator and distance
 //! buffer that its requests reuse, so a request takes no second lock and
 //! allocates only its encoded query, the bipolar sums in the integer
-//! modes, and whatever staging its encoder needs), encodes and
+//! mode, and whatever staging its encoder needs), encodes and
 //! searches, and hands the permit back. The permits are
 //! shared by every tenant. Each tenant owns
 //!
@@ -68,9 +68,9 @@ pub struct ServeConfig {
     /// Inference mode requests are answered in.
     /// [`InferenceMode::BinarizedQuery`] (the default) is the
     /// hardware-faithful fast path through the bit-sliced associative
-    /// memory; the integer modes trade throughput for the accuracy of
-    /// non-quantized similarity (see `DESIGN.md` §4 on why dark, sparse
-    /// datasets need them).
+    /// memory; [`InferenceMode::IntegerBoth`] trades throughput for the
+    /// accuracy of non-quantized similarity (see the [`InferenceMode`]
+    /// docs on why dark, sparse datasets need it).
     pub mode: InferenceMode,
     /// Publish a rebinarized model snapshot after this many applied
     /// learning updates per tenant. [`ModelRegistry::publish`] forces
@@ -1051,22 +1051,21 @@ mod tests {
 
     #[test]
     fn integer_mode_matches_serial_default_classify() {
-        for mode in [InferenceMode::IntegerQuery, InferenceMode::IntegerBoth] {
-            let (encoder, model, images, _) = uhd_fixture(256);
-            let serial: Vec<(usize, f64)> = images
-                .iter()
-                .map(|img| model.classify_with(&encoder, img, mode).unwrap())
-                .collect();
-            let registry = one_tenant(
-                ServeConfig::new(2, 4).with_mode(mode),
-                Arc::new(encoder),
-                model,
-            );
-            let responses = registry.classify_many("t", &images).unwrap();
-            for (response, serial) in responses.iter().zip(&serial) {
-                assert_eq!(response.class, serial.0, "{mode:?}");
-                assert_eq!(response.score.to_bits(), serial.1.to_bits(), "{mode:?}");
-            }
+        let mode = InferenceMode::IntegerBoth;
+        let (encoder, model, images, _) = uhd_fixture(256);
+        let serial: Vec<(usize, f64)> = images
+            .iter()
+            .map(|img| model.classify_with(&encoder, img, mode).unwrap())
+            .collect();
+        let registry = one_tenant(
+            ServeConfig::new(2, 4).with_mode(mode),
+            Arc::new(encoder),
+            model,
+        );
+        let responses = registry.classify_many("t", &images).unwrap();
+        for (response, serial) in responses.iter().zip(&serial) {
+            assert_eq!(response.class, serial.0);
+            assert_eq!(response.score.to_bits(), serial.1.to_bits());
         }
     }
 

@@ -74,11 +74,7 @@ fn classify_into_on_reused_scratch_matches_classify_with() {
     // into the next answer.
     let mut scratch = BitSliceAccumulator::new(enc.dim());
     let mut dists = Vec::new();
-    for mode in [
-        InferenceMode::BinarizedQuery,
-        InferenceMode::IntegerQuery,
-        InferenceMode::IntegerBoth,
-    ] {
+    for mode in [InferenceMode::BinarizedQuery, InferenceMode::IntegerBoth] {
         for img in test.images() {
             let reused = model
                 .classify_into(&enc, img, mode, &mut scratch, &mut dists)

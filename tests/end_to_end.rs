@@ -92,11 +92,7 @@ fn inference_modes_all_run() {
     let enc = UhdEncoder::new(UhdConfig::new(512, train.pixels())).unwrap();
     let te = labelled(&test);
     let model = HdcModel::train(&enc, labelled(&train), train.classes()).unwrap();
-    for mode in [
-        InferenceMode::IntegerBoth,
-        InferenceMode::IntegerQuery,
-        InferenceMode::BinarizedQuery,
-    ] {
+    for mode in [InferenceMode::IntegerBoth, InferenceMode::BinarizedQuery] {
         let acc = model.evaluate_with(&enc, te, mode).unwrap();
         assert!((0.0..=1.0).contains(&acc), "{mode:?}");
     }

@@ -257,16 +257,20 @@ fn learner_state_round_trips_through_bytes() {
     let dim = 512u32;
     let (train, _) = generate(SynthSpec::new(SyntheticKind::Mnist, 120, 10, 7)).expect("generate");
     let encoder = UhdEncoder::new(UhdConfig::new(dim, train.pixels())).unwrap();
-    let encodings: Vec<_> = train
+    let samples: Vec<_> = train
         .images()
         .iter()
-        .map(|img| encoder.encode(img).unwrap())
+        .map(|img| {
+            let mut acc = uhd::core::BitSliceAccumulator::new(dim);
+            encoder.accumulate(img, &mut acc).unwrap();
+            acc
+        })
         .collect();
 
     // Build up some online state.
     let mut original = OnlineLearner::new(dim).unwrap();
-    for (enc, &label) in encodings[..60].iter().zip(&train.labels()[..60]) {
-        original.observe(enc, label).unwrap();
+    for (sample, &label) in samples[..60].iter().zip(&train.labels()[..60]) {
+        original.observe_accumulator(sample, label).unwrap();
     }
 
     // Checkpoint through the serialized model form.
@@ -282,12 +286,19 @@ fn learner_state_round_trips_through_bytes() {
 
     // Resume learning on both sides with the identical stream.
     let mut restored = OnlineLearner::from_model(&restored_model);
-    for (enc, &label) in encodings[60..].iter().zip(&train.labels()[60..]) {
-        original.observe(enc, label).unwrap();
-        restored.observe(enc, label).unwrap();
-        let predicted = restored_model.classify_encoded(enc).unwrap().0;
-        original.feedback(enc, predicted, label).unwrap();
-        restored.feedback(enc, predicted, label).unwrap();
+    for (sample, &label) in samples[60..].iter().zip(&train.labels()[60..]) {
+        original.observe_accumulator(sample, label).unwrap();
+        restored.observe_accumulator(sample, label).unwrap();
+        let predicted = restored_model
+            .classify_encoded(&sample.binarize())
+            .unwrap()
+            .0;
+        original
+            .feedback_accumulator(sample, predicted, label)
+            .unwrap();
+        restored
+            .feedback_accumulator(sample, predicted, label)
+            .unwrap();
     }
     let a = original.snapshot().unwrap();
     let b = restored.snapshot().unwrap();

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, LabelledSamples};
+use uhd::core::online::OnlineLearner;
 use uhd::core::snapshot;
 use uhd::core::{Encoder, HdcError};
 use uhd::lowdisc::rng::Xoshiro256StarStar;
@@ -98,6 +99,30 @@ fn set_padding_bits_are_rejected() {
     assert!(!check_decode(&bytes));
 }
 
+/// Every class bit is the sign of its class sum. A snapshot with one
+/// bit flipped and its sum kept is rejected: accepted, it served one
+/// set of class bits until a learner warm-started from it re-derived
+/// the other at its first snapshot.
+#[test]
+fn flipped_class_bits_are_rejected() {
+    let good = model(0).to_bytes();
+    let wc = DIM.div_ceil(64) as usize;
+    for class in 0..3 {
+        for bit in 0..DIM as usize {
+            let mut bytes = good.clone();
+            bytes[16 + class * wc * 8 + bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                !check_decode(&bytes),
+                "class {class} bit {bit} flipped and decoded"
+            );
+        }
+    }
+    // An honest snapshot survives a warm-started learner unchanged.
+    let decoded = HdcModel::from_bytes(&good).unwrap();
+    let relearned = OnlineLearner::from_model(&decoded).snapshot().unwrap();
+    assert_eq!(relearned.to_bytes(), good);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -108,15 +133,17 @@ proptest! {
     }
 
     /// Random payloads behind a well-formed header, with the length
-    /// exact or a few bytes off: exercises the sizing, padding and
-    /// word-decode paths that garbage never reaches.
+    /// exact or a few bytes off: exercises the sizing and decode paths
+    /// that garbage never reaches. An exact-length payload decodes iff
+    /// every class's words are the signs of its sums (ties positive,
+    /// padding clear); with `signed_words` they are rewritten so.
     #[test]
     fn random_payload_behind_valid_header(
         seed in any::<u64>(),
         dim in 1u32..=200,
         classes in 1u32..=4,
         slack in 0usize..=16,
-        clear_padding in any::<bool>(),
+        signed_words in any::<bool>(),
     ) {
         let wc = dim.div_ceil(64) as usize;
         let exact = classes as usize * (wc * 8 + dim as usize * 8);
@@ -124,18 +151,28 @@ proptest! {
         // or long.
         let len = (exact + slack).saturating_sub(8);
         let mut payload = random_bytes(seed, len);
-        if clear_padding && !dim.is_multiple_of(64) {
-            for class in 0..classes as usize {
-                let last = (class * wc + wc - 1) * 8;
-                if last + 8 <= payload.len() {
-                    let word = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
-                    let clear = word & ((1u64 << (dim % 64)) - 1);
-                    payload[last..last + 8].copy_from_slice(&clear.to_le_bytes());
+        let mut signs_match = len == exact;
+        if len == exact {
+            let (words, sums) = payload.split_at_mut(classes as usize * wc * 8);
+            for (class_words, class_sums) in words
+                .chunks_exact_mut(wc * 8)
+                .zip(sums.chunks_exact(dim as usize * 8))
+            {
+                // Little-endian words: bit i lives in byte i / 8.
+                let mut signs = vec![0u8; wc * 8];
+                for (i, sum) in class_sums.chunks_exact(8).enumerate() {
+                    if i64::from_le_bytes(sum.try_into().unwrap()) >= 0 {
+                        signs[i / 8] |= 1 << (i % 8);
+                    }
                 }
+                if signed_words {
+                    class_words.copy_from_slice(&signs);
+                }
+                signs_match &= class_words == signs.as_slice();
             }
         }
         let decoded = check_decode(&with_header(1, dim, classes, &payload));
-        prop_assert_eq!(decoded, len == exact && (clear_padding || dim.is_multiple_of(64)));
+        prop_assert_eq!(decoded, signs_match);
     }
 
     /// Single-byte mutations of a valid encoding, anywhere in it.
