@@ -3,7 +3,8 @@
 #
 #   ./ci.sh            fmt check, clippy -D warnings (workspace +
 #                      wirebench), release build (workspace +
-#                      wirebench), full test suite, the kernel and
+#                      wirebench), the committed BENCH_*.json checked
+#                      as full runs, full test suite, the kernel and
 #                      lit-pixel suites under UHD_KERNEL=avx2 / scalar,
 #                      uhd-core tests on its own features,
 #                      rustdoc -D warnings, bench compile check
@@ -46,6 +47,12 @@ cargo build --release
 # public-API change that breaks the benchmark driver fails here.
 step "cargo build --release (wirebench)"
 cargo build --release --offline --manifest-path wirebench/Cargo.toml
+
+# The committed perf trajectory in the repo root: well-formed, every
+# gate key present, and from a full run ("quick": false), so a quick
+# run's output cannot be committed unnoticed.
+step "validate committed BENCH_*.json"
+env -u UHD_BENCH_QUICK cargo run --release -q -p uhd-bench --bin validate_bench
 
 step "cargo test -q"
 cargo test -q

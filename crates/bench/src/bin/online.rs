@@ -218,7 +218,7 @@ fn render_report(r: &Report) -> String {
     // arrival→answer.
     writeln!(
         out,
-        "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",
+        "  \"registry_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",
         r.mixed_stats.p50_us, r.mixed_stats.p99_us, r.mixed_stats.queue_depth_hw
     )
     .unwrap();

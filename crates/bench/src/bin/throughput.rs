@@ -301,22 +301,26 @@ fn iqr(values: &[f64]) -> f64 {
     quantile(0.75) - quantile(0.25)
 }
 
-/// Run `measure(side)` for sides 0 and 1 in pairs, the order flipped
-/// every pair, until each side has run for `span` over at least
+/// Run `measure(&state, side)` for sides 0 and 1 in pairs, the order
+/// flipped every pair, until each side has run for `span` over at least
 /// `min_pairs` pairs, and return each side's results in run order.
-fn alternate(
+/// Each pair first builds its `state` with `setup(order)`, given the
+/// pair's two sides in run order, and drops it when the pair ends.
+fn alternate<S>(
     span: Duration,
     min_pairs: usize,
-    mut measure: impl FnMut(usize) -> f64,
+    mut setup: impl FnMut([usize; 2]) -> S,
+    mut measure: impl FnMut(&S, usize) -> f64,
 ) -> [Vec<f64>; 2] {
     let mut results: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     let mut spent = [Duration::ZERO; 2];
     while results[0].len() < min_pairs || spent.iter().any(|&s| s < span) {
         let pair = results[0].len();
-        for step in 0..2 {
-            let side = (pair + step) % 2;
+        let order = [pair % 2, (pair + 1) % 2];
+        let state = setup(order);
+        for side in order {
             let t0 = Instant::now();
-            results[side].push(measure(side));
+            results[side].push(measure(&state, side));
             spent[side] += t0.elapsed();
         }
     }
@@ -328,10 +332,12 @@ fn alternate(
 /// gauges, staged timing) vs a no-op recorder. Waves run in pairs, one
 /// per mode, with the order flipped every pair, until each mode has run
 /// for [`OVERHEAD_SPAN`] over at least [`OVERHEAD_PAIRS`] pairs (one
-/// pair in quick mode). The overhead is the median of the per-pair
-/// ratios: each pair's two waves share the host's state at that
-/// moment, and a wave that scheduler noise slows moves one pair, not
-/// the estimate. The reported rates are each mode's median wave.
+/// pair in quick mode). Each pair builds both registries afresh, in
+/// its run order, so neither mode keeps the first-built registry (or
+/// its warm-up) for the whole run. The overhead is the median of the
+/// per-pair ratios: each pair's two waves share the host's state at
+/// that moment, and a wave that scheduler noise slows moves one pair,
+/// not the estimate. The reported rates are each mode's median wave.
 fn obs_overhead_bench(
     quick: bool,
     best: &SweepPoint,
@@ -345,11 +351,23 @@ fn obs_overhead_bench(
         (OVERHEAD_SPAN, OVERHEAD_PAIRS)
     };
     // Index 0: no-op recorder; index 1: live telemetry.
-    let registries = [false, true].map(|telemetry| {
-        let config = ServeConfig::new(best.shards, best.max_batch).with_telemetry(telemetry);
+    let build = |mode: usize| {
+        let config = ServeConfig::new(best.shards, best.max_batch).with_telemetry(mode == 1);
         one_tenant(config, encoder.clone(), model)
-    });
-    let rates = alternate(span, min_pairs, |mode| wave_rate(&registries[mode], images));
+    };
+    let rates = alternate(
+        span,
+        min_pairs,
+        |[first, second]| {
+            let (a, b) = (build(first), build(second));
+            if first == 0 {
+                [a, b]
+            } else {
+                [b, a]
+            }
+        },
+        |registries, mode| wave_rate(&registries[mode], images),
+    );
     let [noop, instrumented] = &rates;
     let overheads: Vec<f64> = noop
         .iter()
@@ -493,15 +511,20 @@ fn serial_baselines(
         (SERIAL_SPAN, SERIAL_PASSES)
     };
     let modes = [InferenceMode::default(), InferenceMode::BinarizedQuery];
-    let rates = alternate(span, min_passes, |side| {
-        let t0 = Instant::now();
-        for image in images {
-            let _ = model
-                .classify_with(encoder, image, modes[side])
-                .expect("classify");
-        }
-        images.len() as f64 / t0.elapsed().as_secs_f64()
-    });
+    let rates = alternate(
+        span,
+        min_passes,
+        |_| (),
+        |(), side| {
+            let t0 = Instant::now();
+            for image in images {
+                let _ = model
+                    .classify_with(encoder, image, modes[side])
+                    .expect("classify");
+            }
+            images.len() as f64 / t0.elapsed().as_secs_f64()
+        },
+    );
     rates.map(|r| SerialRate {
         median: median(&r),
         iqr: iqr(&r),
@@ -557,7 +580,7 @@ struct Workload {
 /// per-workload throughput, and the kernel microbench.
 struct Measurements<'a> {
     latencies: &'a Latencies,
-    engine_stats: &'a uhd_serve::StatsSnapshot,
+    registry_stats: &'a uhd_serve::StatsSnapshot,
     obs: &'a ObsOverhead,
     workloads: &'a [WorkloadThroughput],
     remat: &'a RematResult,
@@ -614,7 +637,7 @@ fn render_report(
 ) -> String {
     let Measurements {
         latencies,
-        engine_stats,
+        registry_stats,
         obs,
         workloads,
         remat,
@@ -669,8 +692,8 @@ fn render_report(
     // histograms (arrival→answer, so the wait for a permit is included).
     writeln!(
         out,
-        "  \"engine_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",
-        engine_stats.p50_us, engine_stats.p99_us, engine_stats.queue_depth_hw
+        "  \"registry_latency\": {{\"p50_us\": {}, \"p99_us\": {}, \"queue_depth_hw\": {}}},",
+        registry_stats.p50_us, registry_stats.p99_us, registry_stats.queue_depth_hw
     )
     .unwrap();
     writeln!(
@@ -766,7 +789,7 @@ fn main() {
         let _ = registry.classify(TENANT, image).expect("classify");
         latencies.record(t0.elapsed());
     }
-    let engine_stats = registry.stats();
+    let registry_stats = registry.stats();
     drop(registry);
 
     // --- Instrumentation overhead: telemetry on vs no-op recorder. ---
@@ -802,7 +825,7 @@ fn main() {
         best,
         &Measurements {
             latencies: &latencies,
-            engine_stats: &engine_stats,
+            registry_stats: &registry_stats,
             obs: &obs,
             workloads: &workloads,
             remat: &remat,

@@ -3,15 +3,19 @@
 //! exit) unless both are well-formed and carry every required key.
 //!
 //! Run: `cargo run --release -p uhd-bench --bin validate_bench` checks
-//! the committed files in the repository root; under `UHD_BENCH_QUICK`
-//! it checks the quick-run copies in `target/bench-quick/`.
+//! the committed files in the repository root, which must come from
+//! full runs (`"quick": false`); under `UHD_BENCH_QUICK` it checks the
+//! quick-run copies in `target/bench-quick/`.
 //!
-//! `ci.sh --smoke` runs the two emitting binaries under
-//! `UHD_BENCH_QUICK=1` and then this validator, so a bench that panics
-//! under the SIMD path or emits a malformed document breaks the build
-//! instead of silently rotting the trajectory.
+//! `ci.sh` checks the committed files on every run, so a quick run's
+//! output cannot be committed unnoticed. `ci.sh --smoke` also runs the
+//! two emitting binaries under `UHD_BENCH_QUICK=1` and then this
+//! validator, so a bench that panics under the SIMD path or emits a
+//! malformed document breaks the build instead of silently rotting the
+//! trajectory.
 
 use uhd_bench::json::{parse, Json};
+use uhd_core::kernels::Kernel;
 
 /// Keys every trajectory file must carry at the top level.
 const COMMON_KEYS: &[&str] = &["bench", "quick", "machine", "workload", "request_latency"];
@@ -23,7 +27,7 @@ const THROUGHPUT_KEYS: &[&str] = &[
     "serial_binarized_images_per_sec_iqr",
     "sweep",
     "best",
-    "engine_latency",
+    "registry_latency",
     "obs_overhead",
     "workloads",
     "rematerialization",
@@ -42,11 +46,11 @@ const ONLINE_KEYS: &[&str] = &[
     "learn_only_samples_per_sec",
     "mixed_classify_images_per_sec",
     "mixed_learn_samples_per_sec",
-    "engine_latency",
+    "registry_latency",
     "classify_throughput_ratio_under_learning",
 ];
 
-fn check_file(file_name: &str, extra_keys: &[&str], errors: &mut Vec<String>) {
+fn check_file(file_name: &str, extra_keys: &[&str], quick: bool, errors: &mut Vec<String>) {
     let path = uhd_bench::bench_dir().join(file_name);
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
@@ -67,24 +71,30 @@ fn check_file(file_name: &str, extra_keys: &[&str], errors: &mut Vec<String>) {
             errors.push(format!("{file_name}: missing required key \"{key}\""));
         }
     }
+    // The committed trajectory holds full runs only.
+    if !quick && doc.get("quick") != Some(&Json::Bool(false)) {
+        errors.push(format!(
+            "{file_name}: committed trajectory files must come from a full run (\"quick\": false)"
+        ));
+    }
     // The machine block must attribute the numbers to a kernel this
-    // build actually knows about.
+    // build knows about, whether or not this machine can run it.
     let kernel = doc
         .get("machine")
         .and_then(|m| m.get("kernel"))
         .and_then(Json::as_str);
     match kernel {
-        Some(name) if uhd_core::kernels::Kernel::from_name(name).is_some() => {}
+        Some(name) if Kernel::NAMES.contains(&name) => {}
         Some(name) => errors.push(format!(
-            "{file_name}: machine.kernel {name:?} is not an available kernel"
+            "{file_name}: machine.kernel {name:?} is not a known kernel"
         )),
         None => errors.push(format!(
             "{file_name}: machine.kernel missing or not a string"
         )),
     }
     // Latency percentiles must be present, numeric, and ordered —
-    // both the client-side samples and the engine's histogram view.
-    for section in ["request_latency", "engine_latency"] {
+    // both the client-side samples and the registry's histogram view.
+    for section in ["request_latency", "registry_latency"] {
         let lat = doc.get(section);
         let p50 = lat.and_then(|l| l.get("p50_us")).and_then(Json::as_f64);
         let p99 = lat.and_then(|l| l.get("p99_us")).and_then(Json::as_f64);
@@ -204,9 +214,10 @@ fn check_encode_layers(file_name: &str, layers: &Json, errors: &mut Vec<String>)
 }
 
 fn main() {
+    let quick = uhd_bench::env_flag("UHD_BENCH_QUICK");
     let mut errors = Vec::new();
-    check_file("BENCH_throughput.json", THROUGHPUT_KEYS, &mut errors);
-    check_file("BENCH_online.json", ONLINE_KEYS, &mut errors);
+    check_file("BENCH_throughput.json", THROUGHPUT_KEYS, quick, &mut errors);
+    check_file("BENCH_online.json", ONLINE_KEYS, quick, &mut errors);
     if errors.is_empty() {
         println!("BENCH_throughput.json and BENCH_online.json are well-formed");
     } else {

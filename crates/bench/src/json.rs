@@ -8,8 +8,15 @@
 //! leniencies the bench emitters never produce anyway (no `\u` escapes
 //! beyond the BMP pair logic — surrogate pairs are rejected — and no
 //! leading `+` in numbers, which standard JSON also rejects).
+//!
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep, so a hostile
+//! `[[[[…` document is an `Err`, not a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`parse`] accepts, far past the few
+/// levels the bench reports and metrics exports use.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,11 +78,12 @@ impl Json {
 ///
 /// # Errors
 ///
-/// A human-readable description with a byte offset on malformed input.
+/// A human-readable description with a byte offset on malformed input
+/// or on nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -89,12 +97,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` counts the arrays and objects around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -156,12 +169,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'u' => {
                         let hex = bytes
                             .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "invalid \\u escape")?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .ok_or_else(|| "truncated or invalid \\u escape".to_string())?;
+                        let code = u32::from_str_radix(hex, 16)
+                            .map_err(|_| "invalid \\u escape".to_string())?;
                         *pos += 4;
                         out.push(
                             char::from_u32(code)
@@ -172,18 +184,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the emitters write UTF-8).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().expect("nonempty by match arm");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape in one
+                // step. Those two bytes are ASCII, so they never split
+                // a UTF-8 character: the run is whole characters of
+                // the `&str` input, and each byte is visited once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(
+                    std::str::from_utf8(&bytes[*pos..end])
+                        .map_err(|_| "invalid UTF-8 in string".to_string())?,
+                );
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -202,7 +221,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -216,7 +235,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -225,7 +244,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,

@@ -45,13 +45,13 @@ pub fn machine_json() -> String {
 /// Per-request latency samples with percentile readout.
 ///
 /// Backed by the same lock-free log-linear [`uhd_obs::Histogram`] the
-/// serving engine reports its live quantiles from, so `BENCH_*.json`
+/// serving registry reports its live quantiles from, so `BENCH_*.json`
 /// p50/p99 and `StatsSnapshot::p50_us` come from one quantile
 /// implementation. Percentiles carry the histogram's bounded relative
 /// error ([`uhd_obs::RELATIVE_ERROR`], ≈ 3.1 %) instead of the old
-/// sort-the-samples exactness — a trade made on purpose: the engine
+/// sort-the-samples exactness — a trade made on purpose: the registry
 /// cannot afford to retain every sample, and the bench should measure
-/// what the engine ships.
+/// what the registry ships.
 #[derive(Debug, Default)]
 pub struct Latencies {
     histogram: uhd_obs::Histogram,
@@ -187,7 +187,7 @@ mod tests {
             lat.record(Duration::from_secs_f64(us / 1e6));
         }
         // The log-linear buckets bound the relative error; exactness
-        // was traded for the engine's lock-free histogram on purpose.
+        // was traded for the registry's lock-free histogram on purpose.
         for (p, exact) in [(50.0, 200.0), (99.0, 400.0), (0.0, 100.0)] {
             let got = lat.percentile(p);
             assert!(

@@ -107,6 +107,9 @@ pub struct Kernel {
 }
 
 impl Kernel {
+    /// Every kernel name this build knows, runnable here or not.
+    pub const NAMES: [&'static str; 4] = ["scalar", "avx2", "avx512", "neon"];
+
     /// The process-wide kernel: auto-detected once from CPU features
     /// (honouring a non-empty `UHD_KERNEL` override) and memoized.
     #[must_use]
@@ -154,7 +157,7 @@ impl Kernel {
     /// `scalar`).
     #[must_use]
     pub fn available() -> Vec<Kernel> {
-        ["scalar", "avx2", "avx512", "neon"]
+        Kernel::NAMES
             .iter()
             .filter_map(|name| Kernel::from_name(name))
             .collect()

@@ -159,19 +159,18 @@ impl HdcModel {
         Self::from_accumulators(&merged, encoder.dim())
     }
 
+    /// Build from per-class counters through [`HdcModel::from_class_sums`],
+    /// whose sign rule `2c − T ≥ 0` is the counters' own `c ≥ ⌈T/2⌉`.
     fn from_accumulators(accs: &[BitSliceAccumulator], dim: u32) -> Result<Self, HdcError> {
-        let mut class_hvs = Vec::with_capacity(accs.len());
-        let mut class_sums = Vec::with_capacity(accs.len());
-        for (c, acc) in accs.iter().enumerate() {
-            if acc.total() == 0 {
-                return Err(HdcError::InvalidTrainingData {
-                    reason: format!("class {c} has no training samples"),
-                });
-            }
-            class_hvs.push(acc.binarize());
-            class_sums.push(acc.bipolar_sums());
+        if let Some(c) = accs.iter().position(|acc| acc.total() == 0) {
+            return Err(HdcError::InvalidTrainingData {
+                reason: format!("class {c} has no training samples"),
+            });
         }
-        Self::from_parts(class_hvs, class_sums, dim)
+        Self::from_class_sums(
+            accs.iter().map(BitSliceAccumulator::bipolar_sums).collect(),
+            dim,
+        )
     }
 
     /// Assemble a model and its derived associative memory; every

@@ -17,16 +17,15 @@
 //!   count-to-sum transpose runs once per touched counter and read,
 //!   not once per sample;
 //! * [`OnlineLearner::observe_sums`] bundles the same sample given as
-//!   its *integer* encoding (the bipolar sums `2c − H`). Bundling is
-//!   linear, so both entries are **bit-identical to single-pass batch
-//!   training** continued forever: a learner that streams the training
-//!   set lands on exactly the class sums [`HdcModel::train`] produces;
-//! * [`OnlineLearner::feedback_accumulator`] /
-//!   [`OnlineLearner::feedback_sums`] apply the AdaptHD perceptron
-//!   rule — on a misprediction, add the encoding to the true class and
-//!   subtract it from the predicted one (in the bit-sliced domain, the
-//!   predicted class keeps a second pending counter of subtracted
-//!   samples);
+//!   its *integer* encoding (the bipolar sums `2c − H`), the entry a
+//!   replay of precomputed sums uses. Bundling is linear, so both
+//!   entries are **bit-identical to single-pass batch training**
+//!   continued forever: a learner that streams the training set lands
+//!   on exactly the class sums [`HdcModel::train`] produces;
+//! * [`OnlineLearner::feedback_accumulator`] applies the AdaptHD
+//!   perceptron rule — on a misprediction, add the encoding to the true
+//!   class and subtract it from the predicted one, which keeps a second
+//!   pending counter of subtracted samples;
 //! * labels the learner has never seen **admit new classes at
 //!   runtime** (up to a configurable cap), so a deployed model can
 //!   grow its label space without retraining from scratch;
@@ -36,9 +35,9 @@
 //!   transpose) to run continuously, which is what `uhd-serve` does
 //!   behind its hot model swap.
 //!
-//! The correction kernel here is the *single* implementation shared
-//! with the batched [`crate::retrain`] extension, so the online and
-//! epoch-based paths can never drift apart.
+//! `feedback_accumulator` is the only implementation of the correction
+//! rule: the batched [`crate::retrain`] loop feeds it each mispredicted
+//! encoding as a one-mask counter, whose bipolar sums are the ±1 view.
 
 use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
@@ -47,43 +46,6 @@ use crate::model::HdcModel;
 /// Default cap on runtime class admission (see
 /// [`OnlineLearner::with_max_classes`]).
 pub const DEFAULT_MAX_CLASSES: usize = 4096;
-
-/// The **single** perceptron-correction kernel shared by every update
-/// path: add the per-dimension `deltas` to the `label` accumulator and
-/// subtract them from the `predicted` one, in one zipped pass over
-/// split borrows of the two rows.
-///
-/// The streaming [`OnlineLearner::feedback_sums`] path and the batched
-/// [`crate::retrain::retrain`] loop (with the ±1 deltas of a binarized
-/// encoding) both delegate here, so the update rules cannot drift
-/// apart.
-///
-/// # Panics
-///
-/// Debug-asserts that `label != predicted` and both index into `sums`;
-/// callers validate before dispatching.
-pub(crate) fn apply_correction_with<I: Iterator<Item = i64>>(
-    sums: &mut [Vec<i64>],
-    deltas: I,
-    label: usize,
-    predicted: usize,
-) {
-    debug_assert_ne!(label, predicted, "correction requires a misprediction");
-    debug_assert!(label < sums.len() && predicted < sums.len());
-    // `label != predicted`, so split the class rows to update both in
-    // one zipped pass.
-    let (lo, hi) = (label.min(predicted), label.max(predicted));
-    let (head, tail) = sums.split_at_mut(hi);
-    let (label_row, pred_row) = if label < predicted {
-        (&mut head[lo], &mut tail[0])
-    } else {
-        (&mut tail[0], &mut head[lo])
-    };
-    for ((l, p), delta) in label_row.iter_mut().zip(pred_row.iter_mut()).zip(deltas) {
-        *l += delta;
-        *p -= delta;
-    }
-}
 
 /// One class's samples not yet folded into its `i64` sums: the
 /// bit-sliced counts of the samples added to it and of those
@@ -340,10 +302,10 @@ impl OnlineLearner {
         Ok(())
     }
 
-    /// Apply the AdaptHD perceptron rule for one served prediction, in
-    /// the integer encoding domain: when `predicted != label`, add the
-    /// sample's per-image bipolar sums to the true class and subtract
-    /// them from the predicted one. Returns whether an update was
+    /// Apply the AdaptHD perceptron rule for one served prediction:
+    /// when `predicted != label`, merge the sample's planes into the
+    /// true class's pending counter and into the predicted class's
+    /// counter of subtracted samples. Returns whether an update was
     /// applied (correct predictions leave the accumulators untouched).
     ///
     /// The true `label` may admit a new class; `predicted` must name a
@@ -351,47 +313,10 @@ impl OnlineLearner {
     ///
     /// # Errors
     ///
-    /// * [`HdcError::DimensionMismatch`] for a wrong-length vector.
+    /// * [`HdcError::DimensionMismatch`] for a wrong-dimension sample.
     /// * [`HdcError::InvalidTrainingData`] for a label at or beyond the
     ///   admission cap, or a `predicted` index the learner has never
     ///   admitted.
-    pub fn feedback_sums(
-        &mut self,
-        encoding_sums: &[i64],
-        predicted: usize,
-        label: usize,
-    ) -> Result<bool, HdcError> {
-        self.check_dim(encoding_sums.len())?;
-        // Validate `predicted` *before* admitting `label`: a rejected
-        // sample must leave the learner untouched, or later snapshots
-        // would serve phantom (all-ones) classes it admitted on the
-        // way to the error.
-        self.check_predicted(predicted)?;
-        if predicted == label {
-            return Ok(false);
-        }
-        self.admit(label)?;
-        apply_correction_with(
-            &mut self.class_sums,
-            encoding_sums.iter().copied(),
-            label,
-            predicted,
-        );
-        self.observed += 1;
-        self.corrections += 1;
-        Ok(true)
-    }
-
-    /// [`OnlineLearner::feedback_sums`] on a bit-sliced encoding: on a
-    /// misprediction, merge the sample's planes into the true class's
-    /// pending counter and into the predicted class's counter of
-    /// subtracted samples. Bit-identical to
-    /// `feedback_sums(&sample.bipolar_sums(), predicted, label)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OnlineLearner::feedback_sums`], with
-    /// [`HdcError::DimensionMismatch`] for a wrong-dimension sample.
     pub fn feedback_accumulator(
         &mut self,
         sample: &BitSliceAccumulator,
@@ -399,7 +324,8 @@ impl OnlineLearner {
         label: usize,
     ) -> Result<bool, HdcError> {
         self.check_dim(sample.dim() as usize)?;
-        // Same ordering as `feedback_sums`: reject before mutating.
+        // Check `predicted` before admitting `label`, so a rejected
+        // sample admits no phantom (all-ones) class.
         self.check_predicted(predicted)?;
         if predicted == label {
             return Ok(false);
@@ -436,11 +362,11 @@ mod tests {
     use super::*;
     use crate::encoder::uhd::{UhdConfig, UhdEncoder};
     use crate::encoder::Encoder;
-    use crate::hypervector::Hypervector;
     use crate::model::LabelledSamples;
     use crate::retrain::retrain;
     use proptest::prelude::*;
     use uhd_lowdisc::rng::Xoshiro256StarStar;
+    use uhd_testutil::{bipolar_bits, SumsLearner};
 
     /// A bit-sliced sample of `n` random masks.
     fn sample_of(n: usize, dim: u32, rng: &mut Xoshiro256StarStar) -> BitSliceAccumulator {
@@ -456,11 +382,14 @@ mod tests {
         (0..n).map(|_| sample_of(17, dim, &mut rng)).collect()
     }
 
-    /// The ±1 view of a binarized encoding.
-    fn bipolar(encoding: &Hypervector) -> Vec<i64> {
-        (0..encoding.dim())
-            .map(|i| if encoding.bit(i) { 1 } else { -1 })
-            .collect()
+    /// The snapshot bytes a learner holding the oracle's sums serves
+    /// (`None` before the first class is admitted).
+    fn oracle_snapshot(oracle: &SumsLearner, dim: u32) -> Option<Vec<u8>> {
+        (oracle.classes() > 0).then(|| {
+            HdcModel::from_class_sums(oracle.class_sums().to_vec(), dim)
+                .unwrap()
+                .to_bytes()
+        })
     }
 
     #[test]
@@ -490,9 +419,10 @@ mod tests {
 
     #[test]
     fn feedback_stream_matches_one_retrain_epoch() {
-        // The online feedback path and the batched retrain loop share
-        // one correction kernel; applying the *same* (prediction,
-        // label) pairs one at a time must land on the same model.
+        // The batched retrain loop corrects through the learner's
+        // bit-sliced feedback; the sums-only oracle applying the *same*
+        // (prediction, label) pairs to the ±1 view of each encoding
+        // must land on the same model.
         let pixels = 16usize;
         let dim = 1024u32;
         let enc = UhdEncoder::new(UhdConfig::new(dim, pixels)).unwrap();
@@ -518,15 +448,17 @@ mod tests {
         let (refined, history) = retrain(&model, &encodings, &labels, 1).unwrap();
         assert!(history[0].mistakes > 0, "fixture must leave mistakes");
 
-        // Streaming: the same predictions, fed through feedback_sums()
-        // as the ±1 view of each encoding.
-        let mut learner = OnlineLearner::from_model(&model);
+        // Streaming: the same predictions, fed to the oracle as the ±1
+        // view of each encoding.
+        let mut oracle = SumsLearner::from_sums(model.class_sums().to_vec(), dim as usize, 3);
         for (e, &label) in encodings.iter().zip(&labels) {
             let (pred, _) = model.classify_encoded(e).unwrap();
-            learner.feedback_sums(&bipolar(e), pred, label).unwrap();
+            oracle
+                .feedback(&bipolar_bits(e.words(), dim as usize), pred, label)
+                .unwrap();
         }
-        assert_eq!(learner.corrections(), history[0].mistakes as u64);
-        let snap = learner.snapshot().unwrap();
+        assert_eq!(oracle.corrections(), history[0].mistakes as u64);
+        let snap = HdcModel::from_class_sums(oracle.class_sums().to_vec(), dim).unwrap();
         assert_eq!(snap.class_hypervectors(), refined.class_hypervectors());
         assert_eq!(snap.class_sums(), refined.class_sums());
     }
@@ -652,10 +584,6 @@ mod tests {
             learner.feedback_accumulator(&samples[2], 7, 5),
             Err(HdcError::InvalidTrainingData { .. })
         ));
-        assert!(matches!(
-            learner.feedback_sums(&samples[2].bipolar_sums(), 7, 5),
-            Err(HdcError::InvalidTrainingData { .. })
-        ));
         assert_eq!(learner.classes(), 2, "no phantom classes admitted");
         assert_eq!(learner.class_sums(), before.as_slice());
         assert_eq!(learner.observed(), 2);
@@ -676,12 +604,12 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Random interleavings of the bit-sliced and the integer
-        /// entries — label gaps and labels past the cap, predictions
-        /// past the admitted classes, cold or warm start, and reads in
-        /// the middle of the stream — against a learner fed only
-        /// through `observe_sums`/`feedback_sums`: every outcome, class
-        /// sum and snapshot byte agrees.
+        /// Random interleavings of the learner's entries — label gaps
+        /// and labels past the cap, predictions past the admitted
+        /// classes, cold or warm start, and reads in the middle of the
+        /// stream — against the sums-only oracle fed every sample as
+        /// its bipolar sums: every outcome, class sum and snapshot byte
+        /// agrees.
         #[test]
         fn prop_accumulator_entries_match_a_sums_only_learner(
             dim in 1u32..300,
@@ -690,44 +618,42 @@ mod tests {
             steps in 1usize..40,
         ) {
             let mut rng = Xoshiro256StarStar::seeded(seed);
-            let (subject, reference) = if warm {
+            let width = dim as usize;
+            let (subject, mut reference) = if warm {
                 let mut boot = OnlineLearner::new(dim).unwrap();
                 for label in 0..3 {
                     boot.observe_sums(&random_sample(dim, &mut rng).bipolar_sums(), label)
                         .unwrap();
                 }
                 let model = boot.snapshot().unwrap();
-                (OnlineLearner::from_model(&model), OnlineLearner::from_model(&model))
+                let sums = model.class_sums().to_vec();
+                (OnlineLearner::from_model(&model), SumsLearner::from_sums(sums, width, 7))
             } else {
-                (OnlineLearner::new(dim).unwrap(), OnlineLearner::new(dim).unwrap())
+                (OnlineLearner::new(dim).unwrap(), SumsLearner::new(width, 7))
             };
-            let (mut subject, mut reference) = (subject.with_max_classes(7), reference.with_max_classes(7));
+            let mut subject = subject.with_max_classes(7);
             for _ in 0..steps {
                 let label = rng.next_below(9) as usize;
                 let predicted = rng.next_below(9) as usize;
                 let sample = random_sample(dim, &mut rng);
                 let sums = sample.bipolar_sums();
-                match rng.next_below(6) {
+                match rng.next_below(5) {
                     0 => prop_assert_eq!(
                         subject.observe_accumulator(&sample, label).ok(),
-                        reference.observe_sums(&sums, label).ok()
+                        reference.observe(&sums, label).ok()
                     ),
                     1 => prop_assert_eq!(
                         subject.observe_sums(&sums, label).ok(),
-                        reference.observe_sums(&sums, label).ok()
+                        reference.observe(&sums, label).ok()
                     ),
                     2 => prop_assert_eq!(
                         subject.feedback_accumulator(&sample, predicted, label).ok(),
-                        reference.feedback_sums(&sums, predicted, label).ok()
+                        reference.feedback(&sums, predicted, label).ok()
                     ),
-                    3 => prop_assert_eq!(
-                        subject.feedback_sums(&sums, predicted, label).ok(),
-                        reference.feedback_sums(&sums, predicted, label).ok()
-                    ),
-                    4 => prop_assert_eq!(subject.class_sums(), reference.class_sums()),
+                    3 => prop_assert_eq!(subject.class_sums(), reference.class_sums()),
                     _ => prop_assert_eq!(
                         subject.snapshot().ok().map(|m| m.to_bytes()),
-                        reference.snapshot().ok().map(|m| m.to_bytes())
+                        oracle_snapshot(&reference, dim)
                     ),
                 }
                 prop_assert_eq!(subject.classes(), reference.classes());
@@ -737,7 +663,7 @@ mod tests {
             prop_assert_eq!(subject.class_sums(), reference.class_sums());
             prop_assert_eq!(
                 subject.snapshot().ok().map(|m| m.to_bytes()),
-                reference.snapshot().ok().map(|m| m.to_bytes())
+                oracle_snapshot(&reference, dim)
             );
         }
     }

@@ -7,11 +7,18 @@
 //! can reproduce that comparison axis: for each misclassified training
 //! sample, add its encoding to the true class accumulator and subtract it
 //! from the predicted one, then re-binarize.
+//!
+//! The loop runs on an [`OnlineLearner`] warm-started from the model,
+//! so batch retraining and served feedback share one correction rule:
+//! each mispredicted encoding goes to
+//! [`OnlineLearner::feedback_accumulator`] as a one-mask
+//! [`BitSliceAccumulator`], whose bipolar sums are its ±1 view.
 
+use crate::accumulator::BitSliceAccumulator;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::model::HdcModel;
-use crate::online::apply_correction_with;
+use crate::online::OnlineLearner;
 
 /// Outcome of one retraining epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,11 +27,6 @@ pub struct RetrainEpoch {
     pub mistakes: usize,
     /// Samples seen.
     pub samples: usize,
-}
-
-/// The ±1 contribution stream of a binarized encoding.
-fn bipolar_deltas(encoding: &Hypervector) -> impl Iterator<Item = i64> + '_ {
-    (0..encoding.dim()).map(|i| if encoding.bit(i) { 1 } else { -1 })
 }
 
 /// Run `epochs` retraining passes over pre-encoded training hypervectors.
@@ -73,25 +75,25 @@ pub fn retrain(
         }
     }
 
-    let mut sums: Vec<Vec<i64>> = model.class_sums().to_vec();
+    // A cap of `classes` admits every label validated above.
+    let mut learner = OnlineLearner::from_model(model).with_max_classes(classes);
+    let mut sample = BitSliceAccumulator::new(dim);
     let mut history = Vec::with_capacity(epochs);
-    let mut current = HdcModel::from_class_sums(sums.clone(), dim)?;
+    let mut current = learner.snapshot()?;
     for _ in 0..epochs {
         let mut mistakes = 0usize;
         for (enc, &label) in encodings.iter().zip(labels.iter()) {
+            // Every prediction comes from the epoch-start model
+            // (AdaptHD's batched variant), so the epoch is deterministic.
             let (pred, _) = current.classify_encoded(enc)?;
             if pred != label {
                 mistakes += 1;
-                // The same perceptron-correction kernel the streaming
-                // `OnlineLearner::feedback_sums` path uses, so the
-                // batched and online update rules cannot drift apart.
-                apply_correction_with(&mut sums, bipolar_deltas(enc), label, pred);
-                // Re-binarize lazily: rebuild the model once per epoch for
-                // determinism (batch update), matching AdaptHD's batched
-                // variant.
+                sample.clear();
+                sample.add_mask(enc.words());
+                learner.feedback_accumulator(&sample, pred, label)?;
             }
         }
-        current = HdcModel::from_class_sums(sums.clone(), dim)?;
+        current = learner.snapshot()?;
         history.push(RetrainEpoch {
             mistakes,
             samples: encodings.len(),
@@ -109,7 +111,9 @@ mod tests {
     use crate::encoder::uhd::{UhdConfig, UhdEncoder};
     use crate::encoder::Encoder;
     use crate::model::LabelledSamples;
+    use proptest::prelude::*;
     use uhd_lowdisc::rng::Xoshiro256StarStar;
+    use uhd_testutil::{bipolar_bits, SumsLearner};
 
     /// Three overlapping intensity classes: hard enough that single-pass
     /// training leaves mistakes for retraining to fix.
@@ -186,5 +190,110 @@ mod tests {
         assert!(retrain(&model, &encodings, &bad_labels, 1).is_err());
         let bad_dim = vec![Hypervector::ones(64); 4];
         assert!(retrain(&model, &bad_dim, &labels, 1).is_err());
+    }
+
+    /// FNV-1a over a refined model's bytes and its epoch history.
+    fn retrain_digest(refined: &HdcModel, history: &[RetrainEpoch]) -> u64 {
+        let mut bytes = refined.to_bytes();
+        for epoch in history {
+            bytes.extend_from_slice(&(epoch.mistakes as u64).to_le_bytes());
+            bytes.extend_from_slice(&(epoch.samples as u64).to_le_bytes());
+        }
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Golden digests of `retrain`'s output, recorded when it updated
+    /// its own `i64` rows with the ±1 view of each mispredicted
+    /// encoding. Fixtures: `retraining_does_not_hurt_training_accuracy`
+    /// (seed 11, 10 epochs), the one-epoch run of
+    /// `online::tests::feedback_stream_matches_one_retrain_epoch`
+    /// (seed 77) and `perfect_model_stops_immediately`.
+    #[test]
+    fn retrain_output_matches_recorded_digests() {
+        let pixels = 16usize;
+        let enc = UhdEncoder::new(UhdConfig::new(1024, pixels)).unwrap();
+        for (n, seed, epochs, digest, mistakes) in [
+            (
+                60,
+                11,
+                10,
+                0x0235_43dd_83c7_7381_u64,
+                &[3, 3, 3, 3, 2, 2, 1, 1, 1, 1][..],
+            ),
+            (40, 77, 1, 0x860b_8a3e_fc53_037f, &[3]),
+        ] {
+            let (images, labels) = overlapping_data(n, pixels, seed);
+            let data = LabelledSamples::new(&images, &labels).unwrap();
+            let model = HdcModel::train(&enc, data, 3).unwrap();
+            let encodings: Vec<_> = images.iter().map(|img| enc.encode(img).unwrap()).collect();
+            let (refined, history) = retrain(&model, &encodings, &labels, epochs).unwrap();
+            let got: Vec<_> = history.iter().map(|e| e.mistakes).collect();
+            assert_eq!(got, mistakes, "seed {seed}");
+            assert_eq!(retrain_digest(&refined, &history), digest, "seed {seed}");
+        }
+        let enc = UhdEncoder::new(UhdConfig::new(512, pixels)).unwrap();
+        let images: Vec<Vec<u8>> = (0..20)
+            .map(|i| vec![if i < 10 { 10u8 } else { 240 }; pixels])
+            .collect();
+        let labels: Vec<usize> = (0..20).map(|i| usize::from(i >= 10)).collect();
+        let data = LabelledSamples::new(&images, &labels).unwrap();
+        let model = HdcModel::train(&enc, data, 2).unwrap();
+        let encodings: Vec<_> = images.iter().map(|img| enc.encode(img).unwrap()).collect();
+        let (refined, history) = retrain(&model, &encodings, &labels, 5).unwrap();
+        assert_eq!(retrain_digest(&refined, &history), 0x6e4c_1c85_5571_17ea);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// `retrain` against the sums-only oracle replaying the ±1 view
+        /// of every mispredicted encoding, with predictions from the
+        /// epoch-start model: the same mistakes every epoch and the
+        /// same final model bytes. Sample 0 appears twice under two
+        /// labels, so every epoch leaves a mistake and all of them run.
+        #[test]
+        fn prop_retrain_matches_a_sums_oracle(
+            dim in 1u32..300,
+            seed in any::<u64>(),
+            classes in 2usize..5,
+            n in 2usize..24,
+            epochs in 1usize..6,
+        ) {
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let mut encodings: Vec<Hypervector> = (0..n)
+                .map(|_| Hypervector::random(dim, &mut rng))
+                .collect();
+            let mut labels: Vec<usize> = (0..n)
+                .map(|_| rng.next_below(classes as u64) as usize)
+                .collect();
+            encodings.push(encodings[0].clone());
+            labels.push((labels[0] + 1) % classes);
+            // The start model bundles the samples under shuffled labels.
+            let width = dim as usize;
+            let mut oracle = SumsLearner::from_sums(vec![vec![0; width]; classes], width, classes);
+            for (i, e) in encodings.iter().enumerate() {
+                oracle.observe(&bipolar_bits(e.words(), width), (labels[i] + i) % classes).unwrap();
+            }
+            let model = HdcModel::from_class_sums(oracle.class_sums().to_vec(), dim).unwrap();
+            let (refined, history) = retrain(&model, &encodings, &labels, epochs).unwrap();
+
+            let mut oracle = SumsLearner::from_sums(model.class_sums().to_vec(), width, classes);
+            let mut expected = Vec::new();
+            for _ in 0..epochs {
+                let current = HdcModel::from_class_sums(oracle.class_sums().to_vec(), dim).unwrap();
+                let before = oracle.corrections();
+                for (e, &label) in encodings.iter().zip(&labels) {
+                    let (pred, _) = current.classify_encoded(e).unwrap();
+                    oracle.feedback(&bipolar_bits(e.words(), width), pred, label).unwrap();
+                }
+                expected.push((oracle.corrections() - before) as usize);
+            }
+            prop_assert!(expected.iter().all(|&m| m > 0));
+            let got: Vec<_> = history.iter().map(|e| e.mistakes).collect();
+            prop_assert_eq!(got, expected);
+            let oracle_model = HdcModel::from_class_sums(oracle.class_sums().to_vec(), dim).unwrap();
+            prop_assert_eq!(refined.to_bytes(), oracle_model.to_bytes());
+        }
     }
 }

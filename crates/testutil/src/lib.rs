@@ -12,13 +12,16 @@
 //! * [`data`] — synthetic-dataset builders sized for tests;
 //! * [`approx`] — absolute/relative tolerance comparison helpers;
 //! * [`gate`] — an encoder that parks until released, for serving
-//!   tests that need a permit held.
+//!   tests that need a permit held;
+//! * [`oracle`] — a sums-only reference learner over plain `i64` rows,
+//!   the independent oracle for the streaming and retraining learners.
 
 #![warn(missing_docs)]
 
 pub mod approx;
 pub mod data;
 pub mod gate;
+pub mod oracle;
 pub mod rng;
 
 pub use approx::{assert_close, close, rel_close};
@@ -27,4 +30,5 @@ pub use data::{
     TINY_SEED,
 };
 pub use gate::{GateEncoder, Latch};
+pub use oracle::{bipolar_bits, Refused, SumsLearner};
 pub use rng::{fixture_rng, random_image, random_masks};

@@ -10,6 +10,7 @@ use uhd::core::model::{HdcModel, InferenceMode};
 use uhd::core::{Encoder, OnlineLearner};
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
 use uhd::serve::{ModelRegistry, ServeConfig};
+use uhd_testutil::SumsLearner;
 
 /// Acceptance: a cold model (bootstrapped from a handful of stream
 /// samples) is served by the registry while labelled feedback pours
@@ -311,9 +312,9 @@ fn learner_state_round_trips_through_bytes() {
 /// serial learner: two threads on two permits mix observations,
 /// mispredicted and correct feedback, and new-class labels (with a gap)
 /// across many `snapshot_every` publishes. After a final publish the
-/// served snapshot file holds exactly the bytes of an
-/// `OnlineLearner::from_model` replay through `observe_sums` /
-/// `feedback_sums`. Every prediction names a class of the registered
+/// served snapshot file holds exactly the bytes of a serial replay
+/// through the sums-only oracle (`uhd_testutil::SumsLearner`), warm-
+/// started from the model's sums. Every prediction names a class of the registered
 /// model, so the order in which the two threads' samples apply does
 /// not change the final sums.
 #[test]
@@ -382,7 +383,11 @@ fn concurrent_learn_and_feedback_match_a_serial_replay() {
     registry.save_snapshot("t", &path).unwrap();
     let served = std::fs::read(&path).unwrap();
 
-    let mut replay = OnlineLearner::from_model(&model);
+    let mut replay = SumsLearner::from_sums(
+        model.class_sums().to_vec(),
+        dim as usize,
+        uhd::core::online::DEFAULT_MAX_CLASSES,
+    );
     let mut scratch = uhd::core::BitSliceAccumulator::new(dim);
     let mut applied = 0u64;
     for s in &stream {
@@ -392,12 +397,12 @@ fn concurrent_learn_and_feedback_match_a_serial_replay() {
             .unwrap();
         let sums = scratch.bipolar_sums();
         let changed = match s.predicted {
-            None => replay.observe_sums(&sums, s.label).map(|()| true),
-            Some(p) => replay.feedback_sums(&sums, p, s.label),
+            None => replay.observe(&sums, s.label).map(|()| true),
+            Some(p) => replay.feedback(&sums, p, s.label),
         };
         applied += u64::from(changed.unwrap());
     }
-    let expected = replay.snapshot().unwrap();
+    let expected = HdcModel::from_class_sums(replay.class_sums().to_vec(), dim).unwrap();
     assert_eq!(expected.classes(), classes + 3, "three classes admitted");
     assert_eq!(
         served,
