@@ -6,7 +6,6 @@
 #                      wirebench), the committed BENCH_*.json checked
 #                      as full runs, full test suite, the kernel and
 #                      lit-pixel suites under UHD_KERNEL=avx2 / scalar,
-#                      uhd-core tests on its own features,
 #                      rustdoc -D warnings, bench compile check
 #   ./ci.sh --smoke    all of the above plus a fast run of every bench
 #                      binary and example, discovered from
@@ -65,12 +64,6 @@ for kernel in avx2 scalar; do
     step "cargo test -q kernel_equivalence + lit_pixel_bundling (UHD_KERNEL=$kernel)"
     UHD_KERNEL="$kernel" cargo test -q --test kernel_equivalence --test lit_pixel_bundling
 done
-
-# Every step above builds the whole workspace, where uhd-serve turns on
-# uhd-core's `telemetry` feature; built alone, uhd-core compiles the
-# feature-off arms its standalone users get.
-step "cargo test -q -p uhd-core (default features only)"
-cargo test -q -p uhd-core
 
 # Stale intra-doc links (e.g. to a deleted public type) fail here.
 step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"

@@ -7,10 +7,12 @@
 //! assign each a value symbol from a fixed codebook, bundle the bound
 //! pairs `keyᵢ ⊗ valueᵢ` with majority voting, then recover each value
 //! by unbinding (`S ⊗ keyᵢ`, an involution of XNOR binding) and taking
-//! the nearest codebook entry by dot product. Crosstalk from the other
-//! `N − 1` pairs is the noise floor; accuracy vs `N` traces the memory
-//! capacity of a `D`-dimensional vector — the same superposition
-//! head-room the serving registry's class memories live off.
+//! the nearest codebook entry through the served associative-memory
+//! sweep (`Kernel::hamming_to_all` over all 32 symbols at once,
+//! highest index on a tie). Crosstalk from the other `N − 1` pairs is
+//! the noise floor; accuracy vs `N` traces the memory capacity of a
+//! `D`-dimensional vector — the same superposition head-room the
+//! serving registry's class memories live off.
 //!
 //! The sweep runs at several dimensions so the capacity-vs-D scaling is
 //! visible in one report. Results go to stdout *and*
@@ -22,6 +24,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use uhd_bench::{env_flag, machine_json, write_bench_json};
+use uhd_core::assoc::AssociativeMemory;
 use uhd_core::hypervector::Hypervector;
 use uhd_core::DenseAccumulator;
 use uhd_lowdisc::rng::Xoshiro256StarStar;
@@ -61,16 +64,21 @@ fn measure(dim: u32, pairs: usize, trials: usize, rng: &mut Xoshiro256StarStar) 
             acc.add_hypervector(&bound).expect("dims match");
         }
         let store = acc.binarize();
+        let memory = AssociativeMemory::new(&codebook).expect("non-empty codebook");
+        let mut dists = Vec::with_capacity(CODEBOOK);
         let t0 = Instant::now();
         for (key, &value) in keys.iter().zip(&assignment) {
             // Unbind: XNOR binding is an involution, so S ⊗ key peels
             // the key off and leaves value + crosstalk.
             let noisy = store.bind(key).expect("dims match");
-            let best = codebook
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, symbol)| noisy.dot(symbol).expect("dims match"))
-                .map(|(idx, _)| idx)
+            memory
+                .hamming_to_all(&noisy, &mut dists)
+                .expect("dims match");
+            // Nearest symbol (largest dot = smallest distance); ties go
+            // to the highest index.
+            let best = (0..CODEBOOK)
+                .rev()
+                .min_by_key(|&idx| dists[idx])
                 .expect("non-empty codebook");
             correct += usize::from(best == value);
             total += 1;

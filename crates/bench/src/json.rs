@@ -4,10 +4,12 @@
 //! The build environment has no registry access, so instead of pulling
 //! `serde_json` this module hand-rolls the small subset the CI gate
 //! needs: parse a complete document, walk objects/arrays, and read
-//! numbers. It accepts exactly standard JSON (RFC 8259) minus two
-//! leniencies the bench emitters never produce anyway (no `\u` escapes
-//! beyond the BMP pair logic — surrogate pairs are rejected — and no
-//! leading `+` in numbers, which standard JSON also rejects).
+//! numbers. It accepts a subset of standard JSON (RFC 8259): numbers
+//! follow the RFC grammar (no leading `+`, `.`, or zeros, and digits
+//! on both sides of a `.`), strings reject unescaped control bytes
+//! below 0x20, and the one standard form it refuses is a surrogate
+//! `\u` escape (so no surrogate pairs), which the bench emitters never
+//! write.
 //!
 //! Arrays and objects nest at most [`MAX_DEPTH`] deep, so a hostile
 //! `[[[[…` document is an `Err`, not a stack overflow.
@@ -125,20 +127,43 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
+/// One number by the RFC 8259 grammar
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let invalid = || format!("invalid number at byte {start}");
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    match digits(pos) {
+        0 => return Err(invalid()),
+        n if n > 1 && bytes[*pos - n] == b'0' => return Err(invalid()),
+        _ => {}
+    }
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII slice");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    text.parse::<f64>().map(Json::Num).map_err(|_| invalid())
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -183,14 +208,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("invalid escape \\{}", *other as char)),
                 }
             }
+            Some(&b) if b < 0x20 => {
+                return Err(format!(
+                    "unescaped control byte {b:#04x} in string at byte {pos}",
+                    pos = *pos
+                ))
+            }
             Some(_) => {
-                // Copy the run up to the next quote or escape in one
-                // step. Those two bytes are ASCII, so they never split
-                // a UTF-8 character: the run is whole characters of
-                // the `&str` input, and each byte is visited once.
+                // Copy the run up to the next quote, escape or control
+                // byte in one step. Those bytes are ASCII, so they
+                // never split a UTF-8 character: the run is whole
+                // characters of the `&str` input, and each byte is
+                // visited once.
                 let end = bytes[*pos..]
                     .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                     .map_or(bytes.len(), |n| *pos + n);
                 out.push_str(
                     std::str::from_utf8(&bytes[*pos..end])

@@ -185,3 +185,38 @@ fn long_strings_parse_in_one_pass() {
         Json::Str(format!("{run}\n{run}"))
     );
 }
+
+#[test]
+fn numbers_outside_the_rfc_grammar_are_rejected() {
+    for bad in [
+        ".5",
+        "1.",
+        "01",
+        "-.5",
+        "-01",
+        "1e",
+        "1e+",
+        "-",
+        "+1",
+        "[1.]",
+        "{\"a\":01}",
+    ] {
+        assert!(parse(bad).is_err(), "should reject {bad:?}");
+    }
+    for good in [
+        "0", "-0", "0.5", "-0.5", "10", "1e5", "1E-5", "2.5e+3", "[0,1]",
+    ] {
+        assert!(parse(good).is_ok(), "should accept {good:?}");
+    }
+}
+
+#[test]
+fn unescaped_control_bytes_in_strings_are_rejected() {
+    for bad in ["\"a\tb\"", "\"\u{1}\"", "[\"\n\"]", "{\"k\u{1f}\":1}"] {
+        assert!(parse(bad).is_err(), "should reject {bad:?}");
+    }
+    assert_eq!(
+        parse("\"a\\tb\\u0001\"").unwrap(),
+        Json::Str("a\tb\u{1}".into())
+    );
+}

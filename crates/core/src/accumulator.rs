@@ -692,8 +692,8 @@ fn bundle_lanes<const N: usize>(planes: &mut [u64], words: usize, rows: &[&[u64]
     }
 }
 
-/// The portable body of [`Kernel::bundle`] that the scalar, AVX2 and
-/// NEON variants compile: every row into the plane-major counter,
+/// The portable body of [`Kernel::bundle`] that the scalar and AVX2
+/// variants compile: every row into the plane-major counter,
 /// eight words at a time, then the ragged words one at a time.
 #[inline(always)]
 #[allow(clippy::inline_always)]

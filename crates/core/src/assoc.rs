@@ -154,17 +154,6 @@ impl AssociativeMemory {
         Ok(())
     }
 
-    /// Hamming distance from `query` to every class.
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::DimensionMismatch`] if the query dimension differs.
-    pub fn hamming_all(&self, query: &Hypervector) -> Result<Vec<u32>, HdcError> {
-        let mut out = Vec::new();
-        self.hamming_to_all(query, &mut out)?;
-        Ok(out)
-    }
-
     /// Nearest class by Hamming distance, reported as
     /// `(class, cosine)` — bit-identical to the per-class
     /// [`crate::similarity::classify`] scan, including tie-breaking
@@ -221,7 +210,8 @@ mod tests {
         let memory = AssociativeMemory::new(&classes).unwrap();
         let mut rng = Xoshiro256StarStar::seeded(22);
         let query = Hypervector::random(300, &mut rng);
-        let dists = memory.hamming_all(&query).unwrap();
+        let mut dists = Vec::new();
+        memory.hamming_to_all(&query, &mut dists).unwrap();
         for (c, hv) in classes.iter().enumerate() {
             assert_eq!(dists[c], query.hamming_distance(hv).unwrap());
         }

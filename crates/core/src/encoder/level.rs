@@ -183,7 +183,7 @@ mod tests {
         let levels = 11;
         let ls = generate_level_hypervectors(dim, levels, LevelScheme::CumulativeFlip, &mut rng);
         // Total Hamming distance from first to last equals D/2 exactly.
-        let h = ls[0].hamming(&ls[10]).unwrap();
+        let h = ls[0].hamming_distance(&ls[10]).unwrap();
         assert_eq!(h, dim / 2);
     }
 }

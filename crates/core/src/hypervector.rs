@@ -6,7 +6,6 @@
 //! reduce to popcounts — the same identities the paper's hardware uses.
 
 use crate::error::HdcError;
-use crate::kernels::Kernel;
 use uhd_lowdisc::rng::UniformSource;
 
 /// A packed bipolar hypervector of dimension D.
@@ -244,7 +243,7 @@ impl Hypervector {
     #[must_use]
     pub fn count_plus_ones(&self) -> u32 {
         debug_assert!(self.tail_is_clear(), "tail-mask invariant violated");
-        Kernel::active().popcount(&self.words) as u32
+        self.words.iter().map(|w| w.count_ones()).sum()
     }
 
     /// Bind (element-wise multiply) with another hypervector.
@@ -292,29 +291,19 @@ impl Hypervector {
     /// [`HdcError::DimensionMismatch`] if dimensions differ.
     pub fn dot(&self, other: &Self) -> Result<i64, HdcError> {
         // `dot = 2·agreements − D = D − 2·hamming`: one XOR+popcount
-        // pass through the dispatched kernel. The tail-mask invariant
-        // (enforced by every constructor/mutator, see
-        // [`Self::tail_is_clear`]) makes per-call re-masking redundant.
+        // pass. The tail-mask invariant (enforced by every
+        // constructor/mutator, see [`Self::tail_is_clear`]) makes
+        // per-call re-masking redundant.
         let h = self.hamming_distance(other)?;
         Ok(i64::from(self.dim) - 2 * i64::from(h))
     }
 
-    /// Hamming distance (number of differing dimensions).
-    ///
-    /// # Errors
-    ///
-    /// [`HdcError::DimensionMismatch`] if dimensions differ.
-    pub fn hamming(&self, other: &Self) -> Result<u32, HdcError> {
-        self.hamming_distance(other)
-    }
-
-    /// Packed fast path for the Hamming distance: XOR + popcount over
-    /// the `u64` words through the runtime-dispatched
-    /// [`Kernel`] (AVX-512/AVX2/NEON when the
-    /// CPU has them, a 4-wide unrolled scalar loop otherwise). This is
-    /// the kernel behind [`Self::hamming`], [`Self::dot`],
-    /// [`crate::similarity::hamming_similarity`] and the bit-sliced
-    /// associative memory's per-plane scan.
+    /// Hamming distance (number of differing dimensions): XOR +
+    /// `count_ones` over the packed `u64` words. This is the pairwise
+    /// distance behind [`Self::dot`] and
+    /// [`crate::similarity::hamming_similarity`]; the served
+    /// all-classes search runs [`crate::kernels::Kernel::hamming_to_all`]
+    /// instead.
     ///
     /// # Errors
     ///
@@ -325,7 +314,12 @@ impl Hypervector {
             self.tail_is_clear() && other.tail_is_clear(),
             "tail-mask invariant violated"
         );
-        Ok(Kernel::active().xor_popcount(&self.words, &other.words) as u32)
+        Ok(self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum())
     }
 
     /// Circular shift of dimensions by `k` positions (the *permutation*
@@ -468,7 +462,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seeded(4);
         let a = Hypervector::random(500, &mut rng);
         let b = Hypervector::random(500, &mut rng);
-        let h = i64::from(a.hamming(&b).unwrap());
+        let h = i64::from(a.hamming_distance(&b).unwrap());
         assert_eq!(a.dot(&b).unwrap(), 500 - 2 * h);
     }
 
@@ -580,12 +574,11 @@ mod tests {
     #[test]
     fn hamming_distance_matches_bitwise_definition() {
         let mut rng = Xoshiro256StarStar::seeded(8);
-        // 257 dims: exercises the unrolled body (4 words) and the tail.
+        // 257 dims: four full words and a one-bit tail.
         let a = Hypervector::random(257, &mut rng);
         let b = Hypervector::random(257, &mut rng);
         let bitwise: u32 = (0..257).map(|i| u32::from(a.bit(i) != b.bit(i))).sum();
         assert_eq!(a.hamming_distance(&b).unwrap(), bitwise);
-        assert_eq!(a.hamming(&b).unwrap(), bitwise);
     }
 
     proptest! {

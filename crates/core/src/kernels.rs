@@ -1,28 +1,31 @@
-//! Runtime-dispatched SIMD kernels for the XOR+popcount hot path.
+//! Runtime-dispatched SIMD kernels for the two popcount stages of the
+//! served datapath.
 //!
-//! Every similarity query in binary HDC reduces to XOR + population
-//! count over packed `u64` words (Ge & Parhi's review calls this *the*
-//! dominant inference operation), and the bit-sliced
-//! [`crate::assoc::AssociativeMemory`] sweep is nothing but that kernel
-//! streamed over all classes at once. This module concentrates those
-//! inner loops behind a [`Kernel`] dispatch struct:
+//! The paper's datapath bundles and binarizes (Fig. 5), then searches
+//! the class memory. Served traffic runs only those two kernels, and
+//! this module holds exactly them behind a [`Kernel`] dispatch struct:
+//! [`Kernel::bundle`], the per-dimension popcounter, and
+//! [`Kernel::hamming_to_all`], the XOR + popcount of one query against
+//! every class of the bit-sliced [`crate::assoc::AssociativeMemory`].
+//! Three kinds implement them:
 //!
-//! * **scalar** — the always-correct portable fallback: a 4-wide
-//!   unrolled XOR + `count_ones` loop (hardware `POPCNT` on x86);
+//! * **scalar** — the always-correct portable fallback;
 //! * **avx2** — 256-bit lanes using the Mula nibble-lookup popcount
-//!   (`vpshufb` + `vpsadbw`), four words per step;
+//!   (`vpshufb` + `vpsadbw`), four classes per step;
 //! * **avx512** — 512-bit lanes using the native `vpopcntq`
-//!   instruction, eight words per step (requires `AVX512F` +
-//!   `AVX512VPOPCNTDQ`);
-//! * **neon** — 128-bit lanes via `cnt` on AArch64.
+//!   instruction, eight classes per step (requires `AVX512F` +
+//!   `AVX512VPOPCNTDQ`).
 //!
 //! The kernel is selected **once** per process via
 //! `is_x86_feature_detected!` (memoized in a `OnceLock`) and can be
 //! overridden with the `UHD_KERNEL` environment variable
-//! (`scalar` / `avx2` / `avx512` / `neon`; empty or unknown values fall
-//! back to auto-detection). Every SIMD path is proven bit-identical to
-//! the scalar kernel by property tests across dimensions that exercise
-//! the masked-tail remainder (`D % 256 ≠ 0`).
+//! (`scalar` / `avx2` / `avx512`; empty, unknown or locally
+//! unsupported values fall back to auto-detection). Every SIMD path is
+//! proven bit-identical to the scalar kernel by property tests across
+//! dimensions that exercise the masked-tail remainder (`D % 256 ≠ 0`).
+//! The pairwise distance of two hypervectors
+//! ([`crate::hypervector::Hypervector::hamming_distance`]) serves no
+//! request, so it is a plain `count_ones` loop outside this dispatch.
 //!
 //! The associative sweep ([`Kernel::hamming_to_all`]) is additionally
 //! **cache-blocked**: classes are processed in blocks whose distance
@@ -37,14 +40,14 @@
 //! and stores the planes once. The AVX-512 variant keeps the planes in
 //! registers: it builds each carry-save adder from two `vpternlogq` and
 //! fixes its register plane count at compile time per counter depth.
-//! Scalar, AVX2 and NEON compile one portable body. Two crate-private
+//! Scalar and AVX2 compile one portable body. Two crate-private
 //! baseline helpers serve the uHD encoder's lit-pixel scan: `at_least`
 //! compares 64 intensity bytes against a threshold into a bit mask, and
 //! `prefetch` hints a table row into cache as the scan finds it.
 
 // The SIMD intrinsics are the one place in the workspace that needs
 // `unsafe`. Soundness rests on a single invariant, enforced by
-// construction: a `Kernel` with an AVX2/AVX-512/NEON kind can only be
+// construction: a `Kernel` with an AVX2/AVX-512 kind can only be
 // obtained through `Kernel::active()` / `Kernel::from_name()`, both of
 // which verify the CPU feature at runtime before handing it out. The
 // free helpers `at_least` and `prefetch` use only SSE2 and SSE, which
@@ -70,17 +73,16 @@ const WORD_BLOCK: usize = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum KernelKind {
-    /// Portable 4-wide unrolled XOR + `count_ones` (always available).
+    /// Portable `count_ones` sweep and bundling tree (always
+    /// available).
     Scalar,
     /// 256-bit AVX2 nibble-lookup popcount (x86-64 only).
     Avx2,
     /// 512-bit AVX-512 `vpopcntq` (x86-64 with `AVX512VPOPCNTDQ` only).
     Avx512,
-    /// 128-bit NEON `cnt` (AArch64 only).
-    Neon,
 }
 
-/// A dispatched popcount/distance kernel.
+/// A dispatched sweep/bundling kernel.
 ///
 /// Obtain the process-wide selection with [`Kernel::active`], or a
 /// specific implementation with [`Kernel::scalar`] /
@@ -92,14 +94,15 @@ pub enum KernelKind {
 /// ```
 /// use uhd_core::kernels::Kernel;
 ///
-/// let k = Kernel::active();
-/// assert_eq!(k.xor_popcount(&[0b1010], &[0b0110]), 2);
-/// assert_eq!(k.popcount(&[u64::MAX, 1]), 65);
+/// // Two classes of two words, stored word-major.
+/// let slices = [0b1010, u64::MAX, 0, 1];
+/// let mut out = [0u32; 2];
+/// Kernel::active().hamming_to_all(&slices, 2, &[0b0110, 0], &mut out);
+/// assert_eq!(out, [2, 63]);
 /// // The scalar fallback agrees on every input.
-/// assert_eq!(
-///     Kernel::scalar().xor_popcount(&[0xdead, 0xbeef], &[0xfeed, 0xface]),
-///     k.xor_popcount(&[0xdead, 0xbeef], &[0xfeed, 0xface]),
-/// );
+/// let mut reference = [0u32; 2];
+/// Kernel::scalar().hamming_to_all(&slices, 2, &[0b0110, 0], &mut reference);
+/// assert_eq!(out, reference);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Kernel {
@@ -108,7 +111,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// Every kernel name this build knows, runnable here or not.
-    pub const NAMES: [&'static str; 4] = ["scalar", "avx2", "avx512", "neon"];
+    pub const NAMES: [&'static str; 3] = ["scalar", "avx2", "avx512"];
 
     /// The process-wide kernel: auto-detected once from CPU features
     /// (honouring a non-empty `UHD_KERNEL` override) and memoized.
@@ -129,8 +132,8 @@ impl Kernel {
         }
     }
 
-    /// Look up a kernel by name (`"scalar"`, `"avx2"`, `"avx512"`,
-    /// `"neon"`). Returns `None` for unknown names **and** for kernels
+    /// Look up a kernel by name (`"scalar"`, `"avx2"`, `"avx512"`).
+    /// Returns `None` for unknown names **and** for kernels
     /// whose CPU feature is not available at runtime — so a `Some`
     /// result is always safe to run.
     #[must_use]
@@ -146,8 +149,6 @@ impl Kernel {
             {
                 Some(KernelKind::Avx512)
             }
-            #[cfg(target_arch = "aarch64")]
-            "neon" if std::arch::is_aarch64_feature_detected!("neon") => Some(KernelKind::Neon),
             _ => None,
         }?;
         Some(Kernel { kind })
@@ -169,60 +170,14 @@ impl Kernel {
         self.kind
     }
 
-    /// Stable lowercase name (`"scalar"`, `"avx2"`, `"avx512"`,
-    /// `"neon"`), round-trippable through [`Kernel::from_name`].
+    /// Stable lowercase name (`"scalar"`, `"avx2"`, `"avx512"`),
+    /// round-trippable through [`Kernel::from_name`].
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self.kind {
             KernelKind::Scalar => "scalar",
             KernelKind::Avx2 => "avx2",
             KernelKind::Avx512 => "avx512",
-            KernelKind::Neon => "neon",
-        }
-    }
-
-    /// Sum of `(a[i] ^ b[i]).count_ones()` — the Hamming distance of
-    /// two packed bit vectors whose tail bits agree (in particular,
-    /// when both are clear, as [`crate::hypervector::Hypervector`]
-    /// guarantees).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    #[must_use]
-    pub fn xor_popcount(&self, a: &[u64], b: &[u64]) -> u64 {
-        assert_eq!(a.len(), b.len(), "kernel operand length mismatch");
-        crate::telemetry::record_op(crate::telemetry::KernelOp::XorPopcount);
-        match self.kind {
-            KernelKind::Scalar => xor_popcount_scalar(a, b),
-            // SAFETY: construction verified the CPU feature (see the
-            // module-level soundness note).
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => unsafe { avx2::xor_popcount(a, b) },
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512 => unsafe { avx512::xor_popcount(a, b) },
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => unsafe { neon::xor_popcount(a, b) },
-            #[allow(unreachable_patterns)]
-            _ => xor_popcount_scalar(a, b),
-        }
-    }
-
-    /// Sum of `a[i].count_ones()` over the slice.
-    #[must_use]
-    pub fn popcount(&self, a: &[u64]) -> u64 {
-        crate::telemetry::record_op(crate::telemetry::KernelOp::Popcount);
-        match self.kind {
-            KernelKind::Scalar => popcount_scalar(a),
-            // SAFETY: construction verified the CPU feature.
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => unsafe { avx2::popcount(a) },
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512 => unsafe { avx512::popcount(a) },
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => unsafe { neon::popcount(a) },
-            #[allow(unreachable_patterns)]
-            _ => popcount_scalar(a),
         }
     }
 
@@ -257,9 +212,6 @@ impl Kernel {
             KernelKind::Avx2 => unsafe { avx2::hamming_to_all(slices, classes, query, out) },
             #[cfg(target_arch = "x86_64")]
             KernelKind::Avx512 => unsafe { avx512::hamming_to_all(slices, classes, query, out) },
-            // NEON keeps the pairwise kernels vectorized but the sweep
-            // scalar: 128-bit lanes only fit two classes, which the
-            // blocked scalar loop already saturates.
             _ => hamming_to_all_scalar(slices, classes, query, out),
         }
     }
@@ -409,50 +361,12 @@ fn detect_auto() -> KernelKind {
             return KernelKind::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return KernelKind::Neon;
-        }
-    }
     KernelKind::Scalar
 }
 
 // --------------------------------------------------------------------
 // Scalar fallback (the reference all SIMD paths are proven against).
 // --------------------------------------------------------------------
-
-fn xor_popcount_scalar(a: &[u64], b: &[u64]) -> u64 {
-    let mut a4 = a.chunks_exact(4);
-    let mut b4 = b.chunks_exact(4);
-    let mut total = 0u64;
-    for (x, y) in (&mut a4).zip(&mut b4) {
-        total += u64::from(
-            (x[0] ^ y[0]).count_ones()
-                + (x[1] ^ y[1]).count_ones()
-                + (x[2] ^ y[2]).count_ones()
-                + (x[3] ^ y[3]).count_ones(),
-        );
-    }
-    for (x, y) in a4.remainder().iter().zip(b4.remainder()) {
-        total += u64::from((x ^ y).count_ones());
-    }
-    total
-}
-
-fn popcount_scalar(a: &[u64]) -> u64 {
-    let mut a4 = a.chunks_exact(4);
-    let mut total = 0u64;
-    for x in &mut a4 {
-        total += u64::from(
-            x[0].count_ones() + x[1].count_ones() + x[2].count_ones() + x[3].count_ones(),
-        );
-    }
-    for x in a4.remainder() {
-        total += u64::from(x.count_ones());
-    }
-    total
-}
 
 fn hamming_to_all_scalar(slices: &[u64], classes: usize, query: &[u64], out: &mut [u32]) {
     // Blocked over classes so the distance accumulators being updated
@@ -482,8 +396,8 @@ mod avx2 {
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_si128,
         _mm256_loadu_si256, _mm256_permutevar8x32_epi32, _mm256_sad_epu8, _mm256_set1_epi64x,
         _mm256_set1_epi8, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_setzero_si256,
-        _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256,
-        _mm_add_epi32, _mm_loadu_si128, _mm_storeu_si128,
+        _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_xor_si256, _mm_add_epi32, _mm_loadu_si128,
+        _mm_storeu_si128,
     };
 
     /// Per-64-bit-lane popcounts of `x`: nibble lookup through
@@ -500,51 +414,6 @@ mod avx2 {
         let hi = _mm256_and_si256(_mm256_srli_epi32::<4>(x), low_mask);
         let cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
         _mm256_sad_epu8(cnt, _mm256_setzero_si256())
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn hsum_epi64(v: __m256i) -> u64 {
-        let mut buf = [0u64; 4];
-        _mm256_storeu_si256(buf.as_mut_ptr().cast(), v);
-        buf.iter().sum()
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            acc = _mm256_add_epi64(acc, popcnt_epi64(_mm256_xor_si256(va, vb)));
-            i += 4;
-        }
-        let mut total = hsum_epi64(acc);
-        while i < n {
-            total += u64::from((a[i] ^ b[i]).count_ones());
-            i += 1;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn popcount(a: &[u64]) -> u64 {
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            acc = _mm256_add_epi64(acc, popcnt_epi64(va));
-            i += 4;
-        }
-        let mut total = hsum_epi64(acc);
-        while i < n {
-            total += u64::from(a[i].count_ones());
-            i += 1;
-        }
-        total
     }
 
     #[target_feature(enable = "avx2")]
@@ -603,47 +472,9 @@ mod avx512 {
     use std::arch::x86_64::{
         __m512i, __mmask8, _mm256_add_epi32, _mm256_loadu_si256, _mm256_storeu_si256,
         _mm512_add_epi64, _mm512_and_si512, _mm512_cvtepi64_epi32, _mm512_loadu_si512,
-        _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
-        _mm512_reduce_add_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
-        _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
     };
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len();
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0;
-        while i + 8 <= n {
-            let va = _mm512_loadu_si512(a.as_ptr().add(i).cast());
-            let vb = _mm512_loadu_si512(b.as_ptr().add(i).cast());
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(va, vb)));
-            i += 8;
-        }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64;
-        while i < n {
-            total += u64::from((a[i] ^ b[i]).count_ones());
-            i += 1;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn popcount(a: &[u64]) -> u64 {
-        let n = a.len();
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0;
-        while i + 8 <= n {
-            let va = _mm512_loadu_si512(a.as_ptr().add(i).cast());
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(va));
-            i += 8;
-        }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64;
-        while i < n {
-            total += u64::from(a[i].count_ones());
-            i += 1;
-        }
-        total
-    }
 
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     pub unsafe fn hamming_to_all(slices: &[u64], classes: usize, query: &[u64], out: &mut [u32]) {
@@ -854,51 +685,6 @@ mod avx512 {
     }
 }
 
-// --------------------------------------------------------------------
-// NEON (AArch64): cnt over 128-bit lanes for the pairwise kernels.
-// --------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::{vaddlvq_u8, vcntq_u8, veorq_u64, vld1q_u64, vreinterpretq_u8_u64};
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len();
-        let mut total = 0u64;
-        let mut i = 0;
-        while i + 2 <= n {
-            let va = vld1q_u64(a.as_ptr().add(i));
-            let vb = vld1q_u64(b.as_ptr().add(i));
-            let x = veorq_u64(va, vb);
-            total += u64::from(vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(x))));
-            i += 2;
-        }
-        while i < n {
-            total += u64::from((a[i] ^ b[i]).count_ones());
-            i += 1;
-        }
-        total
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn popcount(a: &[u64]) -> u64 {
-        let n = a.len();
-        let mut total = 0u64;
-        let mut i = 0;
-        while i + 2 <= n {
-            let va = vld1q_u64(a.as_ptr().add(i));
-            total += u64::from(vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(va))));
-            i += 2;
-        }
-        while i < n {
-            total += u64::from(a[i].count_ones());
-            i += 1;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -934,37 +720,24 @@ mod tests {
     #[test]
     fn scalar_kernel_basics() {
         let k = Kernel::scalar();
-        assert_eq!(k.xor_popcount(&[], &[]), 0);
-        assert_eq!(k.xor_popcount(&[u64::MAX], &[0]), 64);
-        assert_eq!(k.popcount(&[u64::MAX, u64::MAX, 1]), 129);
+        let mut out = [7u32; 2];
+        k.hamming_to_all(&[], 2, &[], &mut out);
+        assert_eq!(out, [0, 0]);
+        k.hamming_to_all(&[u64::MAX, 0, u64::MAX, 1], 2, &[0, u64::MAX], &mut out);
+        assert_eq!(out, [64, 63]);
+        let mut planes = [0u64; 2];
+        k.bundle(&mut planes, 1, &[&[u64::MAX], &[1], &[1]]);
+        assert_eq!(planes, [u64::MAX, 1]);
     }
 
     #[test]
     #[should_panic(expected = "kernel operand length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = Kernel::scalar().xor_popcount(&[0], &[0, 0]);
+        Kernel::scalar().bundle(&mut [0u64; 2], 1, &[&[0, 0]]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Every runnable kernel is bit-identical to scalar on the
-        /// pairwise ops, including remainder lengths (n % 8 ≠ 0).
-        #[test]
-        fn prop_pairwise_kernels_match_scalar(
-            n in 0usize..70,
-            seed in any::<u64>(),
-        ) {
-            let mut rng = Xoshiro256StarStar::seeded(seed);
-            let a = random_words(n, &mut rng);
-            let b = random_words(n, &mut rng);
-            let reference = Kernel::scalar().xor_popcount(&a, &b);
-            let pop_reference = Kernel::scalar().popcount(&a);
-            for k in Kernel::available() {
-                prop_assert_eq!(k.xor_popcount(&a, &b), reference, "kernel {}", k.name());
-                prop_assert_eq!(k.popcount(&a), pop_reference, "kernel {}", k.name());
-            }
-        }
-
         /// The blocked associative sweep equals per-class XOR+popcount
         /// for every kernel.
         #[test]
@@ -985,7 +758,7 @@ mod tests {
             }
             let expect: Vec<u32> = class_words
                 .iter()
-                .map(|cw| Kernel::scalar().xor_popcount(cw, &query) as u32)
+                .map(|cw| cw.iter().zip(&query).map(|(a, b)| (a ^ b).count_ones()).sum())
                 .collect();
             let mut out = vec![0u32; classes];
             for k in Kernel::available() {

@@ -70,14 +70,14 @@ impl TraceLevel {
 ///
 /// | kind                | `a`                      | `b`                         |
 /// |---------------------|--------------------------|-----------------------------|
-/// | `KernelDispatched`  | kernel kind ordinal      | shard count                 |
+/// | `KernelDispatched`  | kernel ordinal: `scalar` 0, `avx2` 1, `avx512` 2 | shard count |
 /// | `BatchFormed`       | shard index              | batch size                  |
 /// | `ModelSwapped`      | new generation           | class count                 |
 /// | `SnapshotPublished` | new generation           | samples consumed since last |
 /// | `SampleRejected`    | offending label          | predicted label (`u64::MAX` = none) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// The registry resolved its popcount kernel at startup.
+    /// The registry resolved its sweep/bundling kernel at startup.
     KernelDispatched,
     /// A caller took a permit and began answering a micro-batch
     /// (Trace level only).

@@ -48,7 +48,8 @@ pub(crate) struct ServeObs {
 
 /// Render `recorder`'s full metric set in the Prometheus text format,
 /// appending the process-global kernel identity (`uhd_kernel_info`) and
-/// the kernel op counters (`uhd_kernel_ops_total{op=…}`). Empty when
+/// the served kernels' op counters (`uhd_kernel_ops_total{op=…}`, one
+/// series each for `hamming_sweep` and `bundle`). Empty when
 /// telemetry is disabled.
 pub(crate) fn render_prometheus(recorder: &Recorder) -> String {
     if !recorder.enabled() {
@@ -62,11 +63,9 @@ pub(crate) fn render_prometheus(recorder: &Recorder) -> String {
         "uhd_kernel_info{{kernel=\"{}\"}} 1",
         uhd_core::Kernel::active().name()
     );
-    if uhd_core::telemetry::enabled() {
-        out.push_str("# TYPE uhd_kernel_ops_total counter\n");
-        for (op, count) in uhd_core::telemetry::op_counts().entries() {
-            let _ = writeln!(out, "uhd_kernel_ops_total{{op=\"{op}\"}} {count}");
-        }
+    out.push_str("# TYPE uhd_kernel_ops_total counter\n");
+    for (op, count) in uhd_core::telemetry::op_counts().entries() {
+        let _ = writeln!(out, "uhd_kernel_ops_total{{op=\"{op}\"}} {count}");
     }
     out
 }

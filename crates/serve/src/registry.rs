@@ -955,12 +955,12 @@ fn validate_tenant_name(name: &str) -> Result<(), ServeError> {
 }
 
 /// Stable ordinal for the dispatched kernel in the
-/// [`TraceKind::KernelDispatched`] event payload.
+/// [`TraceKind::KernelDispatched`] event payload: `scalar` 0, `avx2` 1,
+/// `avx512` 2.
 fn kernel_ordinal(name: &str) -> u64 {
     match name {
         "avx2" => 1,
         "avx512" => 2,
-        "neon" => 3,
         _ => 0, // scalar
     }
 }

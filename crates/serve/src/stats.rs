@@ -116,11 +116,11 @@ pub(crate) struct LatencyFigures {
 /// tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Name of the popcount/distance kernel the inference hot path
-    /// dispatches to (`"scalar"`, `"avx2"`, `"avx512"`, `"neon"` — see
-    /// `uhd_core::kernels`). Process-wide, recorded here so serving
-    /// telemetry and `BENCH_*.json` trajectories are attributable to
-    /// the instruction set actually used.
+    /// Name of the kernel the served sweep and bundling dispatch to
+    /// (`"scalar"`, `"avx2"` or `"avx512"` — see `uhd_core::kernels`).
+    /// Process-wide, recorded here so serving telemetry and
+    /// `BENCH_*.json` trajectories are attributable to the instruction
+    /// set actually used.
     pub kernel: &'static str,
     /// Classify requests admitted by [`crate::ModelRegistry::classify`]
     /// / [`crate::ModelRegistry::classify_many`] (holding a permit or

@@ -111,8 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The per-shard staged-latency summaries from the Prometheus text
     // exposition (the full document also carries every counter, the
-    // line gauges, and — under `--features telemetry` — kernel op
-    // counts).
+    // line gauges, and the sweep and bundling kernels' op counts).
     println!("telemetry excerpt (render_metrics):");
     for line in metrics_text.lines().filter(|line| {
         (line.starts_with("uhd_request_queue_wait_ns") || line.starts_with("uhd_batch_compute_ns"))

@@ -1,14 +1,16 @@
-//! Cross-kernel equivalence: every runtime-dispatched SIMD popcount
-//! path must be bit-identical to the scalar fallback on every public
-//! entry point, across dimensions chosen to hit the masked-tail
-//! remainder loops (`D % 256 ≠ 0`, `D % 64 ≠ 0`) and paper-scale sizes.
+//! Cross-kernel equivalence: every runtime-dispatched SIMD kernel
+//! must be bit-identical to the scalar fallback on both served entry
+//! points (the associative sweep and bundling), across dimensions
+//! chosen to hit the masked-tail remainder loops (`D % 256 ≠ 0`,
+//! `D % 64 ≠ 0`) and paper-scale sizes; the pairwise
+//! [`Hypervector`] ops are pinned to a bit-by-bit count at the same
+//! dimensions.
 //!
 //! These suites are the safety net for `uhd_core::kernels`: a SIMD
 //! kernel that mis-handles a remainder word would corrupt *distances*,
 //! which the accuracy experiments would only ever see as a mysterious
 //! drop — so the equivalence is pinned here, exhaustively, instead.
 
-use proptest::prelude::*;
 use uhd::core::assoc::AssociativeMemory;
 use uhd::core::hypervector::Hypervector;
 use uhd::core::kernels::Kernel;
@@ -26,29 +28,23 @@ fn edge_dims() -> Vec<u32> {
     dims
 }
 
+/// `hamming_distance`, `dot` and `count_plus_ones` equal a count over
+/// every dimension, one bit at a time.
 #[test]
-fn pairwise_distance_agrees_across_kernels_at_edge_dims() {
+fn pairwise_ops_match_a_bit_by_bit_count_at_edge_dims() {
     for dim in edge_dims() {
         let mut rng = Xoshiro256StarStar::seeded(u64::from(dim).wrapping_mul(0x9e37_79b9));
         let a = Hypervector::random(dim, &mut rng);
         let b = Hypervector::random(dim, &mut rng);
-        let scalar = Kernel::scalar();
-        let expected_h = scalar.xor_popcount(a.words(), b.words());
-        let expected_p = scalar.popcount(a.words());
-        for kernel in Kernel::available() {
-            assert_eq!(
-                kernel.xor_popcount(a.words(), b.words()),
-                expected_h,
-                "xor_popcount: kernel {} at dim {dim}",
-                kernel.name()
-            );
-            assert_eq!(
-                kernel.popcount(a.words()),
-                expected_p,
-                "popcount: kernel {} at dim {dim}",
-                kernel.name()
-            );
-        }
+        let differing: u32 = (0..dim).map(|i| u32::from(a.bit(i) != b.bit(i))).sum();
+        let plus_ones: u32 = (0..dim).map(|i| u32::from(a.bit(i))).sum();
+        assert_eq!(a.hamming_distance(&b).unwrap(), differing, "dim {dim}");
+        assert_eq!(
+            a.dot(&b).unwrap(),
+            i64::from(dim) - 2 * i64::from(differing),
+            "dim {dim}"
+        );
+        assert_eq!(a.count_plus_ones(), plus_ones, "dim {dim}");
     }
 }
 
@@ -78,9 +74,9 @@ fn am_sweep_agrees_across_kernels_at_edge_dims() {
 }
 
 /// The forced-fallback guarantee: `Kernel::scalar()` is always
-/// constructible and always agrees with the auto-detected kernel, so
-/// the scalar path stays exercised (and correct) even on machines
-/// where detection picks a SIMD path.
+/// constructible and always agrees with the auto-detected kernel on
+/// both served ops, so the scalar path stays exercised (and correct)
+/// even on machines where detection picks a SIMD path.
 #[test]
 fn forced_scalar_fallback_matches_the_dispatched_kernel() {
     let scalar = Kernel::scalar();
@@ -94,61 +90,40 @@ fn forced_scalar_fallback_matches_the_dispatched_kernel() {
     );
     let mut rng = Xoshiro256StarStar::seeded(0xfa11_bacc);
     for dim in [257u32, 8192, 65_537] {
-        let a = Hypervector::random(dim, &mut rng);
-        let b = Hypervector::random(dim, &mut rng);
-        assert_eq!(
-            scalar.xor_popcount(a.words(), b.words()),
-            active.xor_popcount(a.words(), b.words()),
-            "dim {dim}"
-        );
-        assert_eq!(
-            a.hamming_distance(&b).unwrap(),
-            u32::try_from(scalar.xor_popcount(a.words(), b.words())).unwrap(),
-            "Hypervector::hamming_distance must equal the scalar kernel at dim {dim}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For arbitrary small dimensions (all tail-remainder classes mod
-    /// 64 and mod 256) every available kernel computes the same
-    /// Hamming distance as the scalar fallback.
-    #[test]
-    fn prop_kernels_agree_on_arbitrary_small_dims(
-        dim in 1u32..257,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Xoshiro256StarStar::seeded(seed);
-        let a = Hypervector::random(dim, &mut rng);
-        let b = Hypervector::random(dim, &mut rng);
-        let expected = Kernel::scalar().xor_popcount(a.words(), b.words());
-        for kernel in Kernel::available() {
-            prop_assert_eq!(
-                kernel.xor_popcount(a.words(), b.words()),
-                expected,
-                "kernel {} at dim {}", kernel.name(), dim
-            );
+        // Nine classes: one full AVX-512 chunk of eight plus a ragged one.
+        let classes = 9;
+        let class_hvs: Vec<Hypervector> = (0..classes)
+            .map(|_| Hypervector::random(dim, &mut rng))
+            .collect();
+        let words = class_hvs[0].words().len();
+        let mut slices = vec![0u64; classes * words];
+        for (c, hv) in class_hvs.iter().enumerate() {
+            for (w, &word) in hv.words().iter().enumerate() {
+                slices[w * classes + c] = word;
+            }
         }
-    }
+        let query = Hypervector::random(dim, &mut rng);
+        let mut expect = vec![0u32; classes];
+        let mut got = vec![0u32; classes];
+        scalar.hamming_to_all(&slices, classes, query.words(), &mut expect);
+        active.hamming_to_all(&slices, classes, query.words(), &mut got);
+        assert_eq!(got, expect, "hamming_to_all at dim {dim}");
 
-    /// Same at word-multiple boundaries around paper-scale dims, where
-    /// the main SIMD loops (not the remainders) carry the work.
-    #[test]
-    fn prop_kernels_agree_near_simd_boundaries(
-        words in 1u32..40,
-        offset in 0u32..3,
-        seed in any::<u64>(),
-    ) {
-        // dims of the form 64·w − 1, 64·w, 64·w + 1 (clamped ≥ 1)
-        let dim = (words * 64 + offset).saturating_sub(1).max(1);
-        let mut rng = Xoshiro256StarStar::seeded(seed);
-        let a = Hypervector::random(dim, &mut rng);
-        let b = Hypervector::random(dim, &mut rng);
-        prop_assert_eq!(
-            i64::from(a.hamming_distance(&b).unwrap()),
-            i64::try_from(Kernel::scalar().xor_popcount(a.words(), b.words())).unwrap()
-        );
+        // 40 rows into seven planes, twice: the second call starts
+        // from nonzero counts, so carries cross planes.
+        let rows: Vec<&[u64]> = class_hvs
+            .iter()
+            .chain([&query])
+            .cycle()
+            .take(40)
+            .map(Hypervector::words)
+            .collect();
+        let mut expect = vec![0u64; 7 * words];
+        let mut got = expect.clone();
+        for _ in 0..2 {
+            scalar.bundle(&mut expect, words, &rows);
+            active.bundle(&mut got, words, &rows);
+        }
+        assert_eq!(got, expect, "bundle at dim {dim}");
     }
 }
