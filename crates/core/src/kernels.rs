@@ -738,6 +738,36 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Every runnable kernel's one-class sweep is the pairwise
+        /// XOR+popcount (and, against all-zero words, the popcount),
+        /// bit-identical to scalar, including remainder lengths
+        /// (n % 8 ≠ 0) and the empty vector.
+        #[test]
+        fn prop_pairwise_kernels_match_scalar(
+            n in 0usize..70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let a = random_words(n, &mut rng);
+            let b = random_words(n, &mut rng);
+            let zeros = vec![0u64; n];
+            let expect: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
+            let pop_expect: u32 = a.iter().map(|x| x.count_ones()).sum();
+            let mut reference = [0u32; 1];
+            let mut pop_reference = [0u32; 1];
+            Kernel::scalar().hamming_to_all(&a, 1, &b, &mut reference);
+            Kernel::scalar().hamming_to_all(&a, 1, &zeros, &mut pop_reference);
+            prop_assert_eq!(reference, [expect]);
+            prop_assert_eq!(pop_reference, [pop_expect]);
+            for k in Kernel::available() {
+                let mut out = [u32::MAX; 1];
+                k.hamming_to_all(&a, 1, &b, &mut out);
+                prop_assert_eq!(out, reference, "kernel {}", k.name());
+                k.hamming_to_all(&a, 1, &zeros, &mut out);
+                prop_assert_eq!(out, pop_reference, "kernel {}", k.name());
+            }
+        }
+
         /// The blocked associative sweep equals per-class XOR+popcount
         /// for every kernel.
         #[test]

@@ -4,13 +4,14 @@
 //! chosen to hit the masked-tail remainder loops (`D % 256 ≠ 0`,
 //! `D % 64 ≠ 0`) and paper-scale sizes; the pairwise
 //! [`Hypervector`] ops are pinned to a bit-by-bit count at the same
-//! dimensions.
+//! dimensions, and to every kernel's one-class sweep.
 //!
 //! These suites are the safety net for `uhd_core::kernels`: a SIMD
 //! kernel that mis-handles a remainder word would corrupt *distances*,
 //! which the accuracy experiments would only ever see as a mysterious
 //! drop — so the equivalence is pinned here, exhaustively, instead.
 
+use proptest::prelude::*;
 use uhd::core::assoc::AssociativeMemory;
 use uhd::core::hypervector::Hypervector;
 use uhd::core::kernels::Kernel;
@@ -45,6 +46,46 @@ fn pairwise_ops_match_a_bit_by_bit_count_at_edge_dims() {
             "dim {dim}"
         );
         assert_eq!(a.count_plus_ones(), plus_ones, "dim {dim}");
+    }
+}
+
+/// The distance `kernel`'s sweep gives between `a` and `b`: a
+/// one-class associative memory holding `a`, queried with `b`.
+fn one_class_sweep(kernel: Kernel, a: &Hypervector, b: &Hypervector) -> u32 {
+    let memory = AssociativeMemory::new(std::slice::from_ref(a)).unwrap();
+    let mut out = Vec::new();
+    memory.hamming_to_all_with(kernel, b, &mut out).unwrap();
+    assert_eq!(out.len(), 1);
+    out[0]
+}
+
+/// Every available kernel's one-class sweep gives the pairwise
+/// `hamming_distance`, and a sweep against the all-zero words gives
+/// `count_plus_ones`.
+#[test]
+fn pairwise_distance_agrees_across_kernels_at_edge_dims() {
+    for dim in edge_dims() {
+        let mut rng = Xoshiro256StarStar::seeded(u64::from(dim).wrapping_mul(0x9e37_79b9));
+        let a = Hypervector::random(dim, &mut rng);
+        let b = Hypervector::random(dim, &mut rng);
+        let zeros = Hypervector::neg_ones(dim);
+        assert_eq!(zeros.count_plus_ones(), 0);
+        let expected_h = a.hamming_distance(&b).unwrap();
+        let expected_p = a.count_plus_ones();
+        for kernel in Kernel::available() {
+            assert_eq!(
+                one_class_sweep(kernel, &a, &b),
+                expected_h,
+                "hamming: kernel {} at dim {dim}",
+                kernel.name()
+            );
+            assert_eq!(
+                one_class_sweep(kernel, &a, &zeros),
+                expected_p,
+                "popcount: kernel {} at dim {dim}",
+                kernel.name()
+            );
+        }
     }
 }
 
@@ -125,5 +166,55 @@ fn forced_scalar_fallback_matches_the_dispatched_kernel() {
             active.bundle(&mut got, words, &rows);
         }
         assert_eq!(got, expect, "bundle at dim {dim}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For arbitrary small dimensions (all tail-remainder classes mod
+    /// 64 and mod 256) every available kernel's one-class sweep gives
+    /// the same Hamming distance as `hamming_distance`.
+    #[test]
+    fn prop_kernels_agree_on_arbitrary_small_dims(
+        dim in 1u32..257,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Xoshiro256StarStar::seeded(seed);
+        let a = Hypervector::random(dim, &mut rng);
+        let b = Hypervector::random(dim, &mut rng);
+        let expected = a.hamming_distance(&b).unwrap();
+        for kernel in Kernel::available() {
+            prop_assert_eq!(
+                one_class_sweep(kernel, &a, &b),
+                expected,
+                "kernel {} at dim {}", kernel.name(), dim
+            );
+        }
+    }
+
+    /// Same at word-multiple boundaries around paper-scale dims, where
+    /// the main SIMD loops (not the remainders) carry the work; the
+    /// scalar sweep is the reference.
+    #[test]
+    fn prop_kernels_agree_near_simd_boundaries(
+        words in 1u32..40,
+        offset in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        // dims of the form 64·w − 1, 64·w, 64·w + 1 (clamped ≥ 1)
+        let dim = (words * 64 + offset).saturating_sub(1).max(1);
+        let mut rng = Xoshiro256StarStar::seeded(seed);
+        let a = Hypervector::random(dim, &mut rng);
+        let b = Hypervector::random(dim, &mut rng);
+        let reference = one_class_sweep(Kernel::scalar(), &a, &b);
+        prop_assert_eq!(a.hamming_distance(&b).unwrap(), reference);
+        for kernel in Kernel::available() {
+            prop_assert_eq!(
+                one_class_sweep(kernel, &a, &b),
+                reference,
+                "kernel {} at dim {}", kernel.name(), dim
+            );
+        }
     }
 }
