@@ -115,7 +115,7 @@ if [ "$smoke" -eq 1 ]; then
     step "smoke: metrics exposition (serving example + validate_metrics)"
     metrics_dir="$(mktemp -d)"
     trap 'rm -rf "$metrics_dir"' EXIT
-    UHD_METRICS_SNAPSHOT="$metrics_dir/serving" UHD_LOG=1 \
+    UHD_METRICS_SNAPSHOT="$metrics_dir/serving" \
         cargo run --release -q --example serving > /dev/null
     cargo run --release -q -p uhd-bench --bin validate_metrics -- "$metrics_dir/serving"
     # Same exposition contract through the multi-tenant HTTP front end:

@@ -15,15 +15,18 @@
 //! serving registry's class memories live off.
 //!
 //! The sweep runs at several dimensions so the capacity-vs-D scaling is
-//! visible in one report. Results go to stdout *and*
+//! visible in one report. Each point's retrieval rate is the median of
+//! repeated timed passes over all of its retrievals (at least 7 passes
+//! and 200 ms in a full run, the rule the `throughput` serial
+//! baselines use), reported with its IQR. Results go to stdout *and*
 //! `BENCH_capacity.json` in the repository root (machine-attributed,
 //! like every bench bin; quick runs write `target/bench-quick/`).
 //! Honours `UHD_BENCH_QUICK` for a reduced sweep and `UHD_SEED` for the
 //! master seed.
 
 use std::fmt::Write as _;
-use std::time::Instant;
-use uhd_bench::{env_flag, machine_json, write_bench_json};
+use std::time::{Duration, Instant};
+use uhd_bench::{env_flag, iqr, machine_json, median, write_bench_json, MIN_PASSES, PASS_SPAN};
 use uhd_core::assoc::AssociativeMemory;
 use uhd_core::hypervector::Hypervector;
 use uhd_core::DenseAccumulator;
@@ -36,61 +39,111 @@ struct CapacityPoint {
     dim: u32,
     pairs: usize,
     accuracy: f64,
+    /// Median pass rate over the timed passes.
     retrievals_per_sec: f64,
+    /// Interquartile range of the pass rates.
+    retrievals_per_sec_iqr: f64,
 }
 
-/// Bundle `pairs` random key⊗value bindings and measure retrieval
-/// accuracy over `trials` independent stores.
-fn measure(dim: u32, pairs: usize, trials: usize, rng: &mut Xoshiro256StarStar) -> CapacityPoint {
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    let mut retrieval_time = std::time::Duration::ZERO;
-    for _ in 0..trials {
-        let codebook: Vec<Hypervector> = (0..CODEBOOK)
-            .map(|_| Hypervector::random(dim, rng))
-            .collect();
-        let keys: Vec<Hypervector> = (0..pairs).map(|_| Hypervector::random(dim, rng)).collect();
-        let assignment: Vec<usize> = (0..pairs)
-            .map(|i| {
-                // Spread assignments over the codebook deterministically
-                // but not uniformly-trivially (distinct keys may share a
-                // value, as in a real store).
-                (i * 7 + dim as usize % 13) % CODEBOOK
-            })
-            .collect();
-        let mut acc = DenseAccumulator::new(dim);
-        for (key, &value) in keys.iter().zip(&assignment) {
-            let bound = key.bind(&codebook[value]).expect("dims match");
-            acc.add_hypervector(&bound).expect("dims match");
-        }
-        let store = acc.binarize();
-        let memory = AssociativeMemory::new(&codebook).expect("non-empty codebook");
-        let mut dists = Vec::with_capacity(CODEBOOK);
+/// One trial's key–value store: the bundled bindings, the keys to
+/// retrieve with and the codebook symbol each key was bound to.
+struct Store {
+    memory: AssociativeMemory,
+    bundle: Hypervector,
+    keys: Vec<Hypervector>,
+    assignment: Vec<usize>,
+}
+
+/// Bundle `pairs` random key⊗value bindings into one store.
+fn build_store(dim: u32, pairs: usize, rng: &mut Xoshiro256StarStar) -> Store {
+    let codebook: Vec<Hypervector> = (0..CODEBOOK)
+        .map(|_| Hypervector::random(dim, rng))
+        .collect();
+    let keys: Vec<Hypervector> = (0..pairs).map(|_| Hypervector::random(dim, rng)).collect();
+    let assignment: Vec<usize> = (0..pairs)
+        .map(|i| {
+            // Spread assignments over the codebook deterministically
+            // but not uniformly-trivially (distinct keys may share a
+            // value, as in a real store).
+            (i * 7 + dim as usize % 13) % CODEBOOK
+        })
+        .collect();
+    let mut acc = DenseAccumulator::new(dim);
+    for (key, &value) in keys.iter().zip(&assignment) {
+        let bound = key.bind(&codebook[value]).expect("dims match");
+        acc.add_hypervector(&bound).expect("dims match");
+    }
+    Store {
+        memory: AssociativeMemory::new(&codebook).expect("non-empty codebook"),
+        bundle: acc.binarize(),
+        keys,
+        assignment,
+    }
+}
+
+/// Retrieve every key's value from `store`; returns how many come back
+/// right.
+fn retrieve(store: &Store, dists: &mut Vec<u32>) -> usize {
+    let mut correct = 0;
+    for (key, &value) in store.keys.iter().zip(&store.assignment) {
+        // Unbind: XNOR binding is an involution, so S ⊗ key peels
+        // the key off and leaves value + crosstalk.
+        let noisy = store.bundle.bind(key).expect("dims match");
+        store
+            .memory
+            .hamming_to_all(&noisy, dists)
+            .expect("dims match");
+        // Nearest symbol (largest dot = smallest distance); ties go
+        // to the highest index.
+        let best = (0..CODEBOOK)
+            .rev()
+            .min_by_key(|&idx| dists[idx])
+            .expect("non-empty codebook");
+        correct += usize::from(best == value);
+    }
+    correct
+}
+
+/// Measure retrieval accuracy over `trials` independent stores of
+/// `pairs` bindings, then time passes over every retrieval: one pass in
+/// a quick run, otherwise at least [`MIN_PASSES`] passes and
+/// [`PASS_SPAN`]. The untimed first pass, which scores accuracy, is
+/// also the warm-up.
+fn measure(
+    dim: u32,
+    pairs: usize,
+    trials: usize,
+    quick: bool,
+    rng: &mut Xoshiro256StarStar,
+) -> CapacityPoint {
+    let stores: Vec<Store> = (0..trials).map(|_| build_store(dim, pairs, rng)).collect();
+    let mut dists = Vec::with_capacity(CODEBOOK);
+    let mut pass = || -> usize { stores.iter().map(|s| retrieve(s, &mut dists)).sum() };
+    let correct = pass();
+    let total = pairs * trials;
+    let (span, min_passes) = if quick {
+        (Duration::ZERO, 1)
+    } else {
+        (PASS_SPAN, MIN_PASSES)
+    };
+    let mut rates = Vec::new();
+    let mut spent = Duration::ZERO;
+    while rates.len() < min_passes || spent < span {
         let t0 = Instant::now();
-        for (key, &value) in keys.iter().zip(&assignment) {
-            // Unbind: XNOR binding is an involution, so S ⊗ key peels
-            // the key off and leaves value + crosstalk.
-            let noisy = store.bind(key).expect("dims match");
-            memory
-                .hamming_to_all(&noisy, &mut dists)
-                .expect("dims match");
-            // Nearest symbol (largest dot = smallest distance); ties go
-            // to the highest index.
-            let best = (0..CODEBOOK)
-                .rev()
-                .min_by_key(|&idx| dists[idx])
-                .expect("non-empty codebook");
-            correct += usize::from(best == value);
-            total += 1;
-        }
-        retrieval_time += t0.elapsed();
+        let again = pass();
+        let elapsed = t0.elapsed();
+        assert_eq!(again, correct, "retrieval is deterministic");
+        spent += elapsed;
+        #[allow(clippy::cast_precision_loss)]
+        rates.push(total as f64 / elapsed.as_secs_f64().max(1e-9));
     }
     #[allow(clippy::cast_precision_loss)]
     CapacityPoint {
         dim,
         pairs,
         accuracy: correct as f64 / total as f64,
-        retrievals_per_sec: total as f64 / retrieval_time.as_secs_f64().max(1e-9),
+        retrievals_per_sec: median(&rates),
+        retrievals_per_sec_iqr: iqr(&rates),
     }
 }
 
@@ -116,18 +169,19 @@ fn main() {
     let mut points = Vec::new();
     println!("key-value capacity stress (codebook {CODEBOOK}, {trials} trials/point)");
     println!(
-        "{:>7} {:>6} {:>9} {:>14}",
-        "dim", "pairs", "accuracy", "retrievals/s"
+        "{:>7} {:>6} {:>9} {:>14} {:>12}",
+        "dim", "pairs", "accuracy", "retrievals/s", "iqr"
     );
     for &dim in dims {
         for &pairs in sweep {
-            let point = measure(dim, pairs, trials, &mut rng);
+            let point = measure(dim, pairs, trials, quick, &mut rng);
             println!(
-                "{:>7} {:>6} {:>8.1}% {:>14.0}",
+                "{:>7} {:>6} {:>8.1}% {:>14.0} {:>12.0}",
                 point.dim,
                 point.pairs,
                 point.accuracy * 100.0,
-                point.retrievals_per_sec
+                point.retrievals_per_sec,
+                point.retrievals_per_sec_iqr
             );
             points.push(point);
         }
@@ -166,8 +220,9 @@ fn main() {
         let sep = if i + 1 == points.len() { "" } else { "," };
         let _ = write!(
             rows,
-            "\n    {{\"dim\": {}, \"pairs\": {}, \"accuracy\": {:.4}, \"retrievals_per_sec\": {:.0}}}{sep}",
-            p.dim, p.pairs, p.accuracy, p.retrievals_per_sec
+            "\n    {{\"dim\": {}, \"pairs\": {}, \"accuracy\": {:.4}, \"retrievals_per_sec\": {:.0}, \
+             \"retrievals_per_sec_iqr\": {:.0}}}{sep}",
+            p.dim, p.pairs, p.accuracy, p.retrievals_per_sec, p.retrievals_per_sec_iqr
         );
     }
     let json = format!(

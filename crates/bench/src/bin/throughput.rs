@@ -34,8 +34,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uhd_bench::{
-    env_flag, machine_json, tabular_encoder, text_encoder, uhd_encoder, ExperimentConfig,
-    Latencies, Workbench,
+    env_flag, iqr, machine_json, median, tabular_encoder, text_encoder, uhd_encoder,
+    ExperimentConfig, Latencies, Workbench, MIN_PASSES, PASS_SPAN,
 };
 use uhd_core::accumulator::BitSliceAccumulator;
 use uhd_core::assoc::AssociativeMemory;
@@ -59,12 +59,6 @@ const OVERHEAD_SPAN: Duration = Duration::from_secs(1);
 /// Minimum wave pairs in the full-run instrumentation-overhead bench,
 /// so its median has pairs to choose from however fast a wave runs.
 const OVERHEAD_PAIRS: usize = 15;
-
-/// Minimum time each serial baseline is timed for in a full run.
-const SERIAL_SPAN: Duration = Duration::from_millis(200);
-
-/// Minimum passes per serial baseline in a full run.
-const SERIAL_PASSES: usize = 7;
 
 /// Start a registry serving `model` through `encoder` as its only
 /// tenant.
@@ -275,32 +269,6 @@ fn encode_layers_bench(quick: bool) -> Vec<EncodeLayers> {
         .collect()
 }
 
-/// The median of `values` (the mean of the middle two for an even
-/// count).
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        f64::midpoint(sorted[mid - 1], sorted[mid])
-    } else {
-        sorted[mid]
-    }
-}
-
-/// The interquartile range of `values`, each quartile interpolated
-/// linearly between the closest ranks.
-fn iqr(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let quantile = |q: f64| {
-        let rank = q * (sorted.len() - 1) as f64;
-        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
-    };
-    quantile(0.75) - quantile(0.25)
-}
-
 /// Run `measure(&state, side)` for sides 0 and 1 in pairs, the order
 /// flipped every pair, until each side has run for `span` over at least
 /// `min_pairs` pairs, and return each side's results in run order.
@@ -496,7 +464,7 @@ struct SerialRate {
 /// sharding, or the transposed class store). One pass over `images`
 /// takes a few milliseconds, so a full run alternates passes, the
 /// order flipped every pass pair, until each baseline has run for
-/// [`SERIAL_SPAN`] over at least [`SERIAL_PASSES`] passes, and reports
+/// [`PASS_SPAN`] over at least [`MIN_PASSES`] passes, and reports
 /// each one's median pass rate with its IQR. Quick mode times one pass
 /// each.
 fn serial_baselines(
@@ -508,7 +476,7 @@ fn serial_baselines(
     let (span, min_passes) = if quick {
         (Duration::ZERO, 1)
     } else {
-        (SERIAL_SPAN, SERIAL_PASSES)
+        (PASS_SPAN, MIN_PASSES)
     };
     let modes = [InferenceMode::default(), InferenceMode::BinarizedQuery];
     let rates = alternate(

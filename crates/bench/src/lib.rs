@@ -11,7 +11,10 @@
 pub mod json;
 pub mod report;
 
-pub use report::{bench_dir, env_flag, machine_json, repo_root, write_bench_json, Latencies};
+pub use report::{
+    bench_dir, env_flag, iqr, machine_json, median, repo_root, write_bench_json, Latencies,
+    MIN_PASSES, PASS_SPAN,
+};
 
 use uhd_core::encoder::baseline::{BaselineConfig, BaselineEncoder};
 use uhd_core::encoder::tabular::{TabularConfig, TabularEncoder};

@@ -1,5 +1,6 @@
 //! Shared reporting plumbing for the bench binaries: environment-flag
-//! parsing, machine/kernel provenance, latency percentiles, and the
+//! parsing, machine/kernel provenance, latency percentiles, the
+//! repeated-pass rule with its median/IQR summary, and the
 //! `BENCH_*.json` perf-trajectory files (repository root for full runs,
 //! `target/bench-quick/` for quick ones).
 
@@ -103,6 +104,40 @@ impl Latencies {
             self.len()
         )
     }
+}
+
+/// Minimum time a repeated-pass measurement runs for in a full run.
+pub const PASS_SPAN: Duration = Duration::from_millis(200);
+
+/// Minimum passes of a repeated-pass measurement in a full run.
+pub const MIN_PASSES: usize = 7;
+
+/// The median of `values` (the mean of the middle two for an even
+/// count).
+#[must_use]
+pub fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        f64::midpoint(sorted[mid - 1], sorted[mid])
+    } else {
+        sorted[mid]
+    }
+}
+
+/// The interquartile range of `values`, each quartile interpolated
+/// linearly between the closest ranks.
+#[must_use]
+pub fn iqr(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let rank = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+    };
+    quantile(0.75) - quantile(0.25)
 }
 
 /// The repository root, resolved from this crate's manifest directory

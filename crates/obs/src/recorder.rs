@@ -1,6 +1,5 @@
 //! The [`Recorder`] facade: a named registry of counters, gauges, and
-//! histograms plus the trace-event ring, with Prometheus-style text
-//! and JSON exposition.
+//! histograms, with Prometheus-style text and JSON exposition.
 //!
 //! Handles ([`Counter`], [`Gauge`], `Arc<Histogram>`) are cheap clones
 //! of shared atomics: registration takes a short mutex on the registry
@@ -13,9 +12,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use crate::events::{EventLog, TraceEvent, TraceKind, TraceLevel, DEFAULT_EVENT_CAPACITY};
 use crate::histogram::{Histogram, HistogramSnapshot};
 
 /// Quantiles every histogram exposes in both exposition formats.
@@ -104,46 +101,41 @@ struct MetricEntry {
 struct Inner {
     enabled: bool,
     metrics: Mutex<Vec<MetricEntry>>,
-    events: EventLog,
-    epoch: Instant,
 }
 
-/// The observability facade: get-or-register named metrics, push trace
-/// events, render everything. Cloning shares the same registry.
+/// The observability facade: get-or-register named metrics, render
+/// them all. Cloning shares the same registry.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     inner: Arc<Inner>,
 }
 
-impl Recorder {
-    /// An active recorder tracing at `level`.
-    #[must_use]
-    pub fn new(level: TraceLevel) -> Self {
-        Recorder::build(true, level)
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new()
     }
+}
 
-    /// An active recorder whose trace level follows the `UHD_LOG`
-    /// environment knob.
+impl Recorder {
+    /// An active recorder (the same as [`Recorder::default`]).
     #[must_use]
-    pub fn from_env() -> Self {
-        Recorder::new(TraceLevel::from_env())
+    pub fn new() -> Self {
+        Recorder::build(true)
     }
 
     /// A disabled recorder: hands out working handles whose values are
-    /// never rendered, records no events. Lets instrumented code run
-    /// branch-free whether telemetry is on or off.
+    /// never rendered. Lets instrumented code run branch-free whether
+    /// telemetry is on or off.
     #[must_use]
     pub fn noop() -> Self {
-        Recorder::build(false, TraceLevel::Off)
+        Recorder::build(false)
     }
 
-    fn build(enabled: bool, level: TraceLevel) -> Self {
+    fn build(enabled: bool) -> Self {
         Recorder {
             inner: Arc::new(Inner {
                 enabled,
                 metrics: Mutex::new(Vec::new()),
-                events: EventLog::new(level, DEFAULT_EVENT_CAPACITY),
-                epoch: Instant::now(),
             }),
         }
     }
@@ -152,18 +144,6 @@ impl Recorder {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.inner.enabled
-    }
-
-    /// The trace verbosity of the event ring.
-    #[must_use]
-    pub fn level(&self) -> TraceLevel {
-        self.inner.events.level()
-    }
-
-    /// Microseconds since this recorder was created.
-    #[must_use]
-    pub fn uptime_micros(&self) -> u64 {
-        u64::try_from(self.inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     fn lookup(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricCell> {
@@ -255,19 +235,6 @@ impl Recorder {
         let h = Arc::new(Histogram::new());
         self.register(name, labels, MetricCell::Histogram(Arc::clone(&h)));
         h
-    }
-
-    /// Push a trace event (dropped when disabled or below the level).
-    pub fn event(&self, kind: TraceKind, a: u64, b: u64) {
-        if self.inner.enabled {
-            self.inner.events.push(kind, a, b);
-        }
-    }
-
-    /// Decode the trace events currently resident in the ring.
-    #[must_use]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.events.events()
     }
 
     /// Render every registered metric in the Prometheus text
@@ -428,7 +395,7 @@ mod tests {
 
     #[test]
     fn handles_share_cells_by_name_and_labels() {
-        let rec = Recorder::new(TraceLevel::Off);
+        let rec = Recorder::new();
         let a = rec.counter("uhd_test_total");
         let b = rec.counter("uhd_test_total");
         a.inc();
@@ -455,7 +422,7 @@ mod tests {
 
     #[test]
     fn render_text_is_prometheus_shaped() {
-        let rec = Recorder::new(TraceLevel::Off);
+        let rec = Recorder::new();
         rec.counter("uhd_requests_total").add(10);
         rec.gauge_with("uhd_queue_depth", &[("shard", "0")]).set(4);
         let h = rec.histogram_with("uhd_wait_ns", &[("shard", "0")]);
@@ -492,7 +459,7 @@ mod tests {
         // three top-level maps. (The bench crate's parser round-trip
         // is covered by tests/observability.rs to avoid a dev-dep
         // cycle: uhd-bench already depends on uhd-obs.)
-        let rec = Recorder::new(TraceLevel::Off);
+        let rec = Recorder::new();
         rec.counter("uhd_requests_total").add(3);
         rec.gauge("uhd_depth").set(2);
         rec.histogram_with("uhd_wait_ns", &[("shard", "1")])
@@ -519,20 +486,7 @@ mod tests {
         let c = rec.counter("uhd_ghost_total");
         c.add(9);
         assert_eq!(c.get(), 9, "handles still count");
-        rec.event(TraceKind::ModelSwapped, 1, 2);
-        assert!(rec.events().is_empty(), "noop records no events");
         assert_eq!(rec.render_text(), "");
         assert_eq!(rec.render_json(), "{}");
-    }
-
-    #[test]
-    fn events_flow_through_the_recorder() {
-        let rec = Recorder::new(TraceLevel::Info);
-        rec.event(TraceKind::SampleRejected, 7, u64::MAX);
-        rec.event(TraceKind::BatchFormed, 0, 8); // below Info
-        let events = rec.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, TraceKind::SampleRejected);
-        assert_eq!(events[0].a, 7, "rejection carries the offending label");
     }
 }

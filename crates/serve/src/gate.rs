@@ -166,10 +166,10 @@ impl<P> Drop for Permit<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uhd_obs::{Recorder, TraceLevel};
+    use uhd_obs::Recorder;
 
     fn gate(permits: usize) -> (Gate<usize>, Gauge, Gauge) {
-        let rec = Recorder::new(TraceLevel::Off);
+        let rec = Recorder::new();
         let (depth, hw) = (rec.gauge("uhd_test_depth"), rec.gauge("uhd_test_depth_hw"));
         let gate = Gate::new((0..permits).collect(), depth.clone(), hw.clone());
         (gate, depth, hw)

@@ -4,7 +4,10 @@
 //! This is deliberately *not* a general web server: it parses exactly
 //! the subset of HTTP/1.1 the serving API needs (request line, headers,
 //! `Content-Length` bodies, keep-alive) and nothing else — no chunked
-//! transfer, no TLS, no compression. The wire protocol:
+//! transfer, no TLS, no compression. Framing is strict, so no request
+//! can hide inside another's body: any `Transfer-Encoding` gets `501`
+//! and `Content-Length` headers that disagree get `400`, both closing
+//! the connection. The wire protocol:
 //!
 //! | Route | Meaning |
 //! |---|---|
@@ -199,6 +202,9 @@ enum ParseError {
     TooLarge,
     /// Request line + headers past [`MAX_HEAD_BYTES`] cumulatively.
     HeadTooLarge,
+    /// A `Transfer-Encoding` header: only `Content-Length` framing is
+    /// implemented, so where the body ends is unknown.
+    TransferEncoding,
 }
 
 /// Cumulative cap on the request line plus all header lines. Bodies
@@ -223,21 +229,23 @@ fn handle_connection(stream: TcpStream, registry: &ModelRegistry, config: &HttpS
                     return;
                 }
             }
-            Err(ParseError::Eof) => return,
-            Err(ParseError::TooLarge) => {
-                let response = HttpResponse::json(413, "{\"error\":\"body too large\"}");
-                let _ = write_response(&mut writer, &response, false);
-                return;
-            }
-            Err(ParseError::HeadTooLarge) => {
-                let response =
-                    HttpResponse::json(431, "{\"error\":\"request header section too large\"}");
-                let _ = write_response(&mut writer, &response, false);
-                return;
-            }
-            Err(ParseError::Malformed(reason)) => {
-                let response =
-                    HttpResponse::json(400, &format!("{{\"error\":{}}}", json_string(reason)));
+            Err(error) => {
+                let response = match error {
+                    ParseError::Eof => return,
+                    ParseError::TooLarge => {
+                        HttpResponse::json(413, "{\"error\":\"body too large\"}")
+                    }
+                    ParseError::HeadTooLarge => {
+                        HttpResponse::json(431, "{\"error\":\"request header section too large\"}")
+                    }
+                    ParseError::TransferEncoding => HttpResponse::json(
+                        501,
+                        "{\"error\":\"transfer-encoding is not supported; send content-length\"}",
+                    ),
+                    ParseError::Malformed(reason) => {
+                        HttpResponse::json(400, &format!("{{\"error\":{}}}", json_string(reason)))
+                    }
+                };
                 let _ = write_response(&mut writer, &response, false);
                 return;
             }
@@ -270,7 +278,7 @@ fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpReques
     }
     // HTTP/1.1 defaults to keep-alive; 1.0 to close.
     let mut keep_alive = version == "HTTP/1.1";
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     loop {
         let mut header = String::new();
         match read_head_line(reader, &mut header, &mut head_budget) {
@@ -291,9 +299,17 @@ fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpReques
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| ParseError::Malformed("unparseable content-length"))?;
+            // Digits only: `str::parse` would also take a leading `+`.
+            let length = Some(value)
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse().ok())
+                .ok_or(ParseError::Malformed("unparseable content-length"))?;
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(ParseError::Malformed("conflicting content-length headers"));
+            }
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(ParseError::TransferEncoding);
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -302,6 +318,7 @@ fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<HttpReques
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(ParseError::TooLarge);
     }
@@ -453,6 +470,7 @@ fn write_response(
         404 => "Not Found",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
@@ -572,6 +590,54 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn ambiguous_framing_is_refused() {
+        let smuggled = "GET /healthz HTTP/1.1\r\n\r\n";
+        // Chunked (or any) transfer coding: refused before the body is
+        // read, alone or next to a content-length.
+        for head in [
+            "Transfer-Encoding: chunked\r\n",
+            "transfer-encoding: identity\r\n",
+            "Content-Length: 3\r\nTransfer-Encoding: chunked\r\n",
+        ] {
+            let raw = format!(
+                "POST /v1/t/classify HTTP/1.1\r\n{head}\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+                smuggled.len()
+            );
+            assert!(
+                matches!(
+                    read_request(&mut io::Cursor::new(raw), 1 << 20),
+                    Err(ParseError::TransferEncoding)
+                ),
+                "{head:?}"
+            );
+        }
+        // Content-Length headers that disagree, in either order: the
+        // body's extent is ambiguous, so nothing is parsed after them.
+        for (first, second) in [(smuggled.len(), 0), (0, smuggled.len())] {
+            let raw = format!(
+                "POST /v1/t/classify HTTP/1.1\r\nContent-Length: {first}\r\n\
+                 content-length: {second}\r\n\r\n{smuggled}"
+            );
+            assert!(matches!(
+                read_request(&mut io::Cursor::new(raw), 1 << 20),
+                Err(ParseError::Malformed("conflicting content-length headers"))
+            ));
+        }
+        // Content-Length is digits only, with no sign.
+        let mut signed =
+            io::Cursor::new(b"POST /x HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc".to_vec());
+        assert!(matches!(
+            read_request(&mut signed, 1 << 20),
+            Err(ParseError::Malformed("unparseable content-length"))
+        ));
+        // A repeated Content-Length that agrees frames one body.
+        let mut repeated = io::Cursor::new(
+            b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc".to_vec(),
+        );
+        assert_eq!(read_request(&mut repeated, 1 << 20).unwrap().body, b"abc");
+    }
+
     /// Counts `write` calls and keeps the bytes.
     #[derive(Default)]
     struct CountingWriter {
@@ -608,6 +674,12 @@ mod tests {
                 false,
                 "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
                  Content-Length: 26\r\nConnection: close\r\n\r\n{\"error\":\"body too large\"}",
+            ),
+            (
+                HttpResponse::json(501, "{}"),
+                false,
+                "HTTP/1.1 501 Not Implemented\r\nContent-Type: application/json\r\n\
+                 Content-Length: 2\r\nConnection: close\r\n\r\n{}",
             ),
             (
                 overloaded,

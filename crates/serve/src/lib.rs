@@ -49,9 +49,9 @@
 //!   the high-water mark of the line for permits, and [`ModelRegistry::render_metrics`]
 //!   exposes the whole metric set (counters, gauges, latency
 //!   summaries, per-tenant series, kernel op counters) in the
-//!   Prometheus text format. Structured trace events (batch formed,
-//!   model swapped, snapshot published, sample rejected) land in a
-//!   bounded lock-free ring gated by the `UHD_LOG` knob.
+//!   Prometheus text format. Each lifecycle fact (batch formed, model
+//!   swapped, snapshot published, sample rejected) is a counter or
+//!   gauge there and in [`StatsSnapshot`].
 //!
 //! # Example
 //!
@@ -90,6 +90,3 @@ pub use http::{HttpServer, HttpServerConfig};
 pub use registry::{ModelRegistry, ServeConfig};
 pub use request::Response;
 pub use stats::StatsSnapshot;
-// Re-exported so clients can configure tracing and decode events
-// without naming `uhd-obs` directly.
-pub use uhd_obs::{TraceEvent, TraceKind, TraceLevel};

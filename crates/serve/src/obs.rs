@@ -1,6 +1,6 @@
 //! The registry's observability bundle: one [`Recorder`] carrying the
-//! counter set ([`EngineStats`]), the staged latency histograms, the
-//! gauges of the line for permits, and the trace-event ring.
+//! counter set ([`EngineStats`]), the staged latency histograms and the
+//! gauges of the line for permits.
 //!
 //! ## Staged timing
 //!
@@ -26,7 +26,7 @@ use crate::stats::{EngineStats, LatencyFigures};
 use crate::StatsSnapshot;
 use std::sync::Arc;
 use std::time::Duration;
-use uhd_obs::{Gauge, Histogram, Recorder, TraceKind};
+use uhd_obs::{Gauge, Histogram, Recorder};
 
 /// All telemetry state the registry records into from its callers'
 /// threads.
@@ -111,11 +111,6 @@ impl ServeObs {
         self.learn_apply.record_duration(elapsed);
     }
 
-    /// Forward a trace event to the recorder's ring.
-    pub(crate) fn event(&self, kind: TraceKind, a: u64, b: u64) {
-        self.recorder.event(kind, a, b);
-    }
-
     /// Assemble the public stats view: counters plus the
     /// histogram-derived latency figures (nanoseconds → microseconds).
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
@@ -131,11 +126,10 @@ impl ServeObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uhd_obs::TraceLevel;
 
     #[test]
     fn snapshot_derives_latency_figures_from_the_histograms() {
-        let obs = ServeObs::new(Recorder::new(TraceLevel::Off), 2);
+        let obs = ServeObs::new(Recorder::new(), 2);
         obs.record_total(Duration::from_micros(100));
         obs.record_total(Duration::from_micros(200));
         obs.queue_depth_hw.set_max(7);
@@ -154,7 +148,7 @@ mod tests {
 
     #[test]
     fn per_shard_series_render_with_shard_labels() {
-        let obs = ServeObs::new(Recorder::new(TraceLevel::Off), 2);
+        let obs = ServeObs::new(Recorder::new(), 2);
         obs.record_queue_wait(0, Duration::from_micros(10));
         obs.record_queue_wait(1, Duration::from_micros(20));
         obs.record_compute(1, Duration::from_micros(30));

@@ -46,7 +46,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 use uhd_core::{BitSliceAccumulator, Encoder, HdcModel, InferenceMode, OnlineLearner};
-use uhd_obs::{Counter, Gauge, Recorder, TraceEvent, TraceKind, TraceLevel};
+use uhd_obs::{Counter, Gauge, Recorder};
 
 /// Longest accepted tenant name. Names are also restricted to
 /// `[A-Za-z0-9_-]` so they embed verbatim in metric labels, URL paths
@@ -87,16 +87,14 @@ pub struct ServeConfig {
     /// unboundedly. The default `usize::MAX` disables shedding (must
     /// be nonzero — a zero threshold would reject everything).
     pub shed_above: usize,
-    /// Whether the registry records latency histograms, queue gauges,
-    /// and trace events (on by default). With telemetry off the
-    /// registry keeps its counters (they are plain relaxed atomics
-    /// either way) but renders no metrics and reports zero latency
-    /// quantiles — the configuration the throughput bench measures
-    /// instrumentation overhead against.
+    /// Whether the registry renders its metrics and records latency
+    /// histograms and queue gauges (on by default). With telemetry off
+    /// the registry keeps its counters (they are plain relaxed atomics
+    /// either way, so [`ModelRegistry::stats`] still counts) but
+    /// renders no metrics and reports zero latency quantiles — the
+    /// configuration the throughput bench measures instrumentation
+    /// overhead against.
     pub telemetry: bool,
-    /// Trace-event verbosity. `None` (the default) follows the
-    /// `UHD_LOG` environment knob at [`ModelRegistry::start`] time.
-    pub trace_level: Option<TraceLevel>,
 }
 
 impl ServeConfig {
@@ -113,7 +111,6 @@ impl ServeConfig {
             max_classes: uhd_core::online::DEFAULT_MAX_CLASSES,
             shed_above: usize::MAX,
             telemetry: true,
-            trace_level: None,
         }
     }
 
@@ -148,18 +145,11 @@ impl ServeConfig {
         self
     }
 
-    /// Enable or disable latency histograms, queue gauges, and trace
-    /// events (see [`ServeConfig::telemetry`]).
+    /// Enable or disable the metric exposition, latency histograms and
+    /// queue gauges (see [`ServeConfig::telemetry`]).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: bool) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Pin the trace-event verbosity instead of reading `UHD_LOG`.
-    #[must_use]
-    pub fn with_trace_level(mut self, level: TraceLevel) -> Self {
-        self.trace_level = Some(level);
         self
     }
 
@@ -313,7 +303,7 @@ impl ModelRegistry {
     pub fn start(config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let recorder = if config.telemetry {
-            Recorder::new(config.trace_level.unwrap_or_else(TraceLevel::from_env))
+            Recorder::new()
         } else {
             Recorder::noop()
         };
@@ -326,11 +316,6 @@ impl ModelRegistry {
             })
             .collect();
         let gate = Gate::new(lanes, obs.queue_depth.clone(), obs.queue_depth_hw.clone());
-        obs.event(
-            TraceKind::KernelDispatched,
-            kernel_ordinal(uhd_core::Kernel::active().name()),
-            config.shards as u64,
-        );
         Ok(ModelRegistry {
             config,
             gate,
@@ -577,8 +562,6 @@ impl ModelRegistry {
         };
         let lane = &mut *lane;
         self.obs.stats.record_batch(n);
-        self.obs
-            .event(TraceKind::BatchFormed, lane.shard as u64, n as u64);
         let started_at = Instant::now();
         let waited = started_at.saturating_duration_since(arrived_at);
         // One model snapshot per micro-batch: a publish or hot swap is
@@ -651,8 +634,8 @@ impl ModelRegistry {
     /// Same conditions as [`ModelRegistry::learn`] (the `predicted`
     /// index is validated against the cap too). A prediction past the
     /// learner's admitted classes is a learner rejection: it counts
-    /// `uhd_learn_rejected_total` and traces `SampleRejected` with
-    /// `a = label`, `b = predicted`.
+    /// `uhd_learn_rejected_total` and returns [`ServeError::Core`],
+    /// whose message names the offending prediction.
     pub fn feedback(
         &self,
         tenant: &str,
@@ -755,11 +738,6 @@ impl ModelRegistry {
             Ok(false) => Ok(None),
             Err(e) => {
                 stats.record_learn_rejected();
-                self.obs.event(
-                    TraceKind::SampleRejected,
-                    label as u64,
-                    predicted.map_or(u64::MAX, |p| p as u64),
-                );
                 Err(ServeError::Core(e))
             }
         }
@@ -777,11 +755,6 @@ impl ModelRegistry {
     ) -> u64 {
         let generation = tenant.publish(model);
         self.obs.stats.record_snapshot();
-        self.obs.event(
-            TraceKind::SnapshotPublished,
-            generation,
-            learner.unpublished as u64,
-        );
         learner.unpublished = 0;
         generation
     }
@@ -837,7 +810,6 @@ impl ModelRegistry {
         // Holding the learner lock across the publish serializes the
         // swap against a concurrent learn's apply+publish (same lock
         // order: learner → model).
-        let classes = model.classes() as u64;
         let mut guard = tenant
             .learner
             .lock()
@@ -847,7 +819,6 @@ impl ModelRegistry {
         let generation = tenant.publish(model);
         drop(guard);
         self.obs.stats.record_swap();
-        self.obs.event(TraceKind::ModelSwapped, generation, classes);
         Ok(generation)
     }
 
@@ -913,14 +884,6 @@ impl ModelRegistry {
         self.obs.recorder.render_json()
     }
 
-    /// The trace events currently resident in the registry's ring
-    /// buffer, oldest first. Empty unless tracing is enabled (via
-    /// `UHD_LOG` or [`ServeConfig::with_trace_level`]).
-    #[must_use]
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.obs.recorder.events()
-    }
-
     /// Stop accepting requests (later arrivals get
     /// [`ServeError::Closed`]) and return once every caller already in
     /// line has been answered and every permit is back. Idempotent;
@@ -951,17 +914,6 @@ fn validate_tenant_name(name: &str) -> Result<(), ServeError> {
         Err(ServeError::InvalidConfig {
             reason: format!("tenant name {name:?} must match [A-Za-z0-9_-]{{1,{MAX_TENANT_NAME}}}"),
         })
-    }
-}
-
-/// Stable ordinal for the dispatched kernel in the
-/// [`TraceKind::KernelDispatched`] event payload: `scalar` 0, `avx2` 1,
-/// `avx512` 2.
-fn kernel_ordinal(name: &str) -> u64 {
-    match name {
-        "avx2" => 1,
-        "avx512" => 2,
-        _ => 0, // scalar
     }
 }
 

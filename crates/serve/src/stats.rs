@@ -150,8 +150,8 @@ pub struct StatsSnapshot {
     pub learn_updates: u64,
     /// Samples the learner rejected (e.g. a label past the admission
     /// cap, or feedback naming a class the learner never admitted).
-    /// Each rejection also emits a `SampleRejected` trace event
-    /// carrying the offending label.
+    /// The caller gets the rejection as a typed error naming the
+    /// offending class (over HTTP, a 400 with that message).
     pub learn_rejected: u64,
     /// Rebinarized learner snapshots published through the hot-swap
     /// path, on the `snapshot_every` cadence or by
@@ -184,11 +184,10 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uhd_obs::TraceLevel;
 
     #[test]
     fn counters_accumulate() {
-        let recorder = Recorder::new(TraceLevel::Off);
+        let recorder = Recorder::new();
         let stats = EngineStats::new(&recorder);
         stats.record_submit(1);
         stats.record_submit(1);
@@ -223,7 +222,7 @@ mod tests {
 
     #[test]
     fn counters_surface_in_the_recorder_exposition() {
-        let recorder = Recorder::new(TraceLevel::Off);
+        let recorder = Recorder::new();
         let stats = EngineStats::new(&recorder);
         stats.record_submit(1);
         stats.record_batch(1);

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let acc_final = accuracy()?;
 
     let generation = registry.generation("digits")?;
-    let (stats, events) = (registry.stats(), registry.trace_events());
+    let stats = registry.stats();
 
     println!(
         "accuracy: cold {:.2} % -> bundled stream {:.2} % -> after feedback {:.2} %",
@@ -105,24 +105,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "latency:  classify p50 {} us / p99 {} us",
         stats.p50_us, stats.p99_us,
     );
-    // `UHD_LOG=1` fills the trace ring (model swaps, snapshot
-    // publishes, rejected samples); off by default, so this usually
-    // prints nothing.
-    if !events.is_empty() {
-        let publishes = events
-            .iter()
-            .filter(|e| e.kind == uhd::serve::TraceKind::SnapshotPublished)
-            .count();
-        println!(
-            "trace:    {} events in the ring ({publishes} snapshot publishes); \
-             last: {:?} a={} b={} at {} us",
-            events.len(),
-            events[events.len() - 1].kind,
-            events[events.len() - 1].a,
-            events[events.len() - 1].b,
-            events[events.len() - 1].at_micros,
-        );
-    }
+    // The same counters `render_metrics` exposes as
+    // `uhd_model_swaps_total`, `uhd_snapshots_published_total` and
+    // `uhd_learn_rejected_total`.
+    println!(
+        "lifecycle: kernel {}, {} model swaps, {} snapshot publishes, {} rejected samples",
+        stats.kernel, stats.model_swaps, stats.snapshots_published, stats.learn_rejected,
+    );
 
     assert_eq!(stats.learn_rejected, 0);
     assert!(stats.snapshots_published >= 1);

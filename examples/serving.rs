@@ -20,7 +20,6 @@
 //! exposition (`render_metrics`). Set `UHD_METRICS_SNAPSHOT=<base>` to
 //! write `<base>.mid.prom` / `<base>.end.prom` / `<base>.json`
 //! snapshots — `ci.sh --smoke` validates them with `validate_metrics`.
-//! `UHD_LOG=1` additionally fills the trace-event ring.
 
 use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};

@@ -18,9 +18,9 @@
 //!   gate answering on callers' threads, micro-batching, a bit-sliced
 //!   associative memory, hot model swap,
 //!   online learning and an HTTP front end.
-//! * [`obs`] — lock-free latency histograms, trace-event ring, and the
-//!   Prometheus-text/JSON metrics exposition behind the registry's
-//!   telemetry.
+//! * [`obs`] — lock-free latency histograms, the counter/gauge
+//!   recorder, and the Prometheus-text/JSON metrics exposition behind
+//!   the registry's telemetry.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 //! and the `/metrics` scrape.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::HdcModel;
@@ -170,6 +170,48 @@ fn learn_is_shed_past_the_admission_threshold() {
     // With the line empty again, the same learn is applied.
     let (status, _, body) = request(&server, "POST", "/v1/t/learn?label=0", &images[2]);
     assert_eq!(status, 200, "body: {body}");
+}
+
+/// Ambiguous framing ends the connection after one error response: a
+/// chunked body (501) and disagreeing `Content-Length` headers (400)
+/// are never parsed as a further request, and nothing reaches the
+/// registry.
+#[test]
+fn ambiguous_framing_gets_one_response_and_reaches_nothing() {
+    let (registry, server, _, _) = serving_fixture();
+    let smuggled = "GET /healthz HTTP/1.1\r\n\r\n";
+    let cases = [
+        (
+            format!(
+                "POST /v1/digits/classify HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                 {:x}\r\n{smuggled}\r\n0\r\n\r\n",
+                smuggled.len()
+            ),
+            501,
+        ),
+        (
+            format!(
+                "POST /v1/digits/classify HTTP/1.1\r\nContent-Length: {}\r\n\
+                 Content-Length: 0\r\n\r\n{smuggled}",
+                smuggled.len()
+            ),
+            400,
+        ),
+    ];
+    for (wire, status) in cases {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(wire.as_bytes()).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        assert_eq!(
+            raw.matches("HTTP/1.1 ").count(),
+            1,
+            "one response only:\n{raw}"
+        );
+        assert_eq!(parse_response(&raw).0, status, "{raw}");
+    }
+    assert_eq!(registry.stats().submitted, 0);
 }
 
 #[test]

@@ -1,16 +1,17 @@
 //! Integration suite for the observability layer: staged request
 //! timing flowing from the registry's monotonic clocks into the
 //! lock-free histograms, the Prometheus text / JSON expositions, the
-//! queue high-water gauge, the trace-event ring, and the no-op
+//! queue high-water gauge, the lifecycle counters, and the no-op
 //! recorder's zero-surface guarantee.
 
 use std::sync::Arc;
 use uhd::core::encoder::uhd::{UhdConfig, UhdEncoder};
 use uhd::core::model::{HdcModel, LabelledSamples};
 use uhd::core::Encoder;
+use uhd::core::Kernel;
 use uhd::datasets::image::Dataset;
 use uhd::datasets::synth::{generate, SynthSpec, SyntheticKind};
-use uhd::serve::{ModelRegistry, ServeConfig, ServeError, TraceKind, TraceLevel};
+use uhd::serve::{ModelRegistry, ServeConfig, ServeError};
 use uhd_bench::json::{parse, Json};
 use uhd_testutil::GateEncoder;
 
@@ -41,7 +42,7 @@ fn one_tenant(
 #[test]
 fn staged_timing_lands_in_the_exposition_with_per_shard_labels() {
     let (encoder, model, test) = fixture(200, 100, 512, 42);
-    let config = ServeConfig::new(1, 8).with_trace_level(TraceLevel::Off);
+    let config = ServeConfig::new(1, 8);
     let (gated, latch) = GateEncoder::new(encoder);
     let registry = one_tenant(config, gated, model);
     // Two halves of the wave share the one permit: the first to take it
@@ -87,11 +88,7 @@ fn staged_timing_lands_in_the_exposition_with_per_shard_labels() {
 #[test]
 fn metrics_json_round_trips_through_the_bench_parser() {
     let (encoder, model, test) = fixture(150, 60, 512, 7);
-    let registry = one_tenant(
-        ServeConfig::new(2, 16).with_trace_level(TraceLevel::Off),
-        encoder,
-        model,
-    );
+    let registry = one_tenant(ServeConfig::new(2, 16), encoder, model);
     registry.classify_many("t", test.images()).unwrap();
     let json = registry.metrics_json();
 
@@ -116,32 +113,25 @@ fn metrics_json_round_trips_through_the_bench_parser() {
 }
 
 /// A feedback prediction past the learner's admitted classes is
-/// rejected by the learner — and the trace ring must carry the
-/// offending sample: `a` = label, `b` = the out-of-range prediction.
+/// rejected by the learner: the rejection counter moves and the error
+/// returned to the caller names the offending prediction. (The name
+/// is kept from the trace ring this counter and error replaced.)
 #[test]
 fn learner_rejections_trace_the_offending_label() {
     let (encoder, model, test) = fixture(150, 10, 512, 11);
-    let config = ServeConfig::new(1, 8)
-        .with_max_classes(32)
-        .with_trace_level(TraceLevel::Info);
+    let config = ServeConfig::new(1, 8).with_max_classes(32);
     let registry = one_tenant(config, encoder, model);
     // predicted=20 passes eager validation (< max_classes) but is past
     // the learner's 10 admitted classes, so the learner rejects it.
-    assert!(matches!(
-        registry.feedback("t", &test.images()[0], 20, 0),
-        Err(ServeError::Core(_))
-    ));
-    let (stats, events) = (registry.stats(), registry.trace_events());
-
-    assert_eq!(stats.learn_rejected, 1);
-    let rejection = events
-        .iter()
-        .find(|e| e.kind == TraceKind::SampleRejected)
-        .expect("a SampleRejected trace event must be recorded");
-    assert_eq!(rejection.a, 0, "payload a carries the sample's label");
-    assert_eq!(
-        rejection.b, 20,
-        "payload b carries the offending prediction"
+    let error = registry
+        .feedback("t", &test.images()[0], 20, 0)
+        .expect_err("the learner must reject the prediction");
+    assert!(matches!(error, ServeError::Core(_)));
+    assert_eq!(registry.stats().learn_rejected, 1);
+    let message = error.to_string();
+    assert!(
+        message.contains("predicted class 20 "),
+        "the error must name the prediction: {message}"
     );
 }
 
@@ -156,8 +146,7 @@ fn learn_apply_histogram_reconciles_with_the_learn_counters() {
     let (encoder, model, test) = fixture(150, 20, 512, 17);
     let config = ServeConfig::new(2, 8)
         .with_snapshot_every(4)
-        .with_max_classes(32)
-        .with_trace_level(TraceLevel::Off);
+        .with_max_classes(32);
     let registry = one_tenant(config, encoder, model);
     for (i, image) in test.images().iter().enumerate() {
         registry.learn("t", image, i % 10).unwrap();
@@ -198,62 +187,58 @@ fn learn_apply_histogram_reconciles_with_the_learn_counters() {
     assert!(apply.get("p50").and_then(Json::as_f64).unwrap() > 0.0);
 }
 
-/// Under `TraceLevel::Trace` the ring captures the registry's lifecycle:
-/// kernel dispatch at startup, batch formation, the hot model swap
-/// (with its generation), and the learner's snapshot publish.
+/// The counters record the registry's lifecycle: the dispatched
+/// kernel, batch formation, the hot model swap (with its generation),
+/// and the learner's snapshot publish, in `stats()` and on `/metrics`.
+/// (The name is kept from the trace ring these counters replaced.)
 #[test]
 fn trace_ring_records_the_engine_lifecycle() {
     let (encoder, model, test) = fixture(150, 40, 512, 13);
     let (_, model_b, _) = fixture(180, 10, 512, 99);
-    let config = ServeConfig::new(2, 8).with_trace_level(TraceLevel::Trace);
-    let registry = one_tenant(config, encoder, model);
+    let registry = one_tenant(ServeConfig::new(2, 8), encoder, model);
     registry.classify_many("t", test.images()).unwrap();
     let generation = registry.update_model("t", model_b.clone()).unwrap();
     assert_eq!(generation, 1);
     registry.learn("t", &test.images()[0], 0).unwrap();
     registry.publish("t").unwrap();
-    let events = registry.trace_events();
+    let (stats, text) = (registry.stats(), registry.render_metrics());
 
-    let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
-    assert!(kinds.contains(&TraceKind::KernelDispatched));
-    assert!(kinds.contains(&TraceKind::BatchFormed));
-    assert!(kinds.contains(&TraceKind::SnapshotPublished));
-    let swap = events
-        .iter()
-        .find(|e| e.kind == TraceKind::ModelSwapped)
-        .expect("the hot swap must be traced");
-    assert_eq!(swap.a, 1, "payload a carries the new generation");
-    // Sequence numbers are monotone: the ring never reorders.
-    for pair in events.windows(2) {
-        assert!(pair[1].seq > pair[0].seq);
-    }
+    assert_eq!(stats.kernel, Kernel::active().name());
+    assert!(stats.batches >= 1, "batch formation must be counted");
+    assert_eq!(stats.model_swaps, 1);
+    assert_eq!(stats.snapshots_published, 1);
+    // The swap made generation 1, the publish generation 2.
+    assert!(
+        text.contains("uhd_tenant_generation{tenant=\"t\"} 2\n"),
+        "{text}"
+    );
+    assert!(text.contains(&format!(
+        "uhd_kernel_info{{kernel=\"{}\"}} 1\n",
+        Kernel::active().name()
+    )));
 }
 
 /// `with_telemetry(false)` swaps in the no-op recorder: the registry
 /// serves identically but exposes nothing — empty text exposition,
-/// empty JSON object, no trace events even at `Trace` level.
+/// empty JSON object.
 #[test]
 fn telemetry_off_serves_identically_but_exposes_nothing() {
     let (encoder, model, test) = fixture(150, 30, 512, 5);
-    let config = ServeConfig::new(2, 8)
-        .with_telemetry(false)
-        .with_trace_level(TraceLevel::Trace);
+    let config = ServeConfig::new(2, 8).with_telemetry(false);
     let registry = one_tenant(config, encoder, model);
     let responses = registry.classify_many("t", test.images()).unwrap();
-    let (stats, text, json, events) = (
+    let (stats, text, json) = (
         registry.stats(),
         registry.render_metrics(),
         registry.metrics_json(),
-        registry.trace_events(),
     );
 
     assert_eq!(responses.len(), 30);
     // The counter surface still works (stats are cheap atomics); only
-    // the exposition and the trace ring go dark.
+    // the exposition goes dark.
     assert_eq!(stats.completed, 30);
     assert_eq!(text, "");
     assert_eq!(json, "{}");
-    assert!(events.is_empty());
 }
 
 /// Regression for the queue-gauge shutdown freeze: a post-shutdown
@@ -264,11 +249,7 @@ fn telemetry_off_serves_identically_but_exposes_nothing() {
 fn queue_depth_gauge_reads_zero_after_shutdown() {
     let (encoder, model, test) = fixture(150, 50, 512, 9);
     let (gated, latch) = GateEncoder::new(encoder);
-    let registry = one_tenant(
-        ServeConfig::new(2, 8).with_trace_level(TraceLevel::Off),
-        gated,
-        model,
-    );
+    let registry = one_tenant(ServeConfig::new(2, 8), gated, model);
     // One wave deep enough to move both gauges: two callers park on
     // the permits, the rest wait in line when shutdown starts…
     std::thread::scope(|scope| {
