@@ -25,8 +25,8 @@
 //! master seed.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-use uhd_bench::{env_flag, iqr, machine_json, median, write_bench_json, MIN_PASSES, PASS_SPAN};
+use std::time::Instant;
+use uhd_bench::{env_flag, machine_json, repeat_passes, write_bench_json, Repeated};
 use uhd_core::assoc::AssociativeMemory;
 use uhd_core::hypervector::Hypervector;
 use uhd_core::DenseAccumulator;
@@ -105,10 +105,9 @@ fn retrieve(store: &Store, dists: &mut Vec<u32>) -> usize {
 }
 
 /// Measure retrieval accuracy over `trials` independent stores of
-/// `pairs` bindings, then time passes over every retrieval: one pass in
-/// a quick run, otherwise at least [`MIN_PASSES`] passes and
-/// [`PASS_SPAN`]. The untimed first pass, which scores accuracy, is
-/// also the warm-up.
+/// `pairs` bindings, then time passes over every retrieval under the
+/// repeated-pass rule ([`repeat_passes`]). The untimed first pass,
+/// which scores accuracy, is also the warm-up.
 fn measure(
     dim: u32,
     pairs: usize,
@@ -121,29 +120,20 @@ fn measure(
     let mut pass = || -> usize { stores.iter().map(|s| retrieve(s, &mut dists)).sum() };
     let correct = pass();
     let total = pairs * trials;
-    let (span, min_passes) = if quick {
-        (Duration::ZERO, 1)
-    } else {
-        (PASS_SPAN, MIN_PASSES)
-    };
-    let mut rates = Vec::new();
-    let mut spent = Duration::ZERO;
-    while rates.len() < min_passes || spent < span {
+    let rates = repeat_passes(quick, || {
         let t0 = Instant::now();
         let again = pass();
         let elapsed = t0.elapsed();
         assert_eq!(again, correct, "retrieval is deterministic");
-        spent += elapsed;
-        #[allow(clippy::cast_precision_loss)]
-        rates.push(total as f64 / elapsed.as_secs_f64().max(1e-9));
-    }
-    #[allow(clippy::cast_precision_loss)]
+        (elapsed, total as f64 / elapsed.as_secs_f64().max(1e-9))
+    });
+    let rate = Repeated::of(&rates);
     CapacityPoint {
         dim,
         pairs,
         accuracy: correct as f64 / total as f64,
-        retrievals_per_sec: median(&rates),
-        retrievals_per_sec_iqr: iqr(&rates),
+        retrievals_per_sec: rate.median,
+        retrievals_per_sec_iqr: rate.iqr,
     }
 }
 

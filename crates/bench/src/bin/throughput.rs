@@ -21,6 +21,9 @@
 //! The sweep then serves the identical image stream through a
 //! `ModelRegistry` for every (shards, max_batch) combination, and the
 //! best configuration is re-run request-by-request for p50/p99 latency.
+//! Each sweep point and each per-workload row runs one untimed warm-up
+//! wave, then waves under the same repeated-pass rule, and reports the
+//! median wave rate with its IQR.
 //!
 //! The report goes to stdout *and* to `BENCH_throughput.json` in the
 //! repository root — the machine-attributed perf trajectory developers
@@ -34,8 +37,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uhd_bench::{
-    env_flag, iqr, machine_json, median, tabular_encoder, text_encoder, uhd_encoder,
-    ExperimentConfig, Latencies, Workbench, MIN_PASSES, PASS_SPAN,
+    env_flag, machine_json, median, repeat_passes, tabular_encoder, text_encoder, uhd_encoder,
+    ExperimentConfig, Latencies, Repeated, Workbench, MIN_PASSES, PASS_SPAN,
 };
 use uhd_core::accumulator::BitSliceAccumulator;
 use uhd_core::assoc::AssociativeMemory;
@@ -71,18 +74,26 @@ fn one_tenant(config: ServeConfig, encoder: Arc<dyn Encoder>, model: &HdcModel) 
 }
 
 /// Classify `samples` through `registry` as one wave and return
-/// samples per second.
-fn wave_rate(registry: &ModelRegistry, samples: &[Vec<u8>]) -> f64 {
+/// its time and its rate in samples per second.
+fn wave(registry: &ModelRegistry, samples: &[Vec<u8>]) -> (Duration, f64) {
     let t0 = Instant::now();
     let responses = registry.classify_many(TENANT, samples).expect("serve");
+    let took = t0.elapsed();
     assert_eq!(responses.len(), samples.len());
-    samples.len() as f64 / t0.elapsed().as_secs_f64()
+    (took, samples.len() as f64 / took.as_secs_f64())
+}
+
+/// One untimed warm-up wave, then waves under the repeated-pass rule:
+/// the median wave rate in samples per second, with its IQR.
+fn repeated_waves(quick: bool, registry: &ModelRegistry, samples: &[Vec<u8>]) -> Repeated {
+    wave(registry, samples);
+    Repeated::of(&repeat_passes(quick, || wave(registry, samples)))
 }
 
 struct SweepPoint {
     shards: usize,
     max_batch: usize,
-    images_per_sec: f64,
+    images_per_sec: Repeated,
     mean_batch: f64,
     largest_batch: u64,
 }
@@ -334,7 +345,7 @@ fn obs_overhead_bench(
                 [b, a]
             }
         },
-        |registries, mode| wave_rate(&registries[mode], images),
+        |registries, mode| wave(&registries[mode], images).1,
     );
     let [noop, instrumented] = &rates;
     let overheads: Vec<f64> = noop
@@ -356,19 +367,20 @@ struct WorkloadThroughput {
     encoder: String,
     queries: usize,
     classes: usize,
-    samples_per_sec: f64,
+    samples_per_sec: Repeated,
 }
 
 /// Serve a sample stream through a one-tenant registry at the best
-/// configuration and return samples per second.
+/// configuration, in repeated waves ([`repeated_waves`]).
 fn serve_rate(
+    quick: bool,
     best: &SweepPoint,
     encoder: Arc<dyn Encoder>,
     model: &HdcModel,
     samples: &[Vec<u8>],
-) -> f64 {
+) -> Repeated {
     let config = ServeConfig::new(best.shards, best.max_batch);
-    wave_rate(&one_tenant(config, encoder, model), samples)
+    repeated_waves(quick, &one_tenant(config, encoder, model), samples)
 }
 
 /// The per-workload section: image, text and tabular streams through
@@ -396,7 +408,7 @@ fn per_workload_bench(
         encoder: image_encoder.profile().name.into_owned(),
         queries: images.len(),
         classes: image_model.classes(),
-        samples_per_sec: serve_rate(best, image_encoder.clone(), image_model, images),
+        samples_per_sec: serve_rate(quick, best, image_encoder.clone(), image_model, images),
     });
 
     let text_spec = TextSpec::new(train_n, test_n, cfg.seed);
@@ -421,7 +433,7 @@ fn per_workload_bench(
         encoder: encoder.profile().name.into_owned(),
         queries: sentences.len(),
         classes: train.classes(),
-        samples_per_sec: serve_rate(best, encoder, &model, &sentences),
+        samples_per_sec: serve_rate(quick, best, encoder, &model, &sentences),
     });
 
     let (train, test) =
@@ -446,16 +458,10 @@ fn per_workload_bench(
         encoder: encoder.profile().name.into_owned(),
         queries: sensor_rows.len(),
         classes: train.classes(),
-        samples_per_sec: serve_rate(best, encoder, &model, &sensor_rows),
+        samples_per_sec: serve_rate(quick, best, encoder, &model, &sensor_rows),
     });
 
     rows
-}
-
-/// A serial baseline's rate over repeated passes, in images per second.
-struct SerialRate {
-    median: f64,
-    iqr: f64,
 }
 
 /// The two serial per-image baselines the registry is judged against:
@@ -472,7 +478,7 @@ fn serial_baselines(
     model: &HdcModel,
     encoder: &UhdEncoder,
     images: &[Vec<u8>],
-) -> [SerialRate; 2] {
+) -> [Repeated; 2] {
     let (span, min_passes) = if quick {
         (Duration::ZERO, 1)
     } else {
@@ -493,14 +499,11 @@ fn serial_baselines(
             images.len() as f64 / t0.elapsed().as_secs_f64()
         },
     );
-    rates.map(|r| SerialRate {
-        median: median(&r),
-        iqr: iqr(&r),
-    })
+    rates.map(|r| Repeated::of(&r))
 }
 
 /// Serve the image stream through a one-tenant registry at every
-/// (shards × max_batch) point.
+/// (shards × max_batch) point, in repeated waves ([`repeated_waves`]).
 fn run_sweep(
     quick: bool,
     hw_threads: usize,
@@ -518,7 +521,7 @@ fn run_sweep(
     for &shards in &shard_opts {
         for &max_batch in batch_opts {
             let registry = one_tenant(ServeConfig::new(shards, max_batch), encoder.clone(), model);
-            let images_per_sec = wave_rate(&registry, images);
+            let images_per_sec = repeated_waves(quick, &registry, images);
             let stats = registry.stats();
             points.push(SweepPoint {
                 shards,
@@ -540,8 +543,8 @@ struct Workload {
     queries: usize,
     classes: usize,
     hw_threads: usize,
-    serial_classify: SerialRate,
-    serial_binarized: SerialRate,
+    serial_classify: Repeated,
+    serial_binarized: Repeated,
 }
 
 /// The measured sections rendered after the sweep: latency, overhead,
@@ -596,6 +599,38 @@ fn render_layers(out: &mut String, layers: &[EncodeLayers]) {
     writeln!(out, "  ],").unwrap();
 }
 
+/// Render the `sweep` and `best` JSON sections: every (shards ×
+/// max_batch) point's median wave rate with its IQR, and the best
+/// point against the serial classify loop's median rate.
+fn render_sweep(out: &mut String, points: &[SweepPoint], best: &SweepPoint, serial_classify: f64) {
+    writeln!(out, "  \"sweep\": [").unwrap();
+    for (i, p) in points.iter().enumerate() {
+        let comma = if i + 1 == points.len() { "" } else { "," };
+        writeln!(
+            out,
+            "    {{\"shards\": {}, \"max_batch\": {}, \"images_per_sec\": {:.1}, \"images_per_sec_iqr\": {:.1}, \"mean_batch\": {:.2}, \"largest_batch\": {}}}{comma}",
+            p.shards,
+            p.max_batch,
+            p.images_per_sec.median,
+            p.images_per_sec.iqr,
+            p.mean_batch,
+            p.largest_batch
+        )
+        .unwrap();
+    }
+    writeln!(out, "  ],").unwrap();
+    writeln!(
+        out,
+        "  \"best\": {{\"shards\": {}, \"max_batch\": {}, \"images_per_sec\": {:.1}, \"images_per_sec_iqr\": {:.1}, \"speedup_vs_serial_loop\": {:.2}}},",
+        best.shards,
+        best.max_batch,
+        best.images_per_sec.median,
+        best.images_per_sec.iqr,
+        best.images_per_sec.median / serial_classify
+    )
+    .unwrap();
+}
+
 /// Assemble the full `BENCH_throughput.json` document.
 fn render_report(
     w: &Workload,
@@ -635,26 +670,7 @@ fn render_report(
         )
         .unwrap();
     }
-    writeln!(out, "  \"sweep\": [").unwrap();
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"shards\": {}, \"max_batch\": {}, \"images_per_sec\": {:.1}, \"mean_batch\": {:.2}, \"largest_batch\": {}}}{comma}",
-            p.shards, p.max_batch, p.images_per_sec, p.mean_batch, p.largest_batch
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    writeln!(
-        out,
-        "  \"best\": {{\"shards\": {}, \"max_batch\": {}, \"images_per_sec\": {:.1}, \"speedup_vs_serial_loop\": {:.2}}},",
-        best.shards,
-        best.max_batch,
-        best.images_per_sec,
-        best.images_per_sec / w.serial_classify.median
-    )
-    .unwrap();
+    render_sweep(out, points, best, w.serial_classify.median);
     writeln!(out, "  \"request_latency\": {},", latencies.json()).unwrap();
     // The registry's own view of the same run, from its lock-free
     // histograms (arrival→answer, so the wait for a permit is included).
@@ -678,8 +694,13 @@ fn render_report(
         let comma = if i + 1 == workloads.len() { "" } else { "," };
         writeln!(
             out,
-            "    {{\"workload\": \"{}\", \"encoder\": \"{}\", \"queries\": {}, \"classes\": {}, \"samples_per_sec\": {:.1}}}{comma}",
-            w.workload, w.encoder, w.queries, w.classes, w.samples_per_sec
+            "    {{\"workload\": \"{}\", \"encoder\": \"{}\", \"queries\": {}, \"classes\": {}, \"samples_per_sec\": {:.1}, \"samples_per_sec_iqr\": {:.1}}}{comma}",
+            w.workload,
+            w.encoder,
+            w.queries,
+            w.classes,
+            w.samples_per_sec.median,
+            w.samples_per_sec.iqr
         )
         .unwrap();
     }
@@ -740,7 +761,7 @@ fn main() {
 
     let best = points
         .iter()
-        .max_by(|a, b| a.images_per_sec.total_cmp(&b.images_per_sec))
+        .max_by(|a, b| a.images_per_sec.median.total_cmp(&b.images_per_sec.median))
         .expect("sweep is nonempty");
 
     // --- Per-request latency at the best configuration, with the
@@ -820,10 +841,10 @@ fn main() {
     }
 
     assert!(
-        best.images_per_sec > serial_classify_ips,
+        best.images_per_sec.median > serial_classify_ips,
         "batched+sharded serving ({:.1} img/s) must beat the serial per-image \
          classify loop ({serial_classify_ips:.1} img/s)",
-        best.images_per_sec
+        best.images_per_sec.median
     );
     // The acceptance bar for the SIMD kernels: a full run on hardware
     // with a SIMD path must show the dispatched sweep ≥1.5× scalar.

@@ -46,6 +46,7 @@ const ONLINE_KEYS: &[&str] = &[
     "learn_only_samples_per_sec",
     "mixed_classify_images_per_sec",
     "mixed_learn_samples_per_sec",
+    "publish_us",
     "registry_latency",
     "classify_throughput_ratio_under_learning",
 ];

@@ -12,8 +12,8 @@ pub mod json;
 pub mod report;
 
 pub use report::{
-    bench_dir, env_flag, iqr, machine_json, median, repo_root, write_bench_json, Latencies,
-    MIN_PASSES, PASS_SPAN,
+    bench_dir, env_flag, machine_json, median, repeat_passes, repo_root, write_bench_json,
+    Latencies, Repeated, MIN_PASSES, PASS_SPAN,
 };
 
 use uhd_core::encoder::baseline::{BaselineConfig, BaselineEncoder};

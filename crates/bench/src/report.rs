@@ -129,7 +129,7 @@ pub fn median(values: &[f64]) -> f64 {
 /// The interquartile range of `values`, each quartile interpolated
 /// linearly between the closest ranks.
 #[must_use]
-pub fn iqr(values: &[f64]) -> f64 {
+fn iqr(values: &[f64]) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
     let quantile = |q: f64| {
@@ -138,6 +138,49 @@ pub fn iqr(values: &[f64]) -> f64 {
         sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
     };
     quantile(0.75) - quantile(0.25)
+}
+
+/// A figure timed under the repeated-pass rule: the median of its
+/// passes' readings and their IQR (the `*_iqr` key of the reports).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Repeated {
+    /// The median reading.
+    pub median: f64,
+    /// The interquartile range of the readings.
+    pub iqr: f64,
+}
+
+impl Repeated {
+    /// The median and IQR of `values`.
+    #[must_use]
+    pub fn of(values: &[f64]) -> Self {
+        Repeated {
+            median: median(values),
+            iqr: iqr(values),
+        }
+    }
+}
+
+/// The repeated-pass rule: call `pass` until it has run at least
+/// [`MIN_PASSES`] times and its timed parts add up to [`PASS_SPAN`]
+/// (once in a quick run), and return every call's reading in order.
+/// Each call returns the time its timed part took and its reading, so
+/// per-pass set-up outside that part is not counted. The caller runs
+/// its untimed warm-up pass first.
+pub fn repeat_passes<T>(quick: bool, mut pass: impl FnMut() -> (Duration, T)) -> Vec<T> {
+    let (span, min_passes) = if quick {
+        (Duration::ZERO, 1)
+    } else {
+        (PASS_SPAN, MIN_PASSES)
+    };
+    let mut readings = Vec::new();
+    let mut spent = Duration::ZERO;
+    while readings.len() < min_passes || spent < span {
+        let (took, reading) = pass();
+        spent += took;
+        readings.push(reading);
+    }
+    readings
 }
 
 /// The repository root, resolved from this crate's manifest directory

@@ -134,8 +134,7 @@ impl DenseAccumulator {
 
 /// Pack `predicate(count)` per dimension into a hypervector, building
 /// whole words instead of `set_bit` (and its per-dimension bounds
-/// assert) — the shared binarization tail of the dense accumulator and
-/// of [`crate::model::HdcModel::from_class_sums`].
+/// assert) — the binarization tail of the dense reference accumulator.
 pub(crate) fn pack_threshold<T>(
     counts: &[T],
     dim: u32,
@@ -350,43 +349,12 @@ impl BitSliceAccumulator {
         Ok(())
     }
 
-    /// Run `emit` on every word column, with the index of the column's
-    /// first dimension and its count bytes: `bytes[g][i]` holds bits
-    /// `8g..8g+8` of the count of the column's dimension `i`, one slice
-    /// entry per group of eight planes. Each column's K plane words are
-    /// read once and transposed eight planes × eight dimensions at a
-    /// time through [`SPREAD`]. Entries past `dim` in the last column
-    /// are stray and must be ignored.
-    fn for_each_column(&self, mut emit: impl FnMut(usize, &[[u8; 64]])) {
-        let words = self.words;
-        let groups = self.planes().div_ceil(8);
-        let mut bytes = [[0u8; 64]; 8];
-        for w in 0..words {
-            for (g, group) in bytes[..groups].iter_mut().enumerate() {
-                let mut column = [0u64; 8];
-                let mut depth = 0;
-                for plane in self.planes.chunks_exact(words).skip(8 * g).take(8) {
-                    column[depth] = plane[w];
-                    depth += 1;
-                }
-                for (byte, chunk) in group.chunks_exact_mut(8).enumerate() {
-                    let mut bits = 0u64;
-                    for (k, &plane) in column[..depth].iter().enumerate() {
-                        bits |= SPREAD[((plane >> (8 * byte)) & 0xff) as usize] << k;
-                    }
-                    chunk.copy_from_slice(&bits.to_le_bytes());
-                }
-            }
-            emit(64 * w, &bytes[..groups]);
-        }
-    }
-
     /// Extract the per-dimension counts.
     #[must_use]
     pub fn counts(&self) -> Vec<u64> {
         let dim = self.dim as usize;
         let mut counts = vec![0u64; dim];
-        self.for_each_column(|first, bytes| {
+        for_each_column(&self.planes, self.words, |first, bytes| {
             let column = &mut counts[first..(first + 64).min(dim)];
             for (g, group) in bytes.iter().enumerate() {
                 for (count, &byte) in column.iter_mut().zip(group) {
@@ -466,33 +434,15 @@ impl BitSliceAccumulator {
     }
 
     /// Add the bipolar sums `2·count − total` into `sums` (`negate`:
-    /// subtract them) without allocating them first. Each column's
-    /// count bytes are added group by group in one pass over its 64
-    /// sums, so the per-dimension loops are plain shifted vector adds.
+    /// subtract them) without allocating them first, through the
+    /// dispatched [`Kernel::fold_sums`].
     ///
     /// # Panics
     ///
     /// Panics if `sums.len() != dim`.
     pub(crate) fn fold_bipolar_sums_into(&self, sums: &mut [i64], negate: bool) {
-        let dim = self.dim as usize;
-        assert_eq!(sums.len(), dim, "sum row length mismatch");
-        let total = if negate { -1 } else { 1 } * self.total as i64;
-        self.for_each_column(|first, bytes| {
-            let column = &mut sums[first..(first + 64).min(dim)];
-            for sum in column.iter_mut() {
-                *sum -= total;
-            }
-            for (g, group) in bytes.iter().enumerate() {
-                // Twice the count bits 8g..8g+8.
-                let shift = 8 * g + 1;
-                let pairs = column.iter_mut().zip(group);
-                if negate {
-                    pairs.for_each(|(sum, &byte)| *sum -= i64::from(byte) << shift);
-                } else {
-                    pairs.for_each(|(sum, &byte)| *sum += i64::from(byte) << shift);
-                }
-            }
-        });
+        assert_eq!(sums.len(), self.dim as usize, "sum row length mismatch");
+        Kernel::active().fold_sums(&self.planes, self.total, sums, negate);
     }
 
     /// Reset to the zero state, keeping the allocated planes.
@@ -500,6 +450,69 @@ impl BitSliceAccumulator {
         self.planes.fill(0);
         self.total = 0;
     }
+}
+
+/// Run `emit` on every word column of the plane-major counter
+/// `planes` (`words` words per plane), with the index of the column's
+/// first dimension and its count bytes: `bytes[g][i]` holds bits
+/// `8g..8g+8` of the count of the column's dimension `i`, one slice
+/// entry per group of eight planes. Each column's K plane words are
+/// read once and transposed eight planes × eight dimensions at a time
+/// through [`SPREAD`]. Entries past `dim` in the last column are stray
+/// and must be ignored.
+fn for_each_column(planes: &[u64], words: usize, mut emit: impl FnMut(usize, &[[u8; 64]])) {
+    let groups = (planes.len() / words).div_ceil(8);
+    let mut bytes = [[0u8; 64]; 8];
+    for w in 0..words {
+        for (g, group) in bytes[..groups].iter_mut().enumerate() {
+            let mut column = [0u64; 8];
+            let mut depth = 0;
+            for plane in planes.chunks_exact(words).skip(8 * g).take(8) {
+                column[depth] = plane[w];
+                depth += 1;
+            }
+            for (byte, chunk) in group.chunks_exact_mut(8).enumerate() {
+                let mut bits = 0u64;
+                for (k, &plane) in column[..depth].iter().enumerate() {
+                    bits |= SPREAD[((plane >> (8 * byte)) & 0xff) as usize] << k;
+                }
+                chunk.copy_from_slice(&bits.to_le_bytes());
+            }
+        }
+        emit(64 * w, &bytes[..groups]);
+    }
+}
+
+/// The portable body of [`Kernel::fold_sums`], which the scalar and
+/// AVX2 variants run and the AVX-512 variant is proven against: each
+/// column's count bytes come from the [`SPREAD`] transpose and are
+/// added group by group in one pass over its 64 sums, so the
+/// per-dimension loops are plain shifted vector adds.
+pub(crate) fn fold_sums_portable(
+    planes: &[u64],
+    words: usize,
+    total: u64,
+    sums: &mut [i64],
+    negate: bool,
+) {
+    let dim = sums.len();
+    let total = if negate { -1 } else { 1 } * total as i64;
+    for_each_column(planes, words, |first, bytes| {
+        let column = &mut sums[first..(first + 64).min(dim)];
+        for sum in column.iter_mut() {
+            *sum -= total;
+        }
+        for (g, group) in bytes.iter().enumerate() {
+            // Twice the count bits 8g..8g+8.
+            let shift = 8 * g + 1;
+            let pairs = column.iter_mut().zip(group);
+            if negate {
+                pairs.for_each(|(sum, &byte)| *sum -= i64::from(byte) << shift);
+            } else {
+                pairs.for_each(|(sum, &byte)| *sum += i64::from(byte) << shift);
+            }
+        }
+    });
 }
 
 /// `SPREAD[b]` moves bit `i` of byte `b` to bit `8·i`: the byte-wise

@@ -1,20 +1,24 @@
-//! Runtime-dispatched SIMD kernels for the two popcount stages of the
-//! served datapath.
+//! Runtime-dispatched SIMD kernels for the popcount and count-readout
+//! stages of the datapath.
 //!
 //! The paper's datapath bundles and binarizes (Fig. 5), then searches
-//! the class memory. Served traffic runs only those two kernels, and
-//! this module holds exactly them behind a [`Kernel`] dispatch struct:
-//! [`Kernel::bundle`], the per-dimension popcounter, and
+//! the class memory; the dynamic learner folds its bundled counts into
+//! the class sums before every published snapshot. A [`Kernel`]
+//! dispatch struct holds one kernel for each:
+//! [`Kernel::bundle`], the per-dimension popcounter;
 //! [`Kernel::hamming_to_all`], the XOR + popcount of one query against
-//! every class of the bit-sliced [`crate::assoc::AssociativeMemory`].
-//! Three kinds implement them:
+//! every class of the bit-sliced [`crate::assoc::AssociativeMemory`];
+//! and [`Kernel::fold_sums`], the count→sum transpose that turns a
+//! bit-sliced counter into bipolar sums. Classify traffic runs the
+//! first two, learn traffic all three. Three kinds implement them:
 //!
 //! * **scalar** — the always-correct portable fallback;
 //! * **avx2** — 256-bit lanes using the Mula nibble-lookup popcount
 //!   (`vpshufb` + `vpsadbw`), four classes per step;
 //! * **avx512** — 512-bit lanes using the native `vpopcntq`
 //!   instruction, eight classes per step (requires `AVX512F` +
-//!   `AVX512VPOPCNTDQ`).
+//!   `AVX512VPOPCNTDQ`); its fold needs `AVX512BW` as well and runs
+//!   the portable body without it.
 //!
 //! The kernel is selected **once** per process via
 //! `is_x86_feature_detected!` (memoized in a `OnceLock`) and can be
@@ -40,23 +44,35 @@
 //! and stores the planes once. The AVX-512 variant keeps the planes in
 //! registers: it builds each carry-save adder from two `vpternlogq` and
 //! fixes its register plane count at compile time per counter depth.
-//! Scalar and AVX2 compile one portable body. Two crate-private
-//! baseline helpers serve the uHD encoder's lit-pixel scan: `at_least`
-//! compares 64 intensity bytes against a threshold into a bit mask, and
-//! `prefetch` hints a table row into cache as the scan finds it.
+//! Scalar and AVX2 compile one portable body.
+//!
+//! The fold ([`Kernel::fold_sums`]) works one 64-dimension word column
+//! at a time. Scalar and AVX2 transpose eight planes × eight
+//! dimensions through a byte-spread table; AVX-512 makes each plane
+//! word the lane mask of one byte add, so a group of eight planes
+//! becomes 64 count bytes in eight instructions, and widens them into
+//! the `i64` sums.
+//!
+//! Two crate-private baseline helpers serve the uHD encoder's
+//! lit-pixel scan: `at_least` compares 64 intensity bytes against a
+//! threshold into a bit mask, and `prefetch` hints a table row into
+//! cache as the scan finds it. A third, `sign_bits`, is portable code:
+//! it gathers up to 64 sums' sign bits into one word for the sign
+//! binarization of published class sums.
 
 // The SIMD intrinsics are the one place in the workspace that needs
 // `unsafe`. Soundness rests on a single invariant, enforced by
 // construction: a `Kernel` with an AVX2/AVX-512 kind can only be
 // obtained through `Kernel::active()` / `Kernel::from_name()`, both of
-// which verify the CPU feature at runtime before handing it out. The
-// free helpers `at_least` and `prefetch` use only SSE2 and SSE, which
-// every x86-64 CPU has.
+// which verify the CPU feature at runtime before handing it out (the
+// AVX-512 fold checks AVX512BW itself at each call). The free helpers
+// `at_least` and `prefetch` use only SSE2 and SSE, which every x86-64
+// CPU has.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
 
-use crate::accumulator::bundle_portable;
+use crate::accumulator::{bundle_portable, fold_sums_portable};
 
 /// Class-block width of the associative sweep: 4096 distance
 /// accumulators (16 KiB of `u32`) stay L1-resident while the class
@@ -82,7 +98,7 @@ pub enum KernelKind {
     Avx512,
 }
 
-/// A dispatched sweep/bundling kernel.
+/// A dispatched sweep/bundling/fold kernel.
 ///
 /// Obtain the process-wide selection with [`Kernel::active`], or a
 /// specific implementation with [`Kernel::scalar`] /
@@ -269,6 +285,48 @@ impl Kernel {
             _ => bundle_portable(planes, words, rows),
         }
     }
+
+    /// Fold a bit-sliced counter into running bipolar sums:
+    /// `sums[d] += 2·count_d − total` for every dimension `d` (with
+    /// `negate`, `−=`), where `planes` holds the counts as K whole
+    /// planes of `⌈sums.len() / 64⌉` words each, plane-major as in
+    /// [`Kernel::bundle`]. Count bits past `sums.len()` in the last
+    /// column are ignored.
+    ///
+    /// This is the count→sum transpose behind
+    /// [`crate::accumulator::BitSliceAccumulator::bipolar_sums`] and the
+    /// online learner's per-publish fold of its pending counters. The
+    /// scalar and AVX2 variants spread eight planes × eight dimensions
+    /// at a time through a byte table. The AVX-512 variant builds each
+    /// 64-dimension column's count bytes with one masked byte add per
+    /// plane, the plane word being the lane mask, then widens them into
+    /// the sums; it needs AVX512BW and runs the portable body without
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums` is empty, or if `planes` is not 1 to 64 whole
+    /// planes of `⌈sums.len() / 64⌉` words.
+    pub fn fold_sums(&self, planes: &[u64], total: u64, sums: &mut [i64], negate: bool) {
+        let words = sums.len().div_ceil(64);
+        assert!(
+            words > 0 && !planes.is_empty() && planes.len().is_multiple_of(words),
+            "fold_sums needs whole planes"
+        );
+        assert!(
+            planes.len() / words <= 64,
+            "fold_sums takes at most 64 planes"
+        );
+        match self.kind {
+            // SAFETY: construction verified AVX-512F; AVX512BW is
+            // checked here.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 if std::arch::is_x86_feature_detected!("avx512bw") => unsafe {
+                avx512::fold_sums(planes, words, total, sums, negate);
+            },
+            _ => fold_sums_portable(planes, words, total, sums, negate),
+        }
+    }
 }
 
 /// Bit `i` set where `bytes[i] ≥ threshold`, for up to 64 bytes. On
@@ -314,6 +372,27 @@ pub(crate) fn at_least(bytes: &[u8], threshold: u8) -> u64 {
     }
     #[cfg(not(target_arch = "x86_64"))]
     portable(bytes)
+}
+
+/// Bit `i` set where `sums[i] < 0`, for up to 64 sums: the sign bits,
+/// gathered with no branch per sum. Each eight sums' sign bits are
+/// spread one per byte (bit `8k`), and one multiply by
+/// `0x0102_0408_1020_4080` collects those eight bits, without carries,
+/// into the product's top byte.
+///
+/// # Panics
+///
+/// Panics if `sums` is longer than 64.
+#[must_use]
+pub(crate) fn sign_bits(sums: &[i64]) -> u64 {
+    assert!(sums.len() <= 64, "sign_bits takes at most 64 sums");
+    sums.chunks(8).enumerate().fold(0u64, |bits, (j, eight)| {
+        let spread = eight
+            .iter()
+            .enumerate()
+            .fold(0u64, |x, (k, &s)| x | (s as u64 >> 63) << (8 * k));
+        bits | (spread.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
+    })
 }
 
 /// Ask the CPU to pull every cache line of `row` toward L1 ahead of
@@ -471,9 +550,11 @@ mod avx512 {
     use crate::accumulator::{BUNDLE_BLOCK, REGISTER_PLANES, RIPPLE_ROWS};
     use std::arch::x86_64::{
         __m512i, __mmask8, _mm256_add_epi32, _mm256_loadu_si256, _mm256_storeu_si256,
-        _mm512_add_epi64, _mm512_and_si512, _mm512_cvtepi64_epi32, _mm512_loadu_si512,
-        _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_add_epi64, _mm512_and_si512, _mm512_cvtepi64_epi32, _mm512_cvtepu8_epi64,
+        _mm512_loadu_si512, _mm512_mask_add_epi8, _mm512_mask_storeu_epi64,
+        _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_set1_epi64, _mm512_set1_epi8,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_storeu_si512, _mm512_sub_epi64,
+        _mm512_ternarylogic_epi64, _mm512_xor_si512, _mm_loadl_epi64,
     };
 
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
@@ -683,6 +764,69 @@ mod avx512 {
         // and `P ≤ depth` since `Kernel::bundle` rejects zero planes.
         f(planes, words, rows);
     }
+
+    /// [`super::Kernel::fold_sums`], after its checks. Per 64-dimension
+    /// column, each group of eight planes becomes one register of count
+    /// bytes (plane `8g + b` adds `2^b` to the bytes its word selects),
+    /// the bytes widen to `i64` and shift to twice their weight `2^8g`,
+    /// and one masked read-modify-write per eight sums applies them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX512BW, `planes` must hold
+    /// 1 to 64 whole planes of `words` words, and `words` must be
+    /// `⌈sums.len() / 64⌉`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub unsafe fn fold_sums(
+        planes: &[u64],
+        words: usize,
+        total: u64,
+        sums: &mut [i64],
+        negate: bool,
+    ) {
+        let depth = planes.len() / words;
+        let total = _mm512_set1_epi64(total as i64);
+        let mut stash = [0u8; 64];
+        for w in 0..words {
+            // The counts of the column's dimensions 8j..8j+8, one byte
+            // group at a time from the top (Horner: shift up a byte,
+            // add the next group). The group's bytes go through a
+            // stack copy, so each widening reads its eight bytes
+            // straight from memory instead of shuffling them out.
+            let mut counts = [_mm512_setzero_si512(); 8];
+            for g in (0..depth.div_ceil(8)).rev() {
+                let mut bytes = _mm512_setzero_si512();
+                for bit in 0..(depth - 8 * g).min(8) {
+                    let plane = planes[(8 * g + bit) * words + w];
+                    let weight = _mm512_set1_epi8((1u8 << bit) as i8);
+                    bytes = _mm512_mask_add_epi8(bytes, plane, bytes, weight);
+                }
+                _mm512_storeu_si512(stash.as_mut_ptr().cast(), bytes);
+                for (eight, count) in stash.chunks_exact(8).zip(&mut counts) {
+                    let eight = _mm_loadl_epi64(eight.as_ptr().cast());
+                    let shifted = _mm512_slli_epi64::<8>(*count);
+                    *count = _mm512_add_epi64(shifted, _mm512_cvtepu8_epi64(eight));
+                }
+            }
+            let live = (sums.len() - 64 * w).min(64);
+            for (j, count) in counts.iter().enumerate().take(live.div_ceil(8)) {
+                let lanes: __mmask8 = if live - 8 * j >= 8 {
+                    0xff
+                } else {
+                    (1u8 << (live - 8 * j)) - 1
+                };
+                let at = sums.as_mut_ptr().add(64 * w + 8 * j);
+                let sum = _mm512_maskz_loadu_epi64(lanes, at.cast());
+                let delta = _mm512_sub_epi64(_mm512_slli_epi64::<1>(*count), total);
+                let sum = if negate {
+                    _mm512_sub_epi64(sum, delta)
+                } else {
+                    _mm512_add_epi64(sum, delta)
+                };
+                _mm512_mask_storeu_epi64(at.cast(), lanes, sum);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -869,6 +1013,28 @@ mod tests {
             prop_assert_eq!(at_least(&bytes, threshold), expect);
             let all = if len == 0 { 0 } else { u64::MAX >> (64 - len) };
             prop_assert_eq!(at_least(&bytes, 0), all);
+        }
+
+        /// `sign_bits` equals a per-sum `< 0` at every length up to 64,
+        /// on sums drawn from the sign edges and at random.
+        #[test]
+        fn prop_sign_bits_match_a_per_sum_compare(
+            len in 0usize..=64,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let edges = [0, -1, 1, i64::MIN, i64::MAX];
+            let sums: Vec<i64> = (0..len)
+                .map(|_| match rng.next_u64() % 8 {
+                    e @ 0..=4 => edges[e as usize],
+                    _ => rng.next_u64() as i64,
+                })
+                .collect();
+            let expect = sums
+                .iter()
+                .enumerate()
+                .fold(0u64, |bits, (i, &s)| bits | u64::from(s < 0) << i);
+            prop_assert_eq!(sign_bits(&sums), expect);
         }
     }
 

@@ -10,11 +10,12 @@
 //! generic over [`Encoder`], so the same model code trains and serves
 //! image, text and tabular workloads.
 
-use crate::accumulator::{pack_threshold, BitSliceAccumulator};
+use crate::accumulator::BitSliceAccumulator;
 use crate::assoc::AssociativeMemory;
 use crate::encoder::Encoder;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
+use crate::kernels::sign_bits;
 use crate::similarity::cosine_int;
 
 /// How a query is compared against the trained classes.
@@ -209,7 +210,12 @@ impl HdcModel {
                     reason: format!("class sum length {} != dim {dim}", sums.len()),
                 });
             }
-            class_hvs.push(pack_threshold(sums, dim, |&s| s >= 0));
+            // +1 where the sum is ≥ 0, i.e. where its sign bit is
+            // clear: each word is the complement of its 64 sums' sign
+            // bits, with no branch per dimension (`from_words` masks
+            // the bits past `dim`).
+            let words = sums.chunks(64).map(|chunk| !sign_bits(chunk)).collect();
+            class_hvs.push(Hypervector::from_words(words, dim)?);
         }
         Self::from_parts(class_hvs, class_sums, dim)
     }

@@ -29,11 +29,13 @@
 //! * labels the learner has never seen **admit new classes at
 //!   runtime** (up to a configurable cap), so a deployed model can
 //!   grow its label space without retraining from scratch;
-//! * [`OnlineLearner::snapshot`] folds the pending counters and
-//!   rebinarizes the accumulators into a fresh [`HdcModel`] — cheap
-//!   enough (one sign pass plus the bit-sliced associative-memory
-//!   transpose) to run continuously, which is what `uhd-serve` does
-//!   behind its hot model swap.
+//! * [`OnlineLearner::snapshot`] folds every touched pending counter
+//!   into the class sums (one dispatched [`crate::kernels::Kernel::fold_sums`]
+//!   pass each), copies the sums into a fresh [`HdcModel`] and
+//!   rebinarizes them there (a sign-bit pack a word at a time, plus
+//!   the bit-sliced associative-memory transpose) — cheap enough to
+//!   run continuously, which is what `uhd-serve` does behind its hot
+//!   model swap.
 //!
 //! `feedback_accumulator` is the only implementation of the correction
 //! rule: the batched [`crate::retrain`] loop feeds it each mispredicted

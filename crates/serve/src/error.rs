@@ -8,7 +8,9 @@ use uhd_core::HdcError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// An encoding or classification error bubbled up from `uhd-core`.
+    /// An error bubbled up from `uhd-core`: a sample failing the
+    /// encoder's checks, a failed encode or classify, or a labelled
+    /// sample the online learner rejects.
     Core(HdcError),
     /// The registry has shut down; no further requests are accepted.
     Closed,
@@ -71,7 +73,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Core(e) => write!(f, "classification failed: {e}"),
+            ServeError::Core(e) => write!(f, "request failed: {e}"),
             ServeError::Closed => write!(f, "model registry is shut down"),
             ServeError::WorkerPanicked => {
                 write!(f, "answering this request panicked")
@@ -125,7 +127,10 @@ mod tests {
     #[test]
     fn display_and_source() {
         let e = ServeError::from(HdcError::ModelUntrained);
-        assert!(e.to_string().contains("classification failed"));
+        assert_eq!(
+            e.to_string(),
+            format!("request failed: {}", HdcError::ModelUntrained)
+        );
         assert!(e.source().is_some());
         assert!(ServeError::Closed.source().is_none());
     }

@@ -248,13 +248,17 @@ impl TenantState {
         (slot.generation, Arc::clone(&slot.model))
     }
 
-    /// Swap in a new model generation and return its number.
+    /// Swap in a new model generation and return its number. The
+    /// superseded model is dropped after the write lock, so a classify
+    /// never waits while its class sums are freed.
     fn publish(&self, model: HdcModel) -> u64 {
+        let model = Arc::new(model);
         let mut slot = self.model.write().unwrap_or_else(PoisonError::into_inner);
         slot.generation += 1;
-        slot.model = Arc::new(model);
+        let superseded = std::mem::replace(&mut slot.model, model);
         let generation = slot.generation;
         drop(slot);
+        drop(superseded);
         self.generation_gauge.set(generation);
         generation
     }

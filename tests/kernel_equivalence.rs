@@ -1,10 +1,12 @@
 //! Cross-kernel equivalence: every runtime-dispatched SIMD kernel
-//! must be bit-identical to the scalar fallback on both served entry
-//! points (the associative sweep and bundling), across dimensions
+//! must be bit-identical to the scalar fallback on every dispatched
+//! entry point (the associative sweep, bundling and the count→sum
+//! fold), across dimensions
 //! chosen to hit the masked-tail remainder loops (`D % 256 ≠ 0`,
 //! `D % 64 ≠ 0`) and paper-scale sizes; the pairwise
 //! [`Hypervector`] ops are pinned to a bit-by-bit count at the same
-//! dimensions, and to every kernel's one-class sweep.
+//! dimensions, and to every kernel's one-class sweep. The sign packing
+//! of published class sums is pinned to a per-dimension compare.
 //!
 //! These suites are the safety net for `uhd_core::kernels`: a SIMD
 //! kernel that mis-handles a remainder word would corrupt *distances*,
@@ -12,9 +14,11 @@
 //! drop — so the equivalence is pinned here, exhaustively, instead.
 
 use proptest::prelude::*;
+use uhd::core::accumulator::{BitSliceAccumulator, DenseAccumulator};
 use uhd::core::assoc::AssociativeMemory;
-use uhd::core::hypervector::Hypervector;
+use uhd::core::hypervector::{words_for_dim, Hypervector};
 use uhd::core::kernels::Kernel;
+use uhd::core::model::HdcModel;
 use uhd::lowdisc::rng::Xoshiro256StarStar;
 
 /// Dimensions straddling every SIMD chunk width: the 4-word scalar
@@ -215,6 +219,110 @@ proptest! {
                 reference,
                 "kernel {} at dim {}", kernel.name(), dim
             );
+        }
+    }
+
+    /// The dispatched count→sum fold equals the byte-spread fold of the
+    /// scalar kernel and a dense per-dimension oracle, for both signs,
+    /// onto nonzero running sums: plane counts 1–40 cross the 8-plane
+    /// byte groups, `D % 64 ≠ 0` leaves a ragged last column, and
+    /// stray count bits past D must be ignored. A bit-sliced counter
+    /// built from masks also reads the same sums as the dense
+    /// accumulator through `bipolar_sums`.
+    #[test]
+    fn prop_fold_sums_matches_the_spread_fold_and_a_dense_oracle(
+        dim_at in 0usize..4,
+        depth in 1usize..=40,
+        masks in 0usize..=40,
+        seed in any::<u64>(),
+    ) {
+        let dim = [64u32, 100, 1000, 2048][dim_at];
+        let words = words_for_dim(dim);
+        let mut rng = Xoshiro256StarStar::seeded(seed);
+        let top = (1u64 << depth) - 1;
+        // Counts at the extremes of the planes as well as in between.
+        let counts: Vec<u64> = (0..dim)
+            .map(|_| match rng.next_u64() % 4 {
+                0 => 0,
+                1 => top,
+                _ => rng.next_u64() & top,
+            })
+            .collect();
+        let mut planes = vec![0u64; depth * words];
+        for (d, &count) in counts.iter().enumerate() {
+            for k in 0..depth {
+                planes[k * words + d / 64] |= ((count >> k) & 1) << (d % 64);
+            }
+        }
+        if !dim.is_multiple_of(64) {
+            for k in 0..depth {
+                planes[k * words + words - 1] |= rng.next_u64() << (dim % 64);
+            }
+        }
+        let total = rng.next_u64() % (2 * top + 2);
+        let base: Vec<i64> = (0..dim).map(|_| rng.next_u64() as i64 >> 20).collect();
+        for negate in [false, true] {
+            let sign = if negate { -1 } else { 1 };
+            let expect: Vec<i64> = base
+                .iter()
+                .zip(&counts)
+                .map(|(&b, &c)| b + sign * (2 * c as i64 - total as i64))
+                .collect();
+            let mut spread = base.clone();
+            Kernel::scalar().fold_sums(&planes, total, &mut spread, negate);
+            prop_assert_eq!(&spread, &expect, "scalar, negate {}", negate);
+            for kernel in Kernel::available() {
+                let mut got = base.clone();
+                kernel.fold_sums(&planes, total, &mut got, negate);
+                prop_assert_eq!(
+                    &got, &expect,
+                    "kernel {}, depth {}, negate {}", kernel.name(), depth, negate
+                );
+            }
+        }
+        let rows: Vec<Hypervector> = (0..masks).map(|_| Hypervector::random(dim, &mut rng)).collect();
+        let mut sliced = BitSliceAccumulator::new(dim);
+        sliced.add_masks(&rows.iter().map(Hypervector::words).collect::<Vec<_>>());
+        let mut dense = DenseAccumulator::new(dim);
+        for row in &rows {
+            dense.add_mask(row.words());
+        }
+        prop_assert_eq!(sliced.bipolar_sums(), dense.bipolar_sums());
+    }
+
+    /// Published class hypervectors are +1 exactly where the class sum
+    /// is ≥ 0, at dimensions with a ragged last word and on sums that
+    /// include 0, −1, 1, `i64::MIN` and `i64::MAX`; no bit is set past
+    /// D.
+    #[test]
+    fn prop_class_sign_packing_matches_a_per_dimension_compare(
+        dim_at in 0usize..7,
+        classes in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let dim = [1u32, 63, 65, 100, 1000, 2047, 2049][dim_at];
+        let mut rng = Xoshiro256StarStar::seeded(seed);
+        let edges = [0, -1, 1, i64::MIN, i64::MAX];
+        let sums: Vec<Vec<i64>> = (0..classes)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match rng.next_u64() % 8 {
+                        e @ 0..=4 => edges[e as usize],
+                        _ => rng.next_u64() as i64,
+                    })
+                    .collect()
+            })
+            .collect();
+        let model = HdcModel::from_class_sums(sums.clone(), dim).unwrap();
+        prop_assert_eq!(model.class_sums(), &sums[..]);
+        for (hv, row) in model.class_hypervectors().iter().zip(&sums) {
+            for (d, &s) in row.iter().enumerate() {
+                prop_assert_eq!(hv.bit(d as u32), s >= 0, "dim {}, d {}, sum {}", dim, d, s);
+            }
+            let last = *hv.words().last().unwrap();
+            if !dim.is_multiple_of(64) {
+                prop_assert_eq!(last >> (dim % 64), 0, "bits past D at dim {}", dim);
+            }
         }
     }
 }

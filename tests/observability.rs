@@ -133,6 +133,11 @@ fn learner_rejections_trace_the_offending_label() {
         message.contains("predicted class 20 "),
         "the error must name the prediction: {message}"
     );
+    // Nothing was classified: the prefix names no operation.
+    assert!(
+        message.starts_with("request failed: "),
+        "neutral prefix: {message}"
+    );
 }
 
 /// Every learn or feedback sample that reaches its tenant's learner is
